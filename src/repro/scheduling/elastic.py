@@ -63,7 +63,10 @@ jobs and block size ``B``:
 * the Figure-2 dry run short-circuits to *infeasible* when the blocks'
   total ``shrinkable`` sum cannot cover the requested slots — priority
   stops and gap ineligibility only ever reduce what the walk frees, so
-  the aggregate total is a sound upper bound.
+  the aggregate total is a sound upper bound;
+* the same transitions bump ``transitions``, one int add each, so a
+  hook stage can price one engine state once: EASY backfilling builds
+  its release profile once per state, not once per Figure-3 candidate.
 
 Decision sequences are **byte-identical** to the preserved pre-
 optimization engine (:mod:`repro.scheduling._reference`); the golden
@@ -123,6 +126,11 @@ class ElasticPolicyEngine:
         #: Slots held by running jobs (workers + launcher reservations),
         #: maintained incrementally by every transition.
         self._used_slots: int = 0
+        #: Bumped by every transition that changes the running set, a
+        #: running job's ``replicas``/``last_action``, ``_used_slots`` or
+        #: ``total_slots``: a hook stage may cache work priced against one
+        #: engine state (EASY's release profile) under this counter.
+        self.transitions: int = 0
         # During the Figure-3 walk, queue→running moves are recorded here
         # and applied after the walk (the walk's block pointers must not
         # see structural mutations mid-flight).
@@ -133,6 +141,10 @@ class ElasticPolicyEngine:
         config = self.config
         self._priority_rule = getattr(config, "priority_rule", None)
         self._backfill = getattr(config, "backfill", None)
+        # Optional companion of BackfillRule.allows: told when a job
+        # enters the queue ahead of every waiter, so a rule can retire
+        # the reservation of the head it displaced.
+        self._backfill_overtakes = getattr(self._backfill, "overtakes", None)
         factory = getattr(config, "capacity_constraint", None)
         #: One fresh constraint per engine: budgets are engine state.
         self._constraint = factory() if factory is not None else None
@@ -573,6 +585,7 @@ class ElasticPolicyEngine:
         self.running.remove(job)
         freed = job.replicas + self.config.launcher_slots
         self._used_slots -= freed
+        self.transitions += 1
         if self._constraint is not None:
             self._constraint.charge(job.request, -job.replicas)
         job.replicas = 0
@@ -806,6 +819,7 @@ class ElasticPolicyEngine:
         if slots <= 0:
             raise CapacityError(f"capacity growth must be positive, got {slots}")
         self.total_slots += slots
+        self.transitions += 1
         return self.rebalance(now)
 
     def shrink_capacity(
@@ -857,6 +871,7 @@ class ElasticPolicyEngine:
                 decisions.append(self._requeue(candidate, now))
         removed = min(slots, self.free_slots)
         self.total_slots -= removed
+        self.transitions += 1
         return removed, self._log(decisions)
 
     def eviction_candidates(self, slots: int) -> List[SchedulerJob]:
@@ -926,12 +941,12 @@ class ElasticPolicyEngine:
         self.running.remove(job)
         released = job.replicas
         self._used_slots -= released + self.config.launcher_slots
+        self.transitions += 1
         if self._constraint is not None:
             self._constraint.charge(job.request, -released)
         job.replicas = 0
-        job.state = JobState.QUEUED
         job.last_action = -math.inf
-        self.queue.add(job)
+        self._park(job)
         return RequeueJob(job=job, released_replicas=released)
 
     # ------------------------------------------------------------------
@@ -951,6 +966,7 @@ class ElasticPolicyEngine:
         actual = int(actual_replicas)
         old = job.replicas
         self._used_slots += actual - job.replicas
+        self.transitions += 1
         if self._constraint is not None and actual != old:
             self._constraint.charge(job.request, actual - old)
         job.replicas = actual
@@ -999,6 +1015,7 @@ class ElasticPolicyEngine:
         if job.start_time is None:
             job.start_time = now
         self._used_slots += taken
+        self.transitions += 1
         return StartJob(job=job, replicas=replicas)
 
     def _start(self, job: SchedulerJob, replicas: int, now: float) -> StartJob:
@@ -1022,9 +1039,14 @@ class ElasticPolicyEngine:
 
     def _enqueue(self, job: SchedulerJob) -> EnqueueJob:
         # NOTE: lastAction deliberately untouched (see module docstring).
-        job.state = JobState.QUEUED
-        self.queue.add(job)
+        self._park(job)
         return EnqueueJob(job=job)
+
+    def _park(self, job: SchedulerJob) -> None:
+        """Put ``job`` in the queue (enqueue, eviction or preemption)."""
+        job.state = JobState.QUEUED
+        if self.queue.add(job) and self._backfill_overtakes is not None:
+            self._backfill_overtakes(self, job)
 
     def _shrink(self, job: SchedulerJob, new_replicas: int, now: float) -> Optional[ShrinkJob]:
         if self.config.shrink_filter is not None and not self.config.shrink_filter(
@@ -1036,6 +1058,7 @@ class ElasticPolicyEngine:
         job.last_action = now
         job.rescale_count += 1
         self._used_slots -= old - new_replicas
+        self.transitions += 1
         if self._constraint is not None:
             self._constraint.charge(job.request, new_replicas - old)
         self.running.rescaled(job, old)
@@ -1048,6 +1071,7 @@ class ElasticPolicyEngine:
         job.last_action = now
         job.rescale_count += 1
         self._used_slots += new_replicas - old
+        self.transitions += 1
         if self._constraint is not None:
             self._constraint.charge(job.request, new_replicas - old)
         self.running.rescaled(job, old)

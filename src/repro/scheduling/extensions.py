@@ -179,15 +179,15 @@ class PreemptivePolicyEngine(ElasticPolicyEngine):
         if freed < needed:
             return []
         decisions: List[Decision] = []
+        self.transitions += 1
         for victim in victims:
             self.running.remove(victim)
             released = victim.replicas
             self._used_slots -= released + reserve
             victim.replicas = 0
-            victim.state = JobState.QUEUED
             victim.last_action = now
             self.preempted.add(victim.name)
-            self.queue.add(victim)
+            self._park(victim)
             decisions.append(PreemptJob(job=victim, released_replicas=released))
         return decisions
 

@@ -189,8 +189,11 @@ class IndexedJobList:
         last = len(self._blocks) - 1
         return index if index < last else last
 
-    def add(self, job: SchedulerJob) -> None:
-        """Insert keeping sorted order; O(log blocks + block size)."""
+    def add(self, job: SchedulerJob) -> bool:
+        """Insert keeping sorted order; O(log blocks + block size).
+
+        Returns whether ``job`` became the first element.
+        """
         key = priority_order_key(job)
         request = job.request
         self.min_replicas_total += request.min_replicas
@@ -201,7 +204,7 @@ class IndexedJobList:
             self._blocks.append(_Block([job], [key]))
             self._maxkeys.append(key)
             self._len = 1
-            return
+            return True
         blocks = self._blocks
         b = bisect_left(self._maxkeys, key)
         last = len(blocks) - 1
@@ -232,6 +235,7 @@ class IndexedJobList:
         self._len += 1
         if len(keys) > 2 * BLOCK_LOAD:
             self._split(b)
+        return i == 0 and b == 0
 
     def _split(self, b: int) -> None:
         block = self._blocks[b]

@@ -47,9 +47,9 @@ __all__ = [
 DEFAULT_RUNTIME_ESTIMATE = 3600.0
 
 # Lazy import memo: repro.scheduling must stay importable without the
-# performance-model stack, but estimate_runtime sits on the EASY hot
-# path (every projection touches every running job), so the import
-# machinery must run once, not per call.
+# performance-model stack, but estimate_runtime sits on the EASY path
+# (once per job and replica count its memo has not priced yet), so the
+# import machinery must run once, not per call.
 _PERFMODEL = None
 
 
@@ -124,6 +124,18 @@ class EasyBackfill:
     backfill candidate is admitted only if every reservation computed
     *with* the candidate running is no later than *without* it.
 
+    Cost: the release profile — free slots plus the estimated finish of
+    every running job, sorted — is built once per engine state, keyed on
+    the engine object, its ``transitions`` counter and ``now``, so every
+    candidate of one Figure-3 walk shares it.  The aggressive variant
+    also prices the head once per state: its shadow time ``S`` (earliest
+    start) and the extra slots ``E`` still free at ``S``.  A candidate's
+    release can only push the head later, so the start delays the head
+    iff it needs more than ``E`` slots and runs past ``S`` (Lifka's
+    test): O(1) per candidate.  Only an admitted start runs the exact
+    projection, to record the reservation.  The conservative variant
+    keeps its chained projections over the shared profile.
+
     ``last_reservations`` keeps the most recent with-candidate
     projection (job name → reserved start time).  Only the *head* entry
     is a hard bound: non-head projections under ``conservative`` commit
@@ -131,32 +143,47 @@ class EasyBackfill:
     sizing may start an earlier job wider and push later waiters out —
     so ``last_head_reservations`` tracks the head entries alone, and the
     property suite asserts heads actually start by their reserved times.
+    A head that a higher-ranked job overtakes while it still waits (the
+    newcomer enters the queue ahead of it, or starts ahead of every
+    waiter) loses both entries: its reservation guarded it against
+    backfills, not against higher priorities.
     """
 
-    #: Estimate-memo epoch bound: cleared wholesale at this size, so
-    #: streaming runs don't pin every completed job's request forever.
-    _EST_CACHE_LIMIT = 20_000
+    #: Estimate-memo entries allowed beyond two per live job before a
+    #: profile rebuild prunes the memo back to the live jobs.
+    _EST_SLACK = 64
 
     def __init__(self, conservative: bool = False):
         self.conservative = bool(conservative)
         self.last_reservations: Dict[str, float] = {}
         self.last_head_reservations: Dict[str, float] = {}
-        self._est_cache: Dict[Tuple[int, int], Tuple[JobRequest, float]] = {}
+        # The priced engine state: engine object (held, never its id:
+        # engines built from one resolved config share this rule), its
+        # transition count, the event time, free slots and the sorted
+        # (finish, slots) releases of the running jobs.
+        self._engine = None
+        self._transitions = -1
+        self._now = math.nan
+        self._free = 0
+        self._releases: List[Tuple[float, int]] = []
+        # The aggressive head priced against that state: shadow time S
+        # and extra slots E.
+        self._head = None
+        self._shadow = math.inf
+        self._extra = 0
+        # Estimate memo, keyed by request identity (requests carry an
+        # unhashable params dict) and replicas; the stored request keeps
+        # the id from being recycled.  Each profile rebuild bounds it by
+        # the live (running and queued) jobs, so a streaming run never
+        # pins the requests of jobs long finished.
+        self._est: Dict[Tuple[int, int], Tuple[JobRequest, float]] = {}
 
     def _estimate(self, request: JobRequest, replicas: int) -> float:
-        # Keyed by identity (requests carry an unhashable params dict);
-        # the stored reference keeps the id from being recycled while
-        # the entry lives, and the estimate is a pure function of the
-        # request, so a hit is always exact.
         key = (id(request), replicas)
-        hit = self._est_cache.get(key)
-        if hit is not None and hit[0] is request:
-            return hit[1]
-        if len(self._est_cache) >= self._EST_CACHE_LIMIT:
-            self._est_cache.clear()
-        est = estimate_runtime(request, replicas)
-        self._est_cache[key] = (request, est)
-        return est
+        hit = self._est.get(key)
+        if hit is None or hit[0] is not request:
+            hit = self._est[key] = (request, estimate_runtime(request, replicas))
+        return hit[1]
 
     # -- BackfillRule --------------------------------------------------
 
@@ -165,9 +192,7 @@ class EasyBackfill:
         # The queue iterates in priority_order_key order, so everything
         # "ahead" of the candidate sits before it (and before the first
         # key >= its own): break there instead of scanning the whole
-        # backlog, and after one hit in the aggressive variant — this
-        # runs per scan candidate, and O(queue) here is what used to
-        # make deep-backlog walks quadratic.
+        # backlog, and after one hit in the aggressive variant.
         key = priority_order_key(job)
         ahead: List[SchedulerJob] = []
         for q in engine.queue:
@@ -178,50 +203,114 @@ class EasyBackfill:
                 if not self.conservative:
                     break
         if not ahead:
-            return True  # starting the head is never a backfill
+            self.overtakes(engine, job)  # never a backfill
+            return True
         launcher = engine.config.launcher_slots
-        free, releases = self._release_profile(engine, now, launcher)
-        base = self._project(ahead, free, list(releases), now, launcher)
+        if (engine is not self._engine or now != self._now
+                or engine.transitions != self._transitions):
+            self._price(engine, now, launcher)
         need = replicas + launcher
-        releases.append((now + self._estimate(job.request, replicas), need))
-        trial = self._project(ahead, free - need, releases, now, launcher)
-        for name, reserved_at in trial.items():
-            if reserved_at > base[name] + 1e-9:
+        if not self.conservative:
+            if ahead[0] is not self._head:
+                self._price_head(ahead[0], launcher)
+            # Lifka's test: the candidate delays the head iff it takes
+            # slots the head needs at S and still holds them after S.
+            if (need > self._extra and self._shadow < math.inf
+                    and now + self._estimate(job.request, replicas)
+                    > self._shadow + 1e-9):
                 return False
+        releases = self._releases.copy()
+        releases.append((now + self._estimate(job.request, replicas), need))
+        trial = self._project(ahead, self._free - need, releases, now, launcher)
+        if self.conservative:
+            base = self._project(ahead, self._free, self._releases.copy(),
+                                 now, launcher)
+            for name, reserved_at in trial.items():
+                if reserved_at > base[name] + 1e-9:
+                    return False
         self.last_reservations.update(trial)
         head = ahead[0].name
         self.last_head_reservations[head] = trial[head]
         return True
 
+    def overtakes(self, engine, job: SchedulerJob) -> None:
+        """``job`` goes ahead of every waiter: it entered ``engine``'s
+        queue at the front, or starts past the queue without being a
+        backfill.  The head it passes loses its reservation."""
+        if not self.last_head_reservations:
+            return
+        for q in engine.queue:
+            # Skip the job itself and starts deferred mid-walk.
+            if q is not job and q.state == JobState.QUEUED:
+                self.last_reservations.pop(q.name, None)
+                self.last_head_reservations.pop(q.name, None)
+                return
+
     # -- the shadow-profile projection ---------------------------------
 
-    def _release_profile(
-        self, engine, now: float, launcher: int
-    ) -> Tuple[int, List[Tuple[float, int]]]:
-        """Free slots plus the (finish, slots) release of every running
-        job — including pending starts deferred mid-walk (the engine
-        parks them on ``_pending_starts`` while they are still
-        physically in the queue; their slots are already charged).
-        Shared by the with- and without-candidate projections so each
-        ``allows`` prices the running set once.
+    def _price(self, engine, now: float, launcher: int) -> None:
+        """Price ``engine`` at ``now``: free slots plus the sorted
+        (finish, slots) release of every running job — including pending
+        starts deferred mid-walk (the engine parks them on
+        ``_pending_starts`` while they are still physically in the queue;
+        their slots are already charged).
         """
+        running, queue = engine.running, engine.queue
+        if len(self._est) > 2 * (len(running) + len(queue)) + self._EST_SLACK:
+            self._prune(running, queue)
+        estimate = self._estimate
         releases: List[Tuple[float, int]] = []
+        for records in (running, engine._pending_starts or ()):
+            for record in records:
+                replicas = record.replicas
+                started = record.last_action
+                if started == -math.inf or math.isnan(started):
+                    started = now
+                done = started + estimate(record.request, replicas)
+                releases.append((done if done > now else now,
+                                 replicas + launcher))
+        releases.sort()
+        self._engine = engine
+        self._transitions = engine.transitions
+        self._now = now
+        self._free = engine.free_slots
+        self._releases = releases
+        self._head = None
 
-        def finish(record: SchedulerJob) -> float:
-            remaining = self._estimate(record.request, record.replicas)
-            started = record.last_action
-            if started == -math.inf or math.isnan(started):
-                started = now
-            done = started + remaining
-            return done if done > now else now
+    def _prune(self, running, queue) -> None:
+        """Keep only the memo entries of live jobs (pending starts still
+        sit in the queue)."""
+        live = {}
+        for records in (running, queue):
+            for record in records:
+                live[id(record.request)] = record.request
+        self._est = {key: hit for key, hit in self._est.items()
+                     if live.get(key[0]) is hit[0]}
 
-        for record in engine.running:
-            releases.append((finish(record), record.replicas + launcher))
-        pending = getattr(engine, "_pending_starts", None)
-        if pending:
-            for record in pending:
-                releases.append((finish(record), record.replicas + launcher))
-        return engine.free_slots, releases
+    def _price_head(self, head: SchedulerJob, launcher: int) -> None:
+        """Shadow time ``S`` of ``head`` in the priced profile and the
+        extra slots ``E``: free slots plus every release at or before
+        ``S + 1e-9``, minus the head's need."""
+        need = head.request.min_replicas + launcher
+        releases = self._releases
+        avail = self._free
+        shadow = self._now if avail >= need else math.inf
+        i = 0
+        n = len(releases)
+        while shadow == math.inf and i < n:
+            at, slots = releases[i]
+            i += 1
+            avail += slots
+            if avail >= need:
+                shadow = at
+        if shadow < math.inf:
+            limit = shadow + 1e-9
+            while i < n and releases[i][0] <= limit:
+                avail += releases[i][1]
+                i += 1
+        self._head = head
+        self._shadow = shadow
+        self._extra = avail - need
 
     def _project(
         self,

@@ -88,6 +88,14 @@ class BackfillRule(Protocol):
     a Figure-3 redistribution reaching a job behind a blocked one).  EASY
     backfilling lives here: ``allows`` returns ``False`` when the start
     would push back the reserved queue head.
+
+    A rule may also define ``overtakes(engine, job)``, which the engine
+    calls whenever a job enters its queue ahead of every waiter (an
+    arrival that must wait, an eviction, a preemption).  EASY uses it to
+    retire the reservation of the head that job displaced.  The engine's
+    ``transitions`` counter changes with every slot-accounting
+    transition, so a rule may cache what it priced per
+    ``(engine, engine.transitions, now)``.
     """
 
     def allows(self, engine, job: SchedulerJob, replicas: int,

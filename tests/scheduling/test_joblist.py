@@ -91,6 +91,13 @@ class TestSequenceProtocol:
             insort(indexed, job, key=priority_order_key)
         assert list(indexed) == sorted(jobs, key=priority_order_key)
 
+    def test_add_reports_a_new_first_element(self):
+        # Enough jobs to span several blocks, so "first" means block 0.
+        indexed = IndexedJobList()
+        for job in make_jobs(6 * BLOCK_LOAD, seed=5):
+            became_first = indexed.add(job)
+            assert became_first == (indexed[0] is job)
+
 
 class TestAggregates:
     def test_invariants_under_randomized_churn(self):

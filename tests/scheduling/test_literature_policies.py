@@ -10,7 +10,7 @@ reserved queue head past its recorded reservation.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.scheduling import ElasticPolicyEngine, JobRequest
@@ -153,6 +153,33 @@ class TestEasyBackfillUnit:
         decisions = engine.on_submit(est_req("c", 3, 3, 150.0), 1.0)
         assert [type(d).__name__ for d in decisions] == ["EnqueueJob"]
 
+    def test_overtaken_head_loses_its_reservation(self):
+        """A higher-ranked arrival that must wait displaces the head."""
+        engine, rule = self.setup_engine()
+        engine.on_submit(est_req("c", 2, 2, 50.0), 1.0)
+        assert rule.last_head_reservations == {"h": pytest.approx(100.0)}
+        decisions = engine.on_submit(est_req("u", 4, 4, 10.0, priority=5), 2.0)
+        assert [type(d).__name__ for d in decisions] == ["EnqueueJob"]
+        assert rule.last_head_reservations == {}
+        assert rule.last_reservations == {}
+
+    def test_higher_ranked_start_overtakes_the_head(self):
+        """Starting ahead of every waiter is no backfill, but the head's
+        reservation no longer holds."""
+        engine, rule = self.setup_engine()
+        engine.on_submit(est_req("c", 1, 1, 50.0), 1.0)
+        assert "h" in rule.last_head_reservations
+        decisions = engine.on_submit(est_req("u", 1, 1, 500.0, priority=5), 2.0)
+        assert [d.job.name for d in decisions] == ["u"]
+        assert "h" not in rule.last_head_reservations
+
+    def test_lower_ranked_waiter_keeps_the_head_reservation(self):
+        engine, rule = self.setup_engine()
+        engine.on_submit(est_req("c", 2, 2, 50.0), 1.0)
+        engine.on_submit(est_req("w", 4, 4, 10.0), 2.0)
+        assert [j.name for j in engine.queue] == ["h", "w"]
+        assert rule.last_head_reservations == {"h": pytest.approx(100.0)}
+
     def test_factory_pins_infinite_gap(self):
         config = REGISTRY.resolve("easy-backfill", rescale_gap=180.0)
         assert math.isinf(config.rescale_gap)
@@ -164,6 +191,10 @@ class TestEasyNeverDelaysHead:
     reservations across randomized paper workloads."""
 
     @settings(max_examples=40, deadline=None)
+    # Heads a higher-priority arrival overtook before they started: their
+    # reservations were recorded while they were head and must be gone.
+    @example(seed=936, num_jobs=9, gap=30.0)
+    @example(seed=2752, num_jobs=11, gap=30.0)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         num_jobs=st.integers(min_value=4, max_value=12),
