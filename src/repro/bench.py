@@ -274,13 +274,14 @@ def run_bench(
         say(f"simulator, {n} jobs...")
         results[f"simulator_{n}"] = bench_simulator(n)
     # One registry-resolved non-paper policy row: EASY backfilling runs
-    # the generalized hook paths (_submit_backfill + _redistribute_scan),
-    # so a slowdown there is caught by the same normalized gate as the
-    # paper hot path.  Capped at 2k jobs: the literal Figure-3 scan the
-    # hooks take visits the whole backlog per completion, so wall time
-    # still grows super-linearly on this saturating stream.  The EASY
-    # rule itself prices the release profile once per engine transition
-    # and answers each aggressive candidate in O(1).
+    # the generalized hook paths (_submit_backfill and the backfill gate
+    # of the indexed Figure-3 walk), so a slowdown there is caught by the
+    # same normalized gate as the paper hot path.  Capped at 2k jobs: the
+    # walk skips whole running and priced-out queue blocks, but the rule
+    # still tests every waiter that fits the budget, and on this
+    # saturating stream those grow with the backlog (about 19 tests per
+    # job at 1k jobs, 170 at 8k), so wall time still grows
+    # super-linearly.
     easy_n = min(2_000, max(sizes))
     say(f"simulator (easy-backfill), {easy_n} jobs...")
     results[f"simulator_easy_{easy_n}"] = bench_simulator(

@@ -60,6 +60,21 @@ jobs and block size ``B``:
   lower bound on the members' ``last_action``, so no member can be
   rescale-gap-eligible).  Skipped runners would have emitted nothing
   and consumed no budget, so the decision sequence is untouched;
+* hooked configs (a backfill rule, a capacity constraint or both) share
+  that walk.  A constraint only ever lowers what a candidate may take,
+  so every block skip stays sound; its ``admit`` caps each start and
+  expansion exactly as the literal scan does.  The scan consults the
+  backfill rule only once it has left a waiter behind, and a ``passed``
+  flag replays that condition: the queue pointer sets it whenever it
+  leaves a waiter behind — a skipped block or member priced out of the
+  budget, a waiter inside its rescale gap, capped below its minimum, or
+  denied by the rule.  Each such waiter ranks above the candidate under
+  test, and the scan would have left it behind too (the budget only
+  shrinks), so the flag equals the scan's at every queued start; passing
+  a runner never sets it.  Under ``easy-backfill`` (``rescale_gap =
+  inf``) every running block is skipped in O(1), so a completion costs
+  the rule's test on each waiter that fits the budget, not a merge over
+  the whole backlog;
 * the Figure-2 dry run short-circuits to *infeasible* when the blocks'
   total ``shrinkable`` sum cannot cover the requested slots — priority
   stops and gap ineligibility only ever reduce what the walk frees, so
@@ -629,18 +644,21 @@ class ElasticPolicyEngine:
         gap``, with ``oldest_action`` a lower bound on the members'
         ``last_action``).  A skipped running candidate would have emitted
         nothing and consumed no budget, so the emitted decision sequence
-        is exactly the literal scan's (:meth:`_redistribute_scan`, which
-        time-dependent-priority subclasses still use).
+        is exactly the literal scan's (defined below).
+
+        Hooked configs take the same walk: the capacity constraint caps
+        each ``add`` (it can only lower it, so no skip is invalidated),
+        and ``passed`` records that a waiter was left behind, the
+        condition under which the scan consults the backfill rule (see
+        the module docstring for why the two agree).
         """
         if self._obs is not None:
             self._obs_redistributes.inc()
-        if self._constraint is not None or self._backfill is not None:
-            # Hooked policies take the literal scan: constraint caps and
-            # backfill gates are per-candidate state the block aggregates
-            # cannot express.  Hook-free configs never reach this branch.
-            return self._redistribute_scan(num_workers, now, decisions)
         reserve = self.config.launcher_slots
         gap = self.config.rescale_gap
+        cons = self._constraint
+        backfill = self._backfill
+        passed = False  # a queued job was left waiting upstream
         qblocks = self.queue.blocks
         rblocks = self.running.blocks
         nq = len(qblocks)
@@ -658,13 +676,16 @@ class ElasticPolicyEngine:
         while num_workers > 0:
             # Next queued candidate startable within the remaining budget.
             # The cached one stays valid until consumed or priced out by a
-            # budget drop (the budget never grows during a walk).
+            # budget drop (the budget never grows during a walk); a priced-
+            # out one is stepped over again below, which marks it passed.
             budget = num_workers - reserve
             if queued is not None and queued.request.min_replicas > budget:
                 queued = None
             while queued is None and qb < nq:
                 block = qblocks[qb]
                 if block.min_needed > budget:
+                    if qi < len(block.jobs):
+                        passed = True  # its unvisited members wait on
                     qb += 1
                     qi = 0
                     qskips += 1
@@ -678,6 +699,7 @@ class ElasticPolicyEngine:
                         queued_key = candidate.sort_key
                         break
                     qi += 1
+                    passed = True
                 if queued is None:
                     qb += 1
                     qi = 0
@@ -715,7 +737,11 @@ class ElasticPolicyEngine:
                     room = candidate.request.max_replicas - replicas
                     if room > 0:
                         add = room if room < num_workers else num_workers
-                        if replicas + add >= candidate.request.min_replicas:
+                        if cons is not None:
+                            room = cons.admit(candidate.request)
+                            if room < add:
+                                add = room
+                        if add > 0 and replicas + add >= candidate.request.min_replicas:
                             decisions.append(
                                 self._expand(candidate, replicas + add, now)
                             )
@@ -725,17 +751,27 @@ class ElasticPolicyEngine:
                 queued = None
                 qi += 1  # the walk moves past this candidate either way
                 request = candidate.request
-                if (
-                    now - candidate.last_action >= gap
-                    and candidate.replicas < request.max_replicas
-                ):
-                    # Starting a queued job also needs its launcher slot.
+                if now - candidate.last_action < gap:
+                    passed = True
+                else:
+                    # Starting a queued job also needs its launcher slot
+                    # (a queued job holds no replicas, so max is its room).
                     add = num_workers - reserve
                     if add > request.max_replicas:
                         add = request.max_replicas
-                    if add >= request.min_replicas:
+                    if cons is not None:
+                        room = cons.admit(request)
+                        if room < add:
+                            add = room
+                    if add >= request.min_replicas and (
+                        not passed
+                        or backfill is None
+                        or backfill.allows(self, candidate, add, now)
+                    ):
                         decisions.append(self._start_queued(candidate, add, now))
                         num_workers -= add + reserve
+                    else:
+                        passed = True
         if self._obs is not None:
             if qskips:
                 self._obs_queue_skips.inc(qskips)
@@ -747,9 +783,10 @@ class ElasticPolicyEngine:
     ) -> None:
         """The literal Figure-3 scan over :meth:`_candidates_by_priority`.
 
-        Kept as the reference shape of the walk — and as the live path
-        for subclasses whose candidate order is time-dependent (aging),
-        where block aggregates keyed on static priority cannot apply.
+        The live path only for aging (:class:`~repro.scheduling
+        .extensions.AgingPolicyEngine`), whose time-dependent candidate
+        order defeats block aggregates keyed on static priority.  It is
+        also the reference shape the indexed walk is tested against.
         """
         reserve = self.config.launcher_slots
         gap = self.config.rescale_gap

@@ -32,6 +32,26 @@ def drive_engine(engine, n_jobs=30):
     return decisions
 
 
+def drive_backlog(engine):
+    """Two rigid 2-slot jobs run while 7-slot-min jobs wait: the first
+    completion frees a 6-slot budget, below the queued block's
+    min_needed, so the Figure-3 walk skips it whole."""
+    now = 0.0
+    for i in range(2):
+        now += 240.0
+        engine.on_submit(
+            JobRequest(name=f"s{i}", min_replicas=2, max_replicas=2), now,
+        )
+    for i in range(3):
+        now += 240.0
+        engine.on_submit(
+            JobRequest(name=f"b{i}", min_replicas=7, max_replicas=8), now,
+        )
+    while engine.running:
+        now += 240.0
+        engine.on_complete(engine.running[0].name, now)
+
+
 class TestEngineCounters:
     def test_redistribute_and_shrink_calls_counted(self, registry):
         engine = ElasticPolicyEngine(16, REGISTRY.resolve("elastic"))
@@ -51,28 +71,16 @@ class TestEngineCounters:
             assert snap[f"engine.decisions.{kind}"] == count
 
     def test_figure3_skip_tallies_accumulate(self, registry):
-        # Two rigid 2-slot jobs run while 7-slot-min jobs wait: the
-        # first completion frees a 6-slot budget, below the queued
-        # block's min_needed, so the Figure-3 walk skips it whole.
-        engine = ElasticPolicyEngine(8, REGISTRY.resolve("elastic"))
-        now = 0.0
-        for i in range(2):
-            now += 240.0
-            engine.on_submit(
-                JobRequest(name=f"s{i}", min_replicas=2, max_replicas=2),
-                now,
-            )
-        for i in range(3):
-            now += 240.0
-            engine.on_submit(
-                JobRequest(name=f"b{i}", min_replicas=7, max_replicas=8),
-                now,
-            )
-        while engine.running:
-            now += 240.0
-            engine.on_complete(engine.running[0].name, now)
+        drive_backlog(ElasticPolicyEngine(8, REGISTRY.resolve("elastic")))
         snap = registry.snapshot()
         assert snap["engine.fig3.queue_blocks_skipped"] >= 1
+
+    @pytest.mark.parametrize("policy", ["easy-backfill", "power-capped"])
+    def test_hooked_configs_take_the_indexed_walk(self, registry, policy):
+        # A silent fallback to the literal scan would skip no block.
+        drive_backlog(ElasticPolicyEngine(8, REGISTRY.resolve(policy)))
+        snap = registry.snapshot()
+        assert snap["engine.fig3.queue_blocks_skipped"] > 0
 
     def test_golden_decisions_identical_with_registry_attached(self):
         def run(policy_engine):
