@@ -274,14 +274,14 @@ def run_bench(
         say(f"simulator, {n} jobs...")
         results[f"simulator_{n}"] = bench_simulator(n)
     # One registry-resolved non-paper policy row: EASY backfilling runs
-    # the generalized hook paths (_submit_backfill and the backfill gate
-    # of the indexed Figure-3 walk), so a slowdown there is caught by the
-    # same normalized gate as the paper hot path.  Capped at 2k jobs: the
-    # walk skips whole running and priced-out queue blocks, but the rule
-    # still tests every waiter that fits the budget, and on this
-    # saturating stream those grow with the backlog (about 19 tests per
-    # job at 1k jobs, 170 at 8k), so wall time still grows
-    # super-linearly.
+    # the hook stages (the backfill gate on Figure-2 arrivals past a
+    # waiting queue and in the indexed Figure-3 walk), so a slowdown
+    # there is caught by the same normalized gate as the paper hot path.
+    # Capped at 2k jobs: the walk skips whole running and priced-out
+    # queue blocks, but the rule still tests every waiter that fits the
+    # budget, and on this saturating stream those grow with the backlog
+    # (about 19 tests per job at 1k jobs, 170 at 8k), so wall time still
+    # grows super-linearly.
     easy_n = min(2_000, max(sizes))
     say(f"simulator (easy-backfill), {easy_n} jobs...")
     results[f"simulator_easy_{easy_n}"] = bench_simulator(

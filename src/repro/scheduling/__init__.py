@@ -5,7 +5,6 @@ Public surface::
     from repro.scheduling import (
         ElasticPolicyEngine, PolicyConfig, SchedulingPolicy,
         SchedulerRegistry, REGISTRY, resolve, list_policies,
-        make_policy, POLICY_NAMES,
         JobRequest, SchedulerJob, JobState,
         Decision, StartJob, ShrinkJob, ExpandJob, EnqueueJob,
         JobOutcome, ReplicaTimeline, SchedulerMetrics, compute_metrics,
@@ -40,7 +39,7 @@ from .registry import (
     list_policies,
     resolve,
 )
-from .policies import DEFAULT_RESCALE_GAP, POLICY_NAMES, make_policy
+from .policies import DEFAULT_RESCALE_GAP
 from . import literature  # noqa: F401  (self-registering policies)
 from . import power  # noqa: F401  (self-registering policies)
 from .policy import (
@@ -70,8 +69,6 @@ __all__ = [
     "resolve",
     "list_policies",
     "describe",
-    "make_policy",
-    "POLICY_NAMES",
     "DEFAULT_RESCALE_GAP",
     "JobRequest",
     "SchedulerJob",

@@ -46,7 +46,9 @@ jobs and block size ``B``:
   proves every member rescale-gap-eligible, so feasibility costs
   O(running/B) instead of O(running); the real pass skips blocks with no
   victims and touches only actual victims (plus at most one boundary
-  block scanned item-by-item);
+  block scanned item-by-item).  Under a capacity constraint the dry run
+  scans members instead of crediting blocks, because the credit needs
+  each victim's weight and block aggregates know nothing of weights;
 * completion walks Figure 3's ``allJobs`` as a two-pointer merge in
   which whole *queue* blocks whose cheapest member cannot start within
   the remaining slot budget are skipped in O(1) — the budget only
@@ -61,7 +63,11 @@ jobs and block size ``B``:
   rescale-gap-eligible).  Skipped runners would have emitted nothing
   and consumed no budget, so the decision sequence is untouched;
 * hooked configs (a backfill rule, a capacity constraint or both) share
-  that walk.  A constraint only ever lowers what a candidate may take,
+  both walks.  In Figure 2 the constraint's ``admit`` caps the start,
+  the dry run and the real pass chase a constraint-unit deficit beside
+  the slot deficit, and an arrival that would start past a non-empty
+  queue is a backfill: it must pass the rule and never shrinks anyone.
+  In Figure 3 a constraint only ever lowers what a candidate may take,
   so every block skip stays sound; its ``admit`` caps each start and
   expansion exactly as the literal scan does.  The scan consults the
   backfill rule only once it has left a waiter behind, and a ``passed``
@@ -238,42 +244,66 @@ class ElasticPolicyEngine:
             raise JobStateError(f"job {request.name!r} already submitted")
         job = SchedulerJob(request=request, submit_time=now)
         self._jobs[request.name] = job
-        if self._constraint is not None:
-            return self._submit_constrained(job, now)
-        if self._backfill is not None and len(self.queue):
-            return self._submit_backfill(job, now)
-        reserve = self.config.launcher_slots
         req_min = request.min_replicas
-        req_max = request.max_replicas
         decisions: List[Decision] = []
 
-        # replicas = min(freeSlots - 1, job.maxReplicas)
-        avail = self.free_slots - reserve
-        replicas = avail if avail < req_max else req_max
-        if replicas >= req_min:
-            decisions.append(self._start(job, replicas, now))
+        # replicas = min(freeSlots - 1, job.maxReplicas), capped by admit()
+        replicas = self._start_cap(request)
+        if self._backfill is not None and len(self.queue):
+            # Starting past a non-empty queue is a *backfill*: it must
+            # pass the rule (EASY: it may not delay the reserved head) and
+            # must fit as is.  Shrinking running jobs for a queue-jumper
+            # would rearrange the cluster the reservation protects.
+            if replicas >= req_min and self._backfill.allows(
+                self, job, replicas, now
+            ):
+                decisions.append(self._start(job, replicas, now))
+            else:
+                decisions.append(self._enqueue(job))
             return self._log(decisions)
 
-        # Dry run: would shrinking lower-priority jobs free enough slots to
-        # reach the new job's minimum?  (An aggregate query over the
-        # running blocks — no per-candidate walk on the common path.  The
-        # dry run is pure, so ``avail`` is still current afterwards.)
-        if not self._shrink_feasible(job, now, req_min - avail):
-            decisions.append(self._enqueue(job))
-            return self._log(decisions)
-
-        # Real pass: shrink towards freeing up to maxReplicas' worth.
-        min_to_free = self._shrink_victims(
-            job, now, req_min - avail, req_max - avail, decisions
-        )
-        if min_to_free > 0:
-            decisions.append(self._enqueue(job))
-            return self._log(decisions)
-
-        avail = self.free_slots - reserve
-        replicas = avail if avail < req_max else req_max
+        if replicas < req_min:
+            # Dry run: would shrinking lower-priority jobs cover the
+            # deficit at the new job's minimum?  Under a constraint the
+            # walk chases constraint units too (elastic shrink is the
+            # constraint's actuator).  The dry run is pure, so ``avail``
+            # and ``headroom`` are still current for the real pass.
+            cons = self._constraint
+            avail = self.free_slots - self.config.launcher_slots
+            unit_deficit = unit_target = 0.0
+            if cons is not None:
+                weight = cons.weight(request)
+                headroom = cons.headroom()
+                unit_deficit = req_min * weight - headroom
+                unit_target = request.max_replicas * weight - headroom
+            if not self._shrink_feasible(
+                request.priority, now, req_min - avail, unit_deficit
+            ):
+                decisions.append(self._enqueue(job))
+                return self._log(decisions)
+            # Real pass: shrink towards freeing up to maxReplicas' worth.
+            self._shrink_pass(
+                request.priority, now, request.max_replicas - avail,
+                unit_target, decisions, self.config.rescale_gap,
+            )
+            # A shrink_filter may veto part of the committed plan.
+            replicas = self._start_cap(request)
+            if replicas < req_min:
+                decisions.append(self._enqueue(job))
+                return self._log(decisions)
         decisions.append(self._start(job, replicas, now))
         return self._log(decisions)
+
+    def _start_cap(self, request: JobRequest) -> int:
+        """Replicas an arrival could start with now: the free slots less
+        its launcher, its maximum, and the constraint's ``admit``."""
+        avail = self.free_slots - self.config.launcher_slots
+        cap = avail if avail < request.max_replicas else request.max_replicas
+        if self._constraint is not None:
+            room = self._constraint.admit(request)
+            if room < cap:
+                cap = room
+        return cap
 
     # ------------------------------------------------------------------
     # Figure 2's shrink-victim walk, indexed
@@ -285,26 +315,35 @@ class ElasticPolicyEngine:
     # *eligible* candidate that outranks the arrival.  Because the list
     # is sorted, that stop is equivalent to "no further victims exist" —
     # which is what lets whole blocks be credited or skipped from their
-    # aggregates without changing a single decision.
+    # aggregates without changing a single decision.  Under a capacity
+    # constraint the walk owes constraint units as well as slots; a
+    # victim's freed replicas pay both, at its ``weight`` per replica.
 
-    def _shrink_feasible(self, job: SchedulerJob, now: float, num_to_free: int) -> bool:
-        """Figure 2's dry run: could shrinking free ``num_to_free`` slots?
+    def _shrink_feasible(
+        self, priority: float, now: float, slot_deficit: int,
+        unit_deficit: float,
+    ) -> bool:
+        """Figure 2's dry run: could shrinking cover both deficits?
 
         Pure query — no state is touched.  Blocks whose time bound proves
         every member rescale-gap-eligible are resolved in O(1): credited
         with their ``shrinkable`` sum when the whole block ranks at or
         below the arrival, or terminating the walk when even their
         lowest-priority member outranks it.  Mixed or possibly-ineligible
-        blocks fall back to the literal item scan.
+        blocks fall back to the literal item scan, and so does every
+        block under a constraint: block aggregates know nothing of
+        weights.  ``unit_deficit`` is 0 without a constraint.
         """
+        if slot_deficit <= 0 and unit_deficit <= 0:
+            return True
         # Upper-bound early out: the walk can never free more than the
         # list's total shrinkable sum (priority stops and rescale-gap
         # ineligibility only reduce it further), so an arrival needing
         # more is infeasible without visiting a single candidate.
-        if self.running.shrinkable_total < num_to_free:
+        if self.running.shrinkable_total < slot_deficit:
             return False
         gap = self.config.rescale_gap
-        priority = job.request.priority
+        cons = self._constraint
         blocks = self.running.blocks
         for b in range(len(blocks) - 1, -1, -1):
             block = blocks[b]
@@ -317,7 +356,7 @@ class ElasticPolicyEngine:
                     # First candidate visited is eligible and outranks the
                     # arrival: the literal walk breaks here.
                     return False
-                if jobs[lo].request.priority <= priority:
+                if cons is None and jobs[lo].request.priority <= priority:
                     # Every visitable member ranks at or below the arrival:
                     # credit the whole block (minus the protected job's
                     # share in block 0) without touching its members.
@@ -327,8 +366,8 @@ class ElasticPolicyEngine:
                         extra = head.replicas - head.request.min_replicas
                         if extra > 0:
                             credit -= extra
-                    num_to_free -= credit
-                    if num_to_free <= 0:
+                    slot_deficit -= credit
+                    if slot_deficit <= 0:
                         return True
                     continue
             for i in range(len(jobs) - 1, lo - 1, -1):
@@ -339,56 +378,49 @@ class ElasticPolicyEngine:
                     return False
                 extra = candidate.replicas - candidate.request.min_replicas
                 if extra > 0:
-                    num_to_free -= extra
-                    if num_to_free <= 0:
+                    slot_deficit -= extra
+                    if cons is not None:
+                        unit_deficit -= extra * cons.weight(candidate.request)
+                    if slot_deficit <= 0 and unit_deficit <= 0:
                         return True
-        return num_to_free <= 0
-
-    def _shrink_victims(
-        self,
-        job: SchedulerJob,
-        now: float,
-        min_to_free: int,
-        max_to_free: int,
-        decisions: List[Decision],
-    ) -> int:
-        """Figure 2's real pass: emit shrinks towards ``max_to_free``.
-
-        Walks the same order as the literal loop but skips whole blocks
-        that provably contain neither a victim (``shrinkable == 0``) nor
-        the walk's stop condition (no member outranks the arrival).
-        Returns the still-unmet part of ``min_to_free``.
-        """
-        return self._shrink_pass(
-            job.priority, now, min_to_free, max_to_free, decisions,
-            self.config.rescale_gap,
-        )
+        return False
 
     def _shrink_pass(
         self,
         priority: float,
         now: float,
-        min_to_free: int,
-        max_to_free: int,
+        slot_target: int,
+        unit_target: float,
         decisions: List[Decision],
         gap: float,
-    ) -> int:
-        """The Figure-2 victim walk against an explicit rank and gap.
+    ) -> None:
+        """Figure 2's real pass: emit shrinks towards both targets.
 
-        :meth:`_shrink_victims` calls it with the arriving job's priority
-        and the configured rescale gap — the literal submission path.
-        Capacity shrinks (:meth:`shrink_capacity`) reuse the identical
-        walk with ``priority = +inf`` (every running job except the
-        protected index-0 one is a candidate) and, when forced by an
-        interruption, ``gap = -inf`` (reclaiming a dead node is not a
-        policy decision, so the rescale-gap courtesy does not apply).
+        Walks the same order as the dry run, against an explicit rank and
+        gap.  Each victim gives up enough replicas for the larger of the
+        two remaining targets (``ceil(unit_target / weight)`` for the
+        units; ``unit_target`` is 0 without a constraint), down to its
+        minimum.  Whole blocks that provably contain neither a victim
+        (``shrinkable == 0``) nor the walk's stop condition (no member
+        outranks the arrival) are skipped; weights never make a block
+        without shrinkable replicas yield one, so the skips hold under a
+        constraint too.
+
+        :meth:`on_submit` calls it with the arrival's priority and the
+        configured rescale gap.  Capacity shrinks
+        (:meth:`shrink_capacity`) reuse it with ``priority = +inf``
+        (every running job except the protected index-0 one is a
+        candidate), no unit target and, when forced by an interruption,
+        ``gap = -inf`` (reclaiming a dead node is not a policy decision,
+        so the rescale-gap courtesy does not apply).
         """
         if self._obs is not None:
             self._obs_shrink_passes.inc()
+        cons = self._constraint
         blocks = self.running.blocks
         for b in range(len(blocks) - 1, -1, -1):
-            if max_to_free <= 0:
-                break
+            if slot_target <= 0 and unit_target <= 0:
+                return
             block = blocks[b]
             jobs = block.jobs
             lo = 1 if b == 0 else 0
@@ -396,193 +428,40 @@ class ElasticPolicyEngine:
                 if now - block.newest_action >= gap and (
                     jobs[-1].request.priority > priority
                 ):
-                    return min_to_free  # the literal walk breaks immediately
+                    return  # the literal walk breaks immediately
                 if block.shrinkable == 0 and jobs[lo].request.priority <= priority:
                     continue  # no victims and no stop condition in here
             for i in range(len(jobs) - 1, lo - 1, -1):
-                if max_to_free <= 0:
-                    break
+                if slot_target <= 0 and unit_target <= 0:
+                    return
                 candidate = jobs[i]
                 if now - candidate.last_action < gap:
                     continue
                 if candidate.request.priority > priority:
-                    return min_to_free
+                    return
                 floor = candidate.request.min_replicas
                 old_replicas = candidate.replicas
-                if old_replicas > floor:
-                    new_replicas = old_replicas - max_to_free
-                    if new_replicas < floor:
-                        new_replicas = floor
-                    shrink = self._shrink(candidate, new_replicas, now)
-                    if shrink is not None:
-                        decisions.append(shrink)
-                        freed = old_replicas - new_replicas
-                        min_to_free -= freed
-                        max_to_free -= freed
-        return min_to_free
-
-    # ------------------------------------------------------------------
-    # Hooked submission paths (backfill-eligibility, capacity-constraint)
-    # ------------------------------------------------------------------
-    #
-    # The paper's Figure 2 lets any arrival start past a non-empty queue
-    # (the stated out-of-order-allocation feature) and knows only one
-    # budget, slots.  The hook stages generalize both; each path is only
-    # entered when its hook is configured, so the four paper policies
-    # never reach this code.
-
-    def _submit_backfill(self, job: SchedulerJob, now: float) -> List[Decision]:
-        """An arrival that would start past a non-empty queue is a
-        *backfill* and must pass the backfill-eligibility stage (EASY:
-        the start may not delay the reserved queue head).
-
-        A backfill has to fit in the currently free slots — rearranging
-        running jobs to make room for a queue-jumper would contradict the
-        reservation the stage protects — so no Figure-2 shrink walk runs
-        here.
-        """
-        request = job.request
-        avail = self.free_slots - self.config.launcher_slots
-        replicas = avail if avail < request.max_replicas else request.max_replicas
-        decisions: List[Decision] = []
-        if replicas >= request.min_replicas and self._backfill.allows(
-            self, job, replicas, now
-        ):
-            decisions.append(self._start(job, replicas, now))
-        else:
-            decisions.append(self._enqueue(job))
-        return self._log(decisions)
-
-    def _submit_constrained(self, job: SchedulerJob, now: float) -> List[Decision]:
-        """Figure 2 under an active capacity constraint: the dual budget.
-
-        Starts are capped by both free slots and :meth:`CapacityConstraint
-        .admit`; the shrink walk chases a *dual* deficit (slots and
-        constraint units), making elastic shrink the constraint's
-        actuator — the power-capped scenario's whole point.  The walk is
-        the literal Figure-2 shape (no aggregate credits: block
-        aggregates know nothing of constraint weights).
-        """
-        request = job.request
-        cons = self._constraint
-        reserve = self.config.launcher_slots
-        req_min = request.min_replicas
-        req_max = request.max_replicas
-        decisions: List[Decision] = []
-
-        avail = self.free_slots - reserve
-        room = cons.admit(request)
-        limit = avail if avail < room else room
-        replicas = limit if limit < req_max else req_max
-        if replicas >= req_min:
-            if (
-                self._backfill is not None
-                and len(self.queue)
-                and not self._backfill.allows(self, job, replicas, now)
-            ):
-                decisions.append(self._enqueue(job))
-            else:
-                decisions.append(self._start(job, replicas, now))
-            return self._log(decisions)
-        if self._backfill is not None and len(self.queue):
-            # Queue-jumpers never trigger shrinks (see _submit_backfill).
-            decisions.append(self._enqueue(job))
-            return self._log(decisions)
-
-        weight = cons.weight(request)
-        slot_deficit = req_min - avail
-        unit_deficit = req_min * weight - cons.headroom()
-        if not self._constrained_shrink_feasible(
-            job, now, slot_deficit, unit_deficit
-        ):
-            decisions.append(self._enqueue(job))
-            return self._log(decisions)
-
-        self._constrained_shrink(
-            job, now, req_max - avail, req_max * weight - cons.headroom(),
-            decisions,
-        )
-        avail = self.free_slots - reserve
-        room = cons.admit(request)
-        limit = avail if avail < room else room
-        replicas = limit if limit < req_max else req_max
-        if replicas >= req_min:
-            decisions.append(self._start(job, replicas, now))
-        else:  # a shrink_filter vetoed part of the committed plan
-            decisions.append(self._enqueue(job))
-        return self._log(decisions)
-
-    def _constrained_shrink_feasible(
-        self, job: SchedulerJob, now: float, slot_deficit: int,
-        unit_deficit: float,
-    ) -> bool:
-        """Dry-run the dual-deficit shrink walk (pure, literal order)."""
-        if slot_deficit <= 0 and unit_deficit <= 0:
-            return True
-        gap = self.config.rescale_gap
-        cons = self._constraint
-        priority = job.request.priority
-        running = self.running
-        for i in range(len(running) - 1, 0, -1):
-            candidate = running[i]
-            if now - candidate.last_action < gap:
-                continue
-            if candidate.request.priority > priority:
-                return False
-            extra = candidate.replicas - candidate.request.min_replicas
-            if extra > 0:
-                slot_deficit -= extra
-                unit_deficit -= extra * cons.weight(candidate.request)
-                if slot_deficit <= 0 and unit_deficit <= 0:
-                    return True
-        return slot_deficit <= 0 and unit_deficit <= 0
-
-    def _constrained_shrink(
-        self,
-        job: SchedulerJob,
-        now: float,
-        slot_target: int,
-        unit_target: float,
-        decisions: List[Decision],
-    ) -> None:
-        """The committing dual-deficit walk: shrink victims until both
-        the slot and the constraint-unit targets are met (or the literal
-        walk's stop conditions end it)."""
-        gap = self.config.rescale_gap
-        cons = self._constraint
-        priority = job.request.priority
-        # Snapshot: _shrink never reorders the list (the sort key is
-        # priority-based), but iterating a frozen view is simpler to
-        # reason about than live block pointers under mutation.
-        snapshot = list(self.running)
-        for i in range(len(snapshot) - 1, 0, -1):
-            if slot_target <= 0 and unit_target <= 0:
-                break
-            candidate = snapshot[i]
-            if now - candidate.last_action < gap:
-                continue
-            if candidate.request.priority > priority:
-                break
-            floor = candidate.request.min_replicas
-            old = candidate.replicas
-            if old <= floor:
-                continue
-            weight = cons.weight(candidate.request)
-            want = slot_target if slot_target > 0 else 0
-            if unit_target > 0 and weight > 0:
-                from_units = int(math.ceil(unit_target / weight))
-                if from_units > want:
-                    want = from_units
-            new = old - want
-            if new < floor:
-                new = floor
-            if new < old:
-                shrink = self._shrink(candidate, new, now)
+                if old_replicas <= floor:
+                    continue
+                want = slot_target if slot_target > 0 else 0
+                if unit_target > 0:
+                    weight = cons.weight(candidate.request)
+                    if weight > 0:
+                        from_units = int(math.ceil(unit_target / weight))
+                        if from_units > want:
+                            want = from_units
+                    if not want:
+                        continue  # only units are owed, and it draws none
+                new_replicas = old_replicas - want
+                if new_replicas < floor:
+                    new_replicas = floor
+                shrink = self._shrink(candidate, new_replicas, now)
                 if shrink is not None:
                     decisions.append(shrink)
-                    freed = old - new
+                    freed = old_replicas - new_replicas
                     slot_target -= freed
-                    unit_target -= freed * weight
+                    if unit_target > 0:
+                        unit_target -= freed * weight
 
     # ------------------------------------------------------------------
     # Event: job finished (Figure 3)
@@ -612,13 +491,22 @@ class ElasticPolicyEngine:
             # (this completion plus leftovers from earlier events).
             num_workers = self.free_slots
 
+        # Remaining freed workers return to the free pool implicitly.
+        return self._hand_out(num_workers, now, "complete")
+
+    def _hand_out(self, budget: int, now: float, trigger: str) -> List[Decision]:
+        """Run Figure 3 over ``budget`` slots and log what it decided.
+
+        Queue→running moves are deferred until the walk ends (its block
+        pointers must not see structural mutations), then applied.
+        """
         decisions: List[Decision] = []
         spans = self.spans
         if spans is not None:
-            spans.begin("redistribute", budget=num_workers, trigger="complete")
+            spans.begin("redistribute", budget=budget, trigger=trigger)
         self._pending_starts = []
         try:
-            self._redistribute(num_workers, now, decisions)
+            self._redistribute(budget, now, decisions)
         finally:
             started, self._pending_starts = self._pending_starts, None
             for moved in started:
@@ -626,7 +514,6 @@ class ElasticPolicyEngine:
                 self.running.add(moved)
             if spans is not None:
                 spans.end("redistribute", decisions=len(decisions))
-        # Remaining freed workers return to the free pool implicitly.
         return self._log(decisions)
 
     def _redistribute(
@@ -895,9 +782,7 @@ class ElasticPolicyEngine:
         deficit = slots - self.free_slots
         if deficit > 0:
             gap = float("-inf") if force else self.config.rescale_gap
-            self._shrink_pass(
-                float("inf"), now, deficit, deficit, decisions, gap
-            )
+            self._shrink_pass(float("inf"), now, deficit, 0, decisions, gap)
             deficit = slots - self.free_slots
         if deficit > 0 and force:
             # Evict whole jobs, lowest priority first; the snapshot is
@@ -945,23 +830,9 @@ class ElasticPolicyEngine:
         dead node held.
         """
         budget = self.free_slots
-        decisions: List[Decision] = []
         if budget <= 0:
-            return decisions
-        spans = self.spans
-        if spans is not None:
-            spans.begin("redistribute", budget=budget, trigger="rebalance")
-        self._pending_starts = []
-        try:
-            self._redistribute(budget, now, decisions)
-        finally:
-            started, self._pending_starts = self._pending_starts, None
-            for moved in started:
-                self.queue.remove(moved)
-                self.running.add(moved)
-            if spans is not None:
-                spans.end("redistribute", decisions=len(decisions))
-        return self._log(decisions)
+            return []
+        return self._hand_out(budget, now, "rebalance")
 
     def _requeue(self, job: SchedulerJob, now: float) -> RequeueJob:
         """Evict a running job to the queue (forced capacity loss only).

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, List, Optional
 
+from ..errors import SchedulingError
 from .elastic import ElasticPolicyEngine
 from .job import JobState, SchedulerJob
 from .policy import Decision, EnqueueJob, PolicyConfig, StartJob
@@ -137,11 +138,20 @@ class PreemptivePolicyEngine(ElasticPolicyEngine):
     arrival fits or no victims remain.  Preempted jobs re-enter the queue
     and resume through the normal Figure-3 path (:class:`ResumeJob` is
     emitted instead of :class:`StartJob` so the substrate can charge the
-    disk restore).
+    disk restore).  A config with a capacity constraint is rejected:
+    preemption bypasses the constraint's charge and admit points.
     """
 
     def __init__(self, total_slots: int, config: Optional[PolicyConfig] = None):
         super().__init__(total_slots, config)
+        if self._constraint is not None:
+            # A preemption releases its victims and restarts the arrival
+            # outside the constraint's charge and admit() points, so the
+            # charged budget would drift from the actual draw.
+            raise SchedulingError(
+                f"policy {self.config.name!r} sets a capacity constraint, "
+                "which the preemptive engine cannot honour"
+            )
         self.preempted: set = set()
 
     def on_submit(self, request, now: float):

@@ -13,9 +13,8 @@ parameterized exactly as the paper emulates them (§4.3.2):
 
 Each is a named factory on :data:`repro.scheduling.registry.REGISTRY`
 (``paper=True``); the golden decision-log suite pins registry-resolved
-configs byte-identical to the original ``make_policy`` constructions.
-:func:`make_policy` survives as a thin shim emitting
-``DeprecationWarning`` — new code resolves through the registry::
+configs byte-identical to the frozen reference engine.  Callers resolve
+through the registry::
 
     from repro.scheduling.registry import resolve
     config = resolve("elastic", rescale_gap=90.0)
@@ -24,13 +23,12 @@ configs byte-identical to the original ``make_policy`` constructions.
 from __future__ import annotations
 
 import math
-import warnings
 
 from .job import JobRequest
 from .policy import PolicyConfig
 from .registry import REGISTRY
 
-__all__ = ["make_policy", "POLICY_NAMES", "DEFAULT_RESCALE_GAP"]
+__all__ = ["DEFAULT_RESCALE_GAP"]
 
 #: The T_rescale_gap used throughout the paper's experiments.
 DEFAULT_RESCALE_GAP = 180.0
@@ -110,39 +108,5 @@ def _max_replicas(
         rescale_gap=rescale_gap,
         launcher_slots=launcher_slots,
         job_transform=_pin_max,
-        shrink_filter=shrink_filter,
-    )
-
-
-#: The paper's four policy names, in the evaluation's order.  Kept as a
-#: module constant for the reproduction tables; anything enumerating
-#: *available* policies should call ``registry.list_policies()`` instead.
-POLICY_NAMES = REGISTRY.paper_policies()
-
-
-def make_policy(
-    name: str,
-    rescale_gap: float = DEFAULT_RESCALE_GAP,
-    launcher_slots: int = 0,
-    shrink_filter=None,
-) -> PolicyConfig:
-    """Deprecated shim over ``registry.resolve(name, ...)``.
-
-    >>> import warnings
-    >>> with warnings.catch_warnings():
-    ...     warnings.simplefilter("ignore")
-    ...     make_policy("moldable").is_moldable
-    True
-    """
-    warnings.warn(
-        "make_policy() is deprecated; use "
-        "repro.scheduling.registry.resolve(name, **overrides)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return REGISTRY.resolve(
-        name,
-        rescale_gap=rescale_gap,
-        launcher_slots=launcher_slots,
         shrink_filter=shrink_filter,
     )

@@ -9,11 +9,12 @@ class's nominal wattage (``JobSizeClass.watts_per_replica``; a
 ``watts_per_replica`` entry in ``JobRequest.params`` overrides), and the
 engine's elastic shrink/expand machinery becomes the *power-capping
 actuator* — a high-priority arrival shrinks running jobs until both the
-slot and the watt deficits are covered, exactly the Figure-2 walk with a
-dual budget.
+slot and the watt deficits are covered: the engine's one Figure-2 walk,
+carrying a watt deficit beside the slot deficit.
 
-The constraint composes with the base engine only (not the preemptive
-extension, whose checkpoint transitions bypass the charge points).
+The constraint composes with the base engine only.  The preemptive
+extension rejects it at construction, because its checkpoint
+transitions bypass the charge points.
 """
 
 from __future__ import annotations

@@ -63,8 +63,8 @@ ENTRY_POINT_GROUP = "repro.policies"
 class UnknownPolicyError(SchedulingError, ValueError):
     """Resolution failed: no policy registered under that name.
 
-    Also a :class:`ValueError` so long-standing callers of the
-    ``make_policy`` shim (and its documented contract) keep working.
+    Also a :class:`ValueError`: an unknown name is a bad argument value,
+    the contract callers catching ``ValueError`` rely on.
     """
 
 

@@ -17,7 +17,7 @@ from repro.cloud import (
     CloudScheduleSimulator,
     make_autoscaler,
 )
-from repro.scheduling import make_policy
+from repro.scheduling import REGISTRY
 from repro.schedsim import WorkloadSpec, generate_workload
 
 policies = st.sampled_from(["elastic", "moldable", "min_replicas",
@@ -35,7 +35,7 @@ def run(policy, autoscaler, gap, seed, use_spot, num_jobs=10):
     )
     provider = CloudProvider(scenario.pools(), seed=seed)
     simulator = CloudScheduleSimulator(
-        make_policy(policy), provider,
+        REGISTRY.resolve(policy), provider,
         autoscaler=make_autoscaler(autoscaler),
     )
     subs = generate_workload(
@@ -116,7 +116,7 @@ def test_streaming_metrics_match_full(policy, autoscaler, gap, seed,
     )
     provider = CloudProvider(scenario.pools(), seed=seed)
     simulator = CloudScheduleSimulator(
-        make_policy(policy), provider,
+        REGISTRY.resolve(policy), provider,
         autoscaler=make_autoscaler(autoscaler),
     )
     subs = generate_workload(

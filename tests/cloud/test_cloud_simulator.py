@@ -20,7 +20,7 @@ from repro.cloud import (
     run_cloud_once,
 )
 from repro.errors import CloudError
-from repro.scheduling import RequeueJob, ShrinkJob, StartJob, make_policy
+from repro.scheduling import REGISTRY, RequeueJob, ShrinkJob, StartJob
 from repro.schedsim import ScheduleSimulator, WorkloadSpec, generate_workload
 from repro.sim import Engine
 from repro.sim.trace import Tracer
@@ -50,7 +50,7 @@ class TestStaticEquivalence:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_decisions_byte_identical(self, policy, seed):
         submissions = paper_workload(seed)
-        plain = ScheduleSimulator(make_policy(policy), total_slots=64)
+        plain = ScheduleSimulator(REGISTRY.resolve(policy), total_slots=64)
         plain_result = plain.run(submissions)
 
         provider = CloudProvider(
@@ -58,7 +58,7 @@ class TestStaticEquivalence:
                       initial_nodes=4, min_nodes=4, max_nodes=4)]
         )
         cloud = CloudScheduleSimulator(
-            make_policy(policy), provider, autoscaler=StaticAutoscaler()
+            REGISTRY.resolve(policy), provider, autoscaler=StaticAutoscaler()
         )
         cloud_result = cloud.run(paper_workload(seed))
 
@@ -91,7 +91,7 @@ class TestScaleUpLatency:
         )
         tracer = Tracer(Engine())  # rebound below
         simulator = CloudScheduleSimulator(
-            make_policy("elastic"), provider,
+            REGISTRY.resolve("elastic"), provider,
             autoscaler=QueueDepthAutoscaler(cooldown=1e9),
         )
         tracer.engine = simulator.engine
@@ -134,7 +134,7 @@ class TestDrainOnScaleDown:
                       initial_nodes=4, min_nodes=1, max_nodes=4)]
         )
         simulator = CloudScheduleSimulator(
-            make_policy("elastic"), provider,
+            REGISTRY.resolve("elastic"), provider,
             autoscaler=IdleTimeoutAutoscaler(idle_timeout=120.0),
             tick=30.0,
         )
@@ -158,7 +158,7 @@ class TestDrainOnScaleDown:
                       initial_nodes=2, min_nodes=1, max_nodes=2)]
         )
         simulator = CloudScheduleSimulator(
-            make_policy("elastic"), provider,
+            REGISTRY.resolve("elastic"), provider,
             autoscaler=IdleTimeoutAutoscaler(idle_timeout=60.0),
             tick=30.0,
         )
@@ -187,7 +187,7 @@ class TestSpotInterruption:
     def test_eviction_decisions_and_restart(self):
         provider = CloudProvider(self.scenario().pools(), seed=18)
         simulator = CloudScheduleSimulator(
-            make_policy("elastic"), provider,
+            REGISTRY.resolve("elastic"), provider,
             autoscaler=QueueDepthAutoscaler(),
         )
         result = simulator.run(paper_workload(18, num_jobs=20, gap=30.0))
@@ -207,7 +207,7 @@ class TestSpotInterruption:
         """An interruption may shrink a job inside its T_rescale_gap."""
         provider = CloudProvider(self.scenario().pools(), seed=3)
         simulator = CloudScheduleSimulator(
-            make_policy("elastic", rescale_gap=1e9), provider,
+            REGISTRY.resolve("elastic", rescale_gap=1e9), provider,
             autoscaler=StaticAutoscaler(),
         )
         result = simulator.run(paper_workload(3, num_jobs=16, gap=20.0))
@@ -247,7 +247,7 @@ class TestSpotInterruption:
         metrics window past busy slot-time already burned."""
         provider = CloudProvider(self.scenario().pools(), seed=18)
         simulator = CloudScheduleSimulator(
-            make_policy("elastic"), provider,
+            REGISTRY.resolve("elastic"), provider,
             autoscaler=QueueDepthAutoscaler(),
         )
         result = simulator.run(paper_workload(18, num_jobs=20, gap=30.0))
@@ -296,7 +296,7 @@ class TestZeroFaultEquivalence:
             faults=FaultInjector(FaultPlan()) if faulted else None,
         )
         simulator = CloudScheduleSimulator(
-            make_policy("elastic"), provider,
+            REGISTRY.resolve("elastic"), provider,
             autoscaler=QueueDepthAutoscaler(),
             checkpoints=DiskCheckpointStore() if faulted else None,
         )
@@ -373,7 +373,7 @@ class TestConstruction:
                       initial_nodes=0)]
         )
         with pytest.raises(CloudError, match="initial fleet"):
-            CloudScheduleSimulator(make_policy("elastic"), provider)
+            CloudScheduleSimulator(REGISTRY.resolve("elastic"), provider)
 
     def test_rejects_nonpositive_tick(self):
         provider = CloudProvider(
@@ -381,5 +381,5 @@ class TestConstruction:
                       initial_nodes=1)]
         )
         with pytest.raises(CloudError, match="tick"):
-            CloudScheduleSimulator(make_policy("elastic"), provider,
+            CloudScheduleSimulator(REGISTRY.resolve("elastic"), provider,
                                    tick=0.0)

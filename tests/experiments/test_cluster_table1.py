@@ -5,7 +5,7 @@ import pytest
 from repro.experiments import run_cluster_experiment, run_table1
 from repro.experiments.fig9 import FIG9_WORKLOAD
 from repro.schedsim import ScheduleSimulator, WorkloadSpec, generate_workload
-from repro.scheduling import make_policy
+from repro.scheduling import REGISTRY
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ class TestActualVsSimulation:
         """The full stack must be somewhat slower than the idealized
         simulator on the same workload (pod startup, reconcile latency)."""
         actual = run_cluster_experiment("moldable", small_workload)
-        sim = ScheduleSimulator(make_policy("moldable")).run(small_workload)
+        sim = ScheduleSimulator(REGISTRY.resolve("moldable")).run(small_workload)
         assert actual.metrics.total_time >= sim.metrics.total_time
         # ...but within a sane envelope (< 20% for this workload).
         assert actual.metrics.total_time < sim.metrics.total_time * 1.2

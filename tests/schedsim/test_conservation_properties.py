@@ -10,7 +10,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.perfmodel.datasets import JOB_SIZE_CLASSES, step_time_model
-from repro.scheduling import make_policy
+from repro.scheduling import REGISTRY
 from repro.schedsim import ScheduleSimulator, WorkloadSpec, generate_workload
 
 policies = st.sampled_from(["elastic", "moldable", "min_replicas", "max_replicas"])
@@ -19,7 +19,7 @@ seeds = st.integers(min_value=0, max_value=10_000)
 
 
 def run(policy_name, gap, seed, rescale_gap=180.0, num_jobs=10):
-    sim = ScheduleSimulator(make_policy(policy_name, rescale_gap=rescale_gap))
+    sim = ScheduleSimulator(REGISTRY.resolve(policy_name, rescale_gap=rescale_gap))
     subs = generate_workload(
         WorkloadSpec(num_jobs=num_jobs, submission_gap=gap, seed=seed)
     )

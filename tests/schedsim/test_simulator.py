@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.perfmodel import size_class
-from repro.scheduling import JobRequest, make_policy
+from repro.scheduling import JobRequest, REGISTRY
 from repro.schedsim import (
     ScheduleSimulator,
     Submission,
@@ -61,7 +61,7 @@ class TestWorkloadGeneration:
 class TestSimulator:
     def run_sim(self, policy_name, submissions, rescale_gap=180.0, slots=64):
         sim = ScheduleSimulator(
-            make_policy(policy_name, rescale_gap=rescale_gap), total_slots=slots
+            REGISTRY.resolve(policy_name, rescale_gap=rescale_gap), total_slots=slots
         )
         return sim.run(submissions)
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.k8s import make_eks_cluster
 from repro.mpioperator import CharmJobController, JobPhase
-from repro.scheduling import PolicyConfig, make_policy
+from repro.scheduling import PolicyConfig, REGISTRY
 from repro.scheduling.controller import ElasticSchedulerController
 from tests.mpioperator.conftest import BlockApp, make_job
 

@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from repro.scheduling import ElasticPolicyEngine, JobRequest, PolicyConfig, make_policy
+from repro.scheduling import ElasticPolicyEngine, JobRequest, PolicyConfig, REGISTRY
 from repro.scheduling._reference import (
     ReferenceAgingPolicyEngine,
     ReferenceElasticPolicyEngine,
@@ -148,10 +148,10 @@ def assert_equivalent(optimized, reference, seed, n_jobs=60):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("policy", POLICIES)
 def test_elastic_engine_matches_reference(policy, seed):
-    config = make_policy(policy)
+    config = REGISTRY.resolve(policy)
     assert_equivalent(
         ElasticPolicyEngine(TOTAL_SLOTS, config),
-        ReferenceElasticPolicyEngine(TOTAL_SLOTS, make_policy(policy)),
+        ReferenceElasticPolicyEngine(TOTAL_SLOTS, REGISTRY.resolve(policy)),
         seed,
     )
 
@@ -159,8 +159,8 @@ def test_elastic_engine_matches_reference(policy, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_preemptive_engine_matches_reference(seed):
     assert_equivalent(
-        PreemptivePolicyEngine(TOTAL_SLOTS, make_policy("elastic")),
-        ReferencePreemptivePolicyEngine(TOTAL_SLOTS, make_policy("elastic")),
+        PreemptivePolicyEngine(TOTAL_SLOTS, REGISTRY.resolve("elastic")),
+        ReferencePreemptivePolicyEngine(TOTAL_SLOTS, REGISTRY.resolve("elastic")),
         seed,
     )
 
@@ -168,9 +168,9 @@ def test_preemptive_engine_matches_reference(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_aging_engine_matches_reference(seed):
     assert_equivalent(
-        AgingPolicyEngine(TOTAL_SLOTS, make_policy("elastic"), aging_interval=300.0),
+        AgingPolicyEngine(TOTAL_SLOTS, REGISTRY.resolve("elastic"), aging_interval=300.0),
         ReferenceAgingPolicyEngine(
-            TOTAL_SLOTS, make_policy("elastic"), aging_interval=300.0
+            TOTAL_SLOTS, REGISTRY.resolve("elastic"), aging_interval=300.0
         ),
         seed,
     )
@@ -218,9 +218,9 @@ class TestMultiBlockEquivalence:
                 engine.running.check_invariants()
                 engine.queue.check_invariants()
 
-        optimized = engine_cls(BACKLOG_SLOTS, make_policy("elastic"),
+        optimized = engine_cls(BACKLOG_SLOTS, REGISTRY.resolve("elastic"),
                                **engine_kwargs)
-        reference = reference_cls(BACKLOG_SLOTS, make_policy("elastic"),
+        reference = reference_cls(BACKLOG_SLOTS, REGISTRY.resolve("elastic"),
                                   **engine_kwargs)
         log_opt = drive_backlog(optimized, seed, probe=probe)
         log_ref = drive_backlog(reference, seed)
@@ -259,22 +259,20 @@ class TestMultiBlockEquivalence:
 @pytest.mark.parametrize("seed", SEEDS[:10])
 @pytest.mark.parametrize("policy", POLICIES)
 def test_registry_resolved_matches_reference(policy, seed):
-    """The registry path is the make_policy path: resolving a paper
-    policy by name yields decisions byte-identical to the frozen
-    reference engine — the tentpole's no-regression guarantee."""
-    from repro.scheduling.registry import REGISTRY
-
+    """Resolving a paper policy by name yields decisions byte-identical
+    to the frozen reference engine: the registry's no-regression
+    guarantee."""
     assert_equivalent(
         ElasticPolicyEngine(TOTAL_SLOTS, REGISTRY.resolve(policy)),
-        ReferenceElasticPolicyEngine(TOTAL_SLOTS, make_policy(policy)),
+        ReferenceElasticPolicyEngine(TOTAL_SLOTS, REGISTRY.resolve(policy)),
         seed,
     )
 
 
 def test_decision_log_gating_does_not_change_decisions():
     """keep_decision_log=False only empties the log, never the decisions."""
-    logged = ElasticPolicyEngine(TOTAL_SLOTS, make_policy("elastic"))
-    gated = ElasticPolicyEngine(TOTAL_SLOTS, make_policy("elastic"))
+    logged = ElasticPolicyEngine(TOTAL_SLOTS, REGISTRY.resolve("elastic"))
+    gated = ElasticPolicyEngine(TOTAL_SLOTS, REGISTRY.resolve("elastic"))
     gated.keep_decision_log = False
     assert drive(logged, seed=3) == drive(gated, seed=3)
     assert gated.decision_log == []

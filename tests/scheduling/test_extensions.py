@@ -1,7 +1,10 @@
 """Tests for the §3.2.2 policy extensions: aging and preemption."""
 
+import dataclasses
+
 import pytest
 
+from repro.errors import SchedulingError
 from repro.scheduling import JobState, PolicyConfig, StartJob
 from repro.scheduling.extensions import (
     AgingPolicyEngine,
@@ -9,6 +12,8 @@ from repro.scheduling.extensions import (
     PreemptivePolicyEngine,
     ResumeJob,
 )
+from repro.scheduling.power import PowerBudget
+from repro.scheduling.registry import REGISTRY
 from tests.scheduling.conftest import req
 
 
@@ -110,6 +115,18 @@ class TestPreemption:
         kinds = [type(d).__name__ for d in decisions]
         assert "ShrinkJob" in kinds
         assert "PreemptJob" not in kinds
+
+    @pytest.mark.parametrize("config", [
+        REGISTRY.resolve("power-capped"),
+        dataclasses.replace(REGISTRY.resolve("easy-backfill"),
+                            capacity_constraint=PowerBudget),
+    ])
+    def test_capacity_constraint_rejected(self, config):
+        # Preempting releases victims without charging the constraint and
+        # restarts the arrival without admit(): the charged watts would
+        # drift from the actual draw, so the combination must not build.
+        with pytest.raises(SchedulingError, match=repr(config.name)):
+            PreemptivePolicyEngine(64, config)
 
 
 class TestSimulatorIntegration:

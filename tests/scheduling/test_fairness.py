@@ -5,12 +5,12 @@ import io
 import pytest
 
 from repro.scheduling import (
+    REGISTRY,
     FairnessReport,
     JobOutcome,
     MetricsAccumulator,
     ReplicaTimeline,
     compute_fairness,
-    make_policy,
 )
 from repro.scheduling.metrics import BOUNDED_SLOWDOWN_THRESHOLD, bounded_slowdown
 from repro.errors import SchedulingError
@@ -130,7 +130,7 @@ class TestSWFUserThreading:
 
     def test_simulated_outcomes_carry_users_to_fairness(self):
         trace = SWFTrace(parse_swf_lines(io.StringIO(SWF_TEXT)))
-        simulator = ScheduleSimulator(make_policy("elastic"), total_slots=64)
+        simulator = ScheduleSimulator(REGISTRY.resolve("elastic"), total_slots=64)
         result = simulator.run(list(trace.submissions()))
         assert sorted(
             (o.user or "-") for o in result.outcomes

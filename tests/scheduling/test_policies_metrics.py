@@ -11,43 +11,42 @@ from repro.scheduling import (
     JobRequest,
     ReplicaTimeline,
     compute_metrics,
-    make_policy,
-    POLICY_NAMES,
+    REGISTRY,
 )
 from tests.scheduling.conftest import req
 
 
 class TestPolicyConfigs:
     def test_all_four_policies_exist(self):
-        assert set(POLICY_NAMES) == {
+        assert set(REGISTRY.paper_policies()) == {
             "elastic", "moldable", "min_replicas", "max_replicas",
         }
-        for name in POLICY_NAMES:
-            assert make_policy(name).name == name
+        for name in REGISTRY.paper_policies():
+            assert REGISTRY.resolve(name).name == name
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            make_policy("fcfs")
+            REGISTRY.resolve("fcfs")
 
     def test_moldable_is_elastic_with_infinite_gap(self):
-        config = make_policy("moldable")
+        config = REGISTRY.resolve("moldable")
         assert math.isinf(config.rescale_gap)
         assert config.is_moldable
 
     def test_rigid_min_pins_replicas(self):
-        config = make_policy("min_replicas")
+        config = REGISTRY.resolve("min_replicas")
         out = config.job_transform(req("a", 4, 32))
         assert out.min_replicas == out.max_replicas == 4
 
     def test_rigid_max_pins_replicas(self):
-        config = make_policy("max_replicas")
+        config = REGISTRY.resolve("max_replicas")
         out = config.job_transform(req("a", 4, 32))
         assert out.min_replicas == out.max_replicas == 32
 
     def test_rigid_jobs_never_rescale(self):
         # Pin every job to its min: two 32-min jobs fill the cluster; the
         # high-priority arrival (pinned at 30) finds nothing shrinkable.
-        policy = ElasticPolicyEngine(64, make_policy("min_replicas", rescale_gap=0.0))
+        policy = ElasticPolicyEngine(64, REGISTRY.resolve("min_replicas", rescale_gap=0.0))
         policy.on_submit(req("a", 32, 64, priority=1), 0.0)
         policy.on_submit(req("b", 32, 64, priority=1), 0.0)
         decisions = policy.on_submit(req("c", 30, 64, priority=5), 10.0)
@@ -56,12 +55,12 @@ class TestPolicyConfigs:
         assert policy.job("b").replicas == 32
 
     def test_elastic_preserves_request(self):
-        config = make_policy("elastic")
+        config = REGISTRY.resolve("elastic")
         request = req("a", 4, 32)
         assert config.job_transform(request) is request
 
     def test_custom_gap_propagates(self):
-        assert make_policy("elastic", rescale_gap=90.0).rescale_gap == 90.0
+        assert REGISTRY.resolve("elastic", rescale_gap=90.0).rescale_gap == 90.0
 
 
 class TestReplicaTimeline:

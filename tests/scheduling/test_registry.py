@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 from repro.errors import SchedulingError
-from repro.scheduling import ElasticPolicyEngine, PolicyConfig, make_policy
+from repro.scheduling import ElasticPolicyEngine, PolicyConfig
 from repro.scheduling.registry import (
     REGISTRY,
     PolicyRegistrationError,
@@ -93,8 +93,10 @@ class TestRegistration:
             registry.describe("missing")
 
     def test_errors_are_scheduling_and_value_errors(self):
-        """make_policy's documented ValueError contract must survive the
-        shim, and repro's blanket SchedulingError handling must apply."""
+        """Unknown names keep their documented ValueError contract, and
+        repro's blanket SchedulingError handling must apply."""
+        with pytest.raises(ValueError, match="fcfs"):
+            REGISTRY.resolve("fcfs")
         assert issubclass(UnknownPolicyError, SchedulingError)
         assert issubclass(UnknownPolicyError, ValueError)
         assert issubclass(PolicyRegistrationError, SchedulingError)
@@ -118,12 +120,6 @@ class TestGlobalRegistry:
     def test_list_policies_paper_first(self):
         names = REGISTRY.list_policies()
         assert names[:4] == list(REGISTRY.paper_policies())
-
-    def test_make_policy_shim_warns_and_matches_resolve(self):
-        with pytest.warns(DeprecationWarning, match="registry"):
-            shimmed = make_policy("elastic", rescale_gap=90.0)
-        direct = REGISTRY.resolve("elastic", rescale_gap=90.0)
-        assert shimmed == direct
 
     def test_resolved_config_drives_an_engine(self, request_factory):
         engine = ElasticPolicyEngine(8, REGISTRY.resolve("elastic"))
@@ -269,8 +265,7 @@ def test_trial_cache_salt_folds_in_external_policies(tmp_path, monkeypatch):
 
 
 def test_registry_demo_pattern_with_warning_free_resolve(recwarn):
-    """resolve() itself must not emit deprecation noise (only the
-    make_policy shim does)."""
+    """resolve() itself must not emit deprecation noise."""
     warnings.simplefilter("always")
     REGISTRY.resolve("elastic")
     assert not [w for w in recwarn if w.category is DeprecationWarning]

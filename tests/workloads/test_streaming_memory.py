@@ -11,7 +11,7 @@ every scheduling event.
 import pytest
 
 from repro.schedsim import ScheduleSimulator
-from repro.scheduling import make_policy
+from repro.scheduling import REGISTRY
 from repro.scheduling.elastic import ElasticPolicyEngine
 from repro.workloads import PoissonArrivals, SyntheticWorkload, UniformMix
 
@@ -56,7 +56,7 @@ def test_50k_job_trace_keeps_engine_memory_bounded():
     # jobs), so an O(workload) leak anywhere shows up as a huge margin.
     source = SyntheticWorkload(N_JOBS, PoissonArrivals(0.02), UniformMix(), seed=13)
     simulator = ScheduleSimulator(
-        make_policy("elastic"),
+        REGISTRY.resolve("elastic"),
         total_slots=256,
         policy_engine_cls=AuditingPolicyEngine,
     )

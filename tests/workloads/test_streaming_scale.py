@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SchedulingError
 from repro.schedsim import ScheduleSimulator
 from repro.schedsim.workload import Submission
-from repro.scheduling import MetricsAccumulator, make_policy
+from repro.scheduling import MetricsAccumulator, REGISTRY
 from repro.workloads import PoissonArrivals, SyntheticWorkload, UniformMix
 
 ALL_POLICIES = ("elastic", "moldable", "min_replicas", "max_replicas")
@@ -19,7 +19,7 @@ class TestScale:
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_1000_jobs_all_policies(self, policy):
         source = thousand_jobs()
-        simulator = ScheduleSimulator(make_policy(policy), total_slots=256)
+        simulator = ScheduleSimulator(REGISTRY.resolve(policy), total_slots=256)
         result = simulator.run(source.submissions(), retain="metrics")
         assert result.metrics.job_count == 1000
         assert 0.0 < result.metrics.utilization <= 1.0
@@ -27,7 +27,7 @@ class TestScale:
 
     def test_metrics_mode_drops_per_job_state(self):
         source = thousand_jobs()
-        simulator = ScheduleSimulator(make_policy("elastic"), total_slots=256)
+        simulator = ScheduleSimulator(REGISTRY.resolve("elastic"), total_slots=256)
         result = simulator.run(source.submissions(), retain="metrics")
         assert result.outcomes == []
         assert result.timelines == {}
@@ -38,10 +38,10 @@ class TestScale:
     def test_streaming_matches_materialized(self):
         source = SyntheticWorkload(200, PoissonArrivals(0.05), seed=4)
         materialized = list(source.submissions())
-        full = ScheduleSimulator(make_policy("elastic"), total_slots=128).run(
+        full = ScheduleSimulator(REGISTRY.resolve("elastic"), total_slots=128).run(
             materialized
         )
-        lean = ScheduleSimulator(make_policy("elastic"), total_slots=128).run(
+        lean = ScheduleSimulator(REGISTRY.resolve("elastic"), total_slots=128).run(
             source.submissions(), retain="metrics"
         )
         assert lean.metrics.total_time == pytest.approx(full.metrics.total_time)
@@ -56,7 +56,7 @@ class TestScale:
 
 class TestStreamingValidation:
     def test_empty_iterator_rejected(self):
-        simulator = ScheduleSimulator(make_policy("elastic"))
+        simulator = ScheduleSimulator(REGISTRY.resolve("elastic"))
         with pytest.raises(SchedulingError, match="empty"):
             simulator.run(iter([]))
 
@@ -64,7 +64,7 @@ class TestStreamingValidation:
         source = SyntheticWorkload(3, PoissonArrivals(0.1), seed=0)
         subs = list(source.submissions())
         subs.reverse()
-        simulator = ScheduleSimulator(make_policy("elastic"))
+        simulator = ScheduleSimulator(REGISTRY.resolve("elastic"))
         with pytest.raises(SchedulingError, match="time-ordered"):
             simulator.run(iter(subs))
 
@@ -72,13 +72,13 @@ class TestStreamingValidation:
         source = SyntheticWorkload(2, seed=0)
         (a, b) = list(source.submissions())
         dup = Submission(time=b.time, request=a.request, size=a.size)
-        simulator = ScheduleSimulator(make_policy("elastic"))
+        simulator = ScheduleSimulator(REGISTRY.resolve("elastic"))
         with pytest.raises(SchedulingError, match="duplicate"):
             simulator.run(iter([a, dup]))
 
     def test_simulator_is_single_use(self):
         source = SyntheticWorkload(2, seed=0)
-        simulator = ScheduleSimulator(make_policy("elastic"))
+        simulator = ScheduleSimulator(REGISTRY.resolve("elastic"))
         simulator.run(list(source.submissions()))
         # A second run would silently merge per-job state from the first.
         with pytest.raises(SchedulingError, match="once per instance"):
@@ -86,7 +86,7 @@ class TestStreamingValidation:
 
     def test_unknown_retain_mode_rejected(self):
         source = SyntheticWorkload(2, seed=0)
-        simulator = ScheduleSimulator(make_policy("elastic"))
+        simulator = ScheduleSimulator(REGISTRY.resolve("elastic"))
         with pytest.raises(SchedulingError, match="retain"):
             simulator.run(list(source.submissions()), retain="everything")
 
@@ -96,7 +96,7 @@ class TestAccumulator:
         from repro.scheduling import compute_metrics
 
         source = SyntheticWorkload(50, PoissonArrivals(0.05), seed=8)
-        result = ScheduleSimulator(make_policy("elastic"), total_slots=128).run(
+        result = ScheduleSimulator(REGISTRY.resolve("elastic"), total_slots=128).run(
             list(source.submissions())
         )
         acc = MetricsAccumulator("elastic", total_slots=128)

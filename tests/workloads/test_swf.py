@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.schedsim import ScheduleSimulator
-from repro.scheduling import make_policy
+from repro.scheduling import REGISTRY
 from repro.workloads import SWFTrace, materialize, parse_swf_lines, size_class_for_procs
 
 #: A small but representative trace: header comments, a blank line, full
@@ -132,7 +132,7 @@ class TestTrace:
 
     def test_trace_runs_through_simulator(self):
         trace = SWFTrace(sample_result(), time_scale=0.05)
-        simulator = ScheduleSimulator(make_policy("elastic"), total_slots=64)
+        simulator = ScheduleSimulator(REGISTRY.resolve("elastic"), total_slots=64)
         result = simulator.run(trace.submissions(), retain="metrics")
         assert result.metrics.job_count == len(trace)
         assert result.metrics.total_time > 0

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.schedsim import ScheduleSimulator
-from repro.scheduling import make_policy
+from repro.scheduling import REGISTRY
 from repro.workloads import SWFTrace
 
 FIXTURE = os.path.join(
@@ -42,7 +42,7 @@ def test_fixture_parses_to_its_frozen_shape():
 def test_fixture_short_prefix_replays_deterministically():
     """Fast tier-1 guard: a 200-job prefix replay, exact job count."""
     trace = SWFTrace(FIXTURE, max_jobs=200)
-    simulator = ScheduleSimulator(make_policy("elastic"), total_slots=TOTAL_SLOTS)
+    simulator = ScheduleSimulator(REGISTRY.resolve("elastic"), total_slots=TOTAL_SLOTS)
     result = simulator.run(trace.submissions(), retain="metrics")
     assert result.metrics.job_count == 200
     assert 0.0 < result.metrics.utilization <= 1.0
@@ -53,7 +53,7 @@ def test_fixture_short_prefix_replays_deterministically():
 def test_full_length_replay(policy):
     """Every trace job must run to completion under streaming metrics."""
     trace = SWFTrace(FIXTURE)
-    simulator = ScheduleSimulator(make_policy(policy), total_slots=TOTAL_SLOTS)
+    simulator = ScheduleSimulator(REGISTRY.resolve(policy), total_slots=TOTAL_SLOTS)
     result = simulator.run(trace.submissions(), retain="metrics")
     assert result.metrics.job_count == FIXTURE_JOBS
     assert 0.0 < result.metrics.utilization <= 1.0
@@ -77,7 +77,7 @@ def test_full_length_replay_is_policy_sensitive():
     results = {}
     for policy in ("elastic", "moldable", "min_replicas", "max_replicas"):
         trace = SWFTrace(FIXTURE)
-        simulator = ScheduleSimulator(make_policy(policy), total_slots=TOTAL_SLOTS)
+        simulator = ScheduleSimulator(REGISTRY.resolve(policy), total_slots=TOTAL_SLOTS)
         results[policy] = simulator.run(trace.submissions(), retain="metrics").metrics
     completions = [m.weighted_mean_completion for m in results.values()]
     assert len({round(c, 3) for c in completions}) == len(completions)
