@@ -12,8 +12,8 @@ Quantifies what the paper's discussion predicts:
 
 from benchmarks.conftest import once
 from repro.experiments import render_table
-from repro.scheduling import ElasticPolicyEngine, JobRequest, PolicyConfig
-from repro.scheduling.extensions import AgingPolicyEngine, PreemptivePolicyEngine
+from repro.scheduling import Aging, ElasticPolicyEngine, JobRequest, PolicyConfig
+from repro.scheduling.extensions import PreemptivePolicyEngine
 from repro.schedsim import ScheduleSimulator, Submission
 from repro.perfmodel import size_class
 
@@ -94,17 +94,12 @@ def test_extension_aging_bounds_starvation(benchmark, save_result):
 
     def run():
         out = {}
-        for label, engine_cls in (
-            ("elastic (paper)", ElasticPolicyEngine),
-            (
-                "elastic + aging",
-                lambda slots, cfg: AgingPolicyEngine(slots, cfg,
-                                                     aging_interval=300.0),
-            ),
+        for label, aging in (
+            ("elastic (paper)", None),
+            ("elastic + aging", Aging(interval=300.0)),
         ):
             sim = ScheduleSimulator(
-                PolicyConfig(name=label, rescale_gap=60.0),
-                policy_engine_cls=engine_cls,
+                PolicyConfig(name=label, rescale_gap=60.0, aging=aging)
             )
             result = sim.run(workload())
             starved = next(o for o in result.outcomes if o.name == "starved")

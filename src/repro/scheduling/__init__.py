@@ -3,7 +3,7 @@
 Public surface::
 
     from repro.scheduling import (
-        ElasticPolicyEngine, PolicyConfig, SchedulingPolicy,
+        ElasticPolicyEngine, PolicyConfig, SchedulingPolicy, Aging,
         SchedulerRegistry, REGISTRY, resolve, list_policies,
         JobRequest, SchedulerJob, JobState,
         Decision, StartJob, ShrinkJob, ExpandJob, EnqueueJob,
@@ -12,10 +12,10 @@ Public surface::
     )
 
 Policies resolve by name through :mod:`repro.scheduling.registry`;
-importing this package registers the paper's four policies
-(:mod:`.policies`), the literature schedulers (:mod:`.literature`:
-``ewt``, ``prb``, ``easy-backfill``), and the power-capped scenario
-(:mod:`.power`).
+importing this package registers the paper's four policies and the
+``aging`` extension (:mod:`.policies`), the literature schedulers
+(:mod:`.literature`: ``ewt``, ``prb``, ``easy-backfill``), and the
+power-capped scenario (:mod:`.power`).
 """
 
 from .elastic import ElasticPolicyEngine
@@ -43,6 +43,7 @@ from .policies import DEFAULT_RESCALE_GAP
 from . import literature  # noqa: F401  (self-registering policies)
 from . import power  # noqa: F401  (self-registering policies)
 from .policy import (
+    Aging,
     BackfillRule,
     CapacityConstraint,
     Decision,
@@ -59,6 +60,7 @@ __all__ = [
     "ElasticPolicyEngine",
     "PolicyConfig",
     "SchedulingPolicy",
+    "Aging",
     "BackfillRule",
     "CapacityConstraint",
     "SchedulerRegistry",
@@ -99,8 +101,7 @@ def __getattr__(name):
         from .controller import ElasticSchedulerController
 
         return ElasticSchedulerController
-    if name in ("AgingPolicyEngine", "PreemptivePolicyEngine", "PreemptJob",
-                "ResumeJob"):
+    if name in ("PreemptivePolicyEngine", "PreemptJob", "ResumeJob"):
         from . import extensions
 
         return getattr(extensions, name)

@@ -35,7 +35,6 @@ from .policy import (
 
 __all__ = [
     "ReferenceElasticPolicyEngine",
-    "ReferenceAgingPolicyEngine",
     "ReferencePreemptivePolicyEngine",
 ]
 
@@ -266,48 +265,6 @@ class ReferenceElasticPolicyEngine:
         return {
             name: (job.state.value, job.replicas) for name, job in self._jobs.items()
         }
-
-
-class ReferenceAgingPolicyEngine(ReferenceElasticPolicyEngine):
-    """Pre-PR-2 copy of :class:`repro.scheduling.AgingPolicyEngine`."""
-
-    def __init__(
-        self,
-        total_slots: int,
-        config: Optional[PolicyConfig] = None,
-        aging_interval: float = 600.0,
-        max_priority: int = 10,
-    ):
-        super().__init__(total_slots, config)
-        if aging_interval <= 0:
-            raise ValueError("aging_interval must be positive")
-        self.aging_interval = float(aging_interval)
-        self.max_priority = int(max_priority)
-
-    def effective_priority(self, job: SchedulerJob, now: float) -> int:
-        if job.state != JobState.QUEUED:
-            return job.priority
-        waited = max(0.0, now - job.submit_time)
-        boost = int(waited // self.aging_interval)
-        return min(self.max_priority, job.priority + boost)
-
-    def jobs_by_priority(self, now: Optional[float] = None) -> List[SchedulerJob]:
-        if now is None:
-            now = self._now_hint
-        return sorted(
-            self.running + self.queue,
-            key=lambda j: (-self.effective_priority(j, now), j.submit_time, j.seq),
-        )
-
-    _now_hint: float = 0.0
-
-    def on_submit(self, request, now: float):
-        self._now_hint = now
-        return super().on_submit(request, now)
-
-    def on_complete(self, name: str, now: float):
-        self._now_hint = now
-        return super().on_complete(name, now)
 
 
 class ReferencePreemptivePolicyEngine(ReferenceElasticPolicyEngine):

@@ -69,9 +69,11 @@ jobs and block size ``B``:
   queue is a backfill: it must pass the rule and never shrinks anyone.
   In Figure 3 a constraint only ever lowers what a candidate may take,
   so every block skip stays sound; its ``admit`` caps each start and
-  expansion exactly as the literal scan does.  The scan consults the
-  backfill rule only once it has left a waiter behind, and a ``passed``
-  flag replays that condition: the queue pointer sets it whenever it
+  expansion exactly as the literal Figure-3 scan over
+  ``sorted(running + queue)`` does (``tests/scheduling/fig3_oracle.py``
+  keeps it as the walk's oracle).  The scan consults the backfill rule
+  only once it has left a waiter behind, and a ``passed`` flag replays
+  that condition: the queue pointer sets it whenever it
   leaves a waiter behind — a skipped block or member priced out of the
   budget, a waiter inside its rescale gap, capped below its minimum, or
   denied by the rule.  Each such waiter ranks above the candidate under
@@ -81,6 +83,14 @@ jobs and block size ``B``:
   inf``) every running block is skipped in O(1), so a completion costs
   the rule's test on each waiter that fits the budget, not a merge over
   the whole backlog;
+* aging (``PolicyConfig.aging``, §3.2.2) takes the same walk.  A
+  waiter's effective priority is a step function of its waiting time,
+  so a heap holds each waiter's next step, and a hand-out first re-keys
+  the waiters whose step has come (O(log n) each).  The queue is then
+  sorted by effective priority while running jobs keep their static
+  keys, so the walk's merge is the aged ``sorted(running + queue)``.
+  Aging rules out a backfill rule, and Figure 3 is then the only
+  reader of queue order;
 * the Figure-2 dry run short-circuits to *infeasible* when the blocks'
   total ``shrinkable`` sum cannot cover the requested slots — priority
   stops and gap ineligibility only ever reduce what the walk frees, so
@@ -104,8 +114,9 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import itertools
 import math
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import CapacityError, JobStateError
 from ..obs.metrics import active_registry
@@ -169,6 +180,13 @@ class ElasticPolicyEngine:
         factory = getattr(config, "capacity_constraint", None)
         #: One fresh constraint per engine: budgets are engine state.
         self._constraint = factory() if factory is not None else None
+        self._aging = getattr(config, "aging", None)
+        if self._aging is not None:
+            #: Min-heap of ``(due, tiebreak, job, key)``: when each waiter's
+            #: aged priority may next step, and the key it was pushed
+            #: under.  Only aging engines carry it.
+            self._aging_steps: List[tuple] = []
+            self._aging_ties = itertools.count()
         #: Span recorder a tracing substrate may attach
         #: (:class:`repro.obs.spans.PhaseSpans`); None = no span timing.
         self.spans = None
@@ -212,19 +230,14 @@ class ElasticPolicyEngine:
             raise JobStateError(f"unknown job {name!r}") from None
 
     def jobs_by_priority(self) -> List[SchedulerJob]:
-        """Running and queued jobs in decreasing priority (Fig 3's allJobs)."""
-        return list(self._candidates_by_priority())
+        """Running and queued jobs in decreasing priority (Fig 3's allJobs).
 
-    def _candidates_by_priority(self) -> Iterator[SchedulerJob]:
-        """Lazy merge of the two sorted sequences in decreasing priority.
-
-        Both are permanently sorted by :func:`priority_order_key` with
-        unique keys, so the merge reproduces exactly what
-        ``sorted(running + queue)`` used to build — without materializing
-        it.  Callers must not structurally mutate ``running``/``queue``
-        while consuming the iterator.
+        Both lists stay sorted by :func:`priority_order_key` with unique
+        keys, so merging them reproduces ``sorted(running + queue)``.
+        Under aging, waiters rank by their effective priority as of the
+        last Figure-3 hand-out.
         """
-        return heapq.merge(self.running, self.queue, key=priority_order_key)
+        return list(heapq.merge(self.running, self.queue, key=priority_order_key))
 
     # ------------------------------------------------------------------
     # Event: new job submitted (Figure 2)
@@ -500,6 +513,8 @@ class ElasticPolicyEngine:
         Queue→running moves are deferred until the walk ends (its block
         pointers must not see structural mutations), then applied.
         """
+        if self._aging is not None:
+            self._age_waiters(now)
         decisions: List[Decision] = []
         spans = self.spans
         if spans is not None:
@@ -510,11 +525,36 @@ class ElasticPolicyEngine:
         finally:
             started, self._pending_starts = self._pending_starts, None
             for moved in started:
-                self.queue.remove(moved)
+                self._unpark(moved)
                 self.running.add(moved)
             if spans is not None:
                 spans.end("redistribute", decisions=len(decisions))
         return self._log(decisions)
+
+    def _age_waiters(self, now: float) -> None:
+        """Re-key every waiter whose aged priority stepped by ``now``.
+
+        Afterwards the queue is sorted by effective priority at ``now``
+        (see the module docstring).  Steps are pushed slightly early, and
+        the priority is recomputed from the waiting time, so a step that
+        has not yet arrived in float terms is pushed again just after
+        ``now``.
+        """
+        steps, aging, queue = self._aging_steps, self._aging, self.queue
+        while steps and steps[0][0] <= now:
+            _, _, job, key = heapq.heappop(steps)
+            if job.sort_key is not key:
+                continue  # left the queue, or re-keyed since the push
+            priority = aging.get_priority(now, job)
+            if priority != -key[0]:
+                queue.remove(job)
+                key = job.sort_key = (-priority, job.submit_time, job.seq)
+                queue.add(job)
+            due = aging.next_change(now, job)
+            if due <= now:
+                due = math.nextafter(now, math.inf)
+            if due < math.inf:
+                heapq.heappush(steps, (due, next(self._aging_ties), job, key))
 
     def _redistribute(
         self, num_workers: int, now: float, decisions: List[Decision]
@@ -531,13 +571,15 @@ class ElasticPolicyEngine:
         gap``, with ``oldest_action`` a lower bound on the members'
         ``last_action``).  A skipped running candidate would have emitted
         nothing and consumed no budget, so the emitted decision sequence
-        is exactly the literal scan's (defined below).
+        is exactly the literal scan's over ``jobs_by_priority()`` (kept
+        as a test oracle in ``tests/scheduling/fig3_oracle.py``).
 
         Hooked configs take the same walk: the capacity constraint caps
         each ``add`` (it can only lower it, so no skip is invalidated),
-        and ``passed`` records that a waiter was left behind, the
-        condition under which the scan consults the backfill rule (see
-        the module docstring for why the two agree).
+        ``passed`` records that a waiter was left behind, the condition
+        under which the scan consults the backfill rule (see the module
+        docstring for why the two agree), and aging has re-keyed the
+        queue by effective priority before the walk starts.
         """
         if self._obs is not None:
             self._obs_redistributes.inc()
@@ -664,57 +706,6 @@ class ElasticPolicyEngine:
                 self._obs_queue_skips.inc(qskips)
             if rskips:
                 self._obs_running_skips.inc(rskips)
-
-    def _redistribute_scan(
-        self, num_workers: int, now: float, decisions: List[Decision]
-    ) -> None:
-        """The literal Figure-3 scan over :meth:`_candidates_by_priority`.
-
-        The live path only for aging (:class:`~repro.scheduling
-        .extensions.AgingPolicyEngine`), whose time-dependent candidate
-        order defeats block aggregates keyed on static priority.  It is
-        also the reference shape the indexed walk is tested against.
-        """
-        reserve = self.config.launcher_slots
-        gap = self.config.rescale_gap
-        cons = self._constraint
-        backfill = self._backfill
-        passed_queued = False  # a queued job was left waiting upstream
-        for candidate in self._candidates_by_priority():
-            if num_workers <= 0:
-                break
-            if now - candidate.last_action < gap:
-                if candidate.state == JobState.QUEUED:
-                    passed_queued = True
-                continue
-            if candidate.replicas < candidate.max_replicas:
-                add = min(num_workers, candidate.max_replicas - candidate.replicas)
-                if candidate.state == JobState.QUEUED:
-                    # Starting a queued job also needs its launcher slot.
-                    add = min(num_workers - reserve, candidate.max_replicas)
-                    if cons is not None:
-                        room = cons.admit(candidate.request)
-                        if room < add:
-                            add = room
-                    if add >= candidate.min_replicas and (
-                        backfill is None
-                        or not passed_queued
-                        or backfill.allows(self, candidate, add, now)
-                    ):
-                        decisions.append(self._start_queued(candidate, add, now))
-                        num_workers -= add + reserve
-                    else:
-                        passed_queued = True
-                else:
-                    if cons is not None:
-                        room = cons.admit(candidate.request)
-                        if room < add:
-                            add = room
-                    if add > 0 and candidate.replicas + add >= candidate.min_replicas:
-                        decisions.append(
-                            self._expand(candidate, candidate.replicas + add, now)
-                        )
-                        num_workers -= add
 
     # ------------------------------------------------------------------
     # Elastic cluster capacity (the repro.cloud substrate)
@@ -942,7 +933,7 @@ class ElasticPolicyEngine:
             self.queue.rescaled(job, before)
             self._pending_starts.append(job)
             return start
-        self.queue.remove(job)
+        self._unpark(job)
         return self._start(job, replicas, now)
 
     def _enqueue(self, job: SchedulerJob) -> EnqueueJob:
@@ -955,6 +946,19 @@ class ElasticPolicyEngine:
         job.state = JobState.QUEUED
         if self.queue.add(job) and self._backfill_overtakes is not None:
             self._backfill_overtakes(self, job)
+        if self._aging is not None:
+            # Due at once: the next hand-out keys it by its waiting time.
+            heapq.heappush(self._aging_steps, (
+                -math.inf, next(self._aging_ties), job, job.sort_key
+            ))
+
+    def _unpark(self, job: SchedulerJob) -> None:
+        """Take ``job`` out of the queue, dropping any aged key."""
+        self.queue.remove(job)
+        if self._aging is not None:
+            # Running jobs do not age: the next add() rebuilds the static
+            # key as a fresh tuple, which also voids the job's old steps.
+            job.sort_key = ()
 
     def _shrink(self, job: SchedulerJob, new_replicas: int, now: float) -> Optional[ShrinkJob]:
         if self.config.shrink_filter is not None and not self.config.shrink_filter(

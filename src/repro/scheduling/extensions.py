@@ -1,112 +1,31 @@
-"""Policy extensions the paper discusses but does not evaluate (§3.2.2, §6).
+"""Job preemption, a policy extension the paper discusses but does not
+evaluate (§3.2.2).
 
-* :class:`AgingPolicyEngine` — "a dynamic priority system could be
-  implemented to gradually increase the priority of waiting jobs, ensuring
-  that low-priority jobs get resources during times of high traffic"
-  (§3.2.2, *Aging priorities*).
-* :class:`PreemptivePolicyEngine` — "lower-priority jobs could be sent a
-  signal to checkpoint to disk and then be preempted to make room for
-  higher-priority jobs ... restarted from [the] checkpoint at a later
-  time" (§3.2.2, *Job preemption*).
+:class:`PreemptivePolicyEngine` — "lower-priority jobs could be sent a
+signal to checkpoint to disk and then be preempted to make room for
+higher-priority jobs ... restarted from [the] checkpoint at a later
+time" (§3.2.2, *Job preemption*).  It extends the Figure-2/3 engine
+without modifying it; the evaluated system is untouched when the class
+is not used.
 
-Both extend the Figure-2/3 engine without modifying it; the evaluated
-system is untouched when these classes are not used.
+The section's other extension, *aging priorities*, is not a subclass:
+it is the :class:`~repro.scheduling.policy.Aging` stage of
+:class:`~repro.scheduling.policy.PolicyConfig` (the ``aging`` policy in
+the registry), served by the base engine's indexed Figure-3 walk.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from ..errors import SchedulingError
 from .elastic import ElasticPolicyEngine
-from .job import JobState, SchedulerJob
+from .job import SchedulerJob
 from .policy import Decision, EnqueueJob, PolicyConfig, StartJob
 
-__all__ = ["AgingPolicyEngine", "PreemptivePolicyEngine", "PreemptJob",
-           "ResumeJob"]
-
-
-class AgingPolicyEngine(ElasticPolicyEngine):
-    """Elastic policy with queue aging.
-
-    A queued job's effective priority grows by one level per
-    ``aging_interval`` seconds of waiting (capped at ``max_priority``), so
-    long-starved submissions eventually outrank fresher, nominally-higher
-    work when completions hand out freed slots.  Running jobs keep their
-    user priority — aging only orders the *queue*, so the evaluated
-    shrink-victim logic (Figure 2) is unchanged.
-    """
-
-    def __init__(
-        self,
-        total_slots: int,
-        config: Optional[PolicyConfig] = None,
-        aging_interval: float = 600.0,
-        max_priority: int = 10,
-    ):
-        super().__init__(total_slots, config)
-        if aging_interval <= 0:
-            raise ValueError("aging_interval must be positive")
-        self.aging_interval = float(aging_interval)
-        self.max_priority = int(max_priority)
-
-    def effective_priority(self, job: SchedulerJob, now: float) -> int:
-        if job.state != JobState.QUEUED:
-            return job.priority
-        waited = max(0.0, now - job.submit_time)
-        boost = int(waited // self.aging_interval)
-        return min(self.max_priority, job.priority + boost)
-
-    def jobs_by_priority(self, now: Optional[float] = None) -> List[SchedulerJob]:
-        """Decreasing *effective* priority (aged queue entries rise)."""
-        if now is None:
-            now = self._now_hint
-        return sorted(
-            self.running + self.queue,
-            key=lambda j: (-self.effective_priority(j, now), j.submit_time, j.seq),
-        )
-
-    def _candidates_by_priority(self) -> Iterator[SchedulerJob]:
-        # Effective priorities are time-dependent, so the base engine's
-        # lazy static-key merge does not apply: aging keeps the O(n log n)
-        # snapshot sort (queues under aging are completion-ordered anyway).
-        return iter(self.jobs_by_priority())
-
-    def _redistribute(self, num_workers, now, decisions):
-        # The base engine's indexed Figure-3 walk skips queue blocks from
-        # aggregates keyed on *static* priority order; aged queues are
-        # ordered by effective priority, so aging keeps the literal scan.
-        self._redistribute_scan(num_workers, now, decisions)
-
-    # The base on_complete calls jobs_by_priority() with no argument; stash
-    # the event time so the aged ordering is computed against it.
-    _now_hint: float = 0.0
-
-    def on_submit(self, request, now: float):
-        self._now_hint = now
-        return super().on_submit(request, now)
-
-    def on_complete(self, name: str, now: float):
-        self._now_hint = now
-        return super().on_complete(name, now)
-
-    # Capacity transitions redistribute through _candidates_by_priority
-    # too, so the aged ordering needs the event time stashed the same way.
-
-    def grow_capacity(self, slots: int, now: float):
-        self._now_hint = now
-        return super().grow_capacity(slots, now)
-
-    def shrink_capacity(self, slots: int, now: float, *, force: bool = False):
-        self._now_hint = now
-        return super().shrink_capacity(slots, now, force=force)
-
-    def rebalance(self, now: float):
-        self._now_hint = now
-        return super().rebalance(now)
+__all__ = ["PreemptivePolicyEngine", "PreemptJob", "ResumeJob"]
 
 
 @dataclass(frozen=True)
@@ -163,7 +82,7 @@ class PreemptivePolicyEngine(ElasticPolicyEngine):
         if not preemptions:
             return decisions
         # The arrival now fits: pull it back out of the queue and start it.
-        self.queue.remove(job)
+        self._unpark(job)
         replicas = min(
             self.free_slots - self.config.launcher_slots, job.max_replicas
         )

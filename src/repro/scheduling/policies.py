@@ -13,8 +13,9 @@ parameterized exactly as the paper emulates them (§4.3.2):
 
 Each is a named factory on :data:`repro.scheduling.registry.REGISTRY`
 (``paper=True``); the golden decision-log suite pins registry-resolved
-configs byte-identical to the frozen reference engine.  Callers resolve
-through the registry::
+configs byte-identical to the frozen reference engine.  The module also
+registers ``aging``, the §3.2.2 aging-priorities extension, as a
+non-paper policy.  Callers resolve through the registry::
 
     from repro.scheduling.registry import resolve
     config = resolve("elastic", rescale_gap=90.0)
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 
 from .job import JobRequest
-from .policy import PolicyConfig
+from .policy import Aging, PolicyConfig
 from .registry import REGISTRY
 
 __all__ = ["DEFAULT_RESCALE_GAP"]
@@ -109,4 +110,25 @@ def _max_replicas(
         launcher_slots=launcher_slots,
         job_transform=_pin_max,
         shrink_filter=shrink_filter,
+    )
+
+
+@REGISTRY.register(
+    "aging", tags=("extension",),
+    description="§3.2.2 aging priorities: a waiting job gains one "
+                "priority level per interval, up to a cap",
+)
+def _aging(
+    rescale_gap: float = DEFAULT_RESCALE_GAP,
+    launcher_slots: int = 0,
+    shrink_filter=None,
+    aging_interval: float = 600.0,
+    max_priority: int = 10,
+) -> PolicyConfig:
+    return PolicyConfig(
+        name="aging",
+        rescale_gap=rescale_gap,
+        launcher_slots=launcher_slots,
+        shrink_filter=shrink_filter,
+        aging=Aging(interval=aging_interval, max_priority=max_priority),
     )

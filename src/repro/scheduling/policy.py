@@ -25,7 +25,13 @@ __all__ = [
     "SchedulingPolicy",
     "BackfillRule",
     "CapacityConstraint",
+    "Aging",
 ]
+
+#: How far ahead of its computed time :meth:`Aging.next_change` reports a
+#: step, relative to the step's magnitude: float rounding may flip the
+#: waiting-time expression a few ulps either side of the product.
+_STEP_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -132,6 +138,59 @@ class CapacityConstraint(Protocol):
         ...
 
 
+@dataclass(frozen=True)
+class Aging:
+    """Aging priorities (§3.2.2): waiting raises a queued job's priority.
+
+    A waiter gains one level per ``interval`` seconds since its
+    submission, up to ``max_priority``; a priority already at or above
+    the cap stays as it is, so aging never lowers one.  The effective
+    priority is :meth:`get_priority` (the ``get_priority(now, job)``
+    shape of vLLM's scheduling policy), a step function of the waiting
+    time, and :meth:`next_change` says when it can next step — so the
+    engine re-keys a waiter only when it crosses a step, and its indexed
+    queue stays sorted by effective priority.  Running jobs do not age.
+    """
+
+    interval: float = 600.0
+    max_priority: int = 10
+
+    def __post_init__(self):
+        interval = self.interval
+        if isinstance(interval, bool) or not (
+            isinstance(interval, (int, float)) and 0 < interval < math.inf
+        ):
+            raise ValueError(
+                f"aging interval must be a positive finite number, "
+                f"got {interval!r}"
+            )
+        if isinstance(self.max_priority, bool) or not isinstance(
+            self.max_priority, int
+        ):
+            raise ValueError(
+                f"max_priority must be an integer, got {self.max_priority!r}"
+            )
+
+    def _boost(self, now: float, job: SchedulerJob) -> int:
+        return int(max(0.0, now - job.submit_time) // self.interval)
+
+    def get_priority(self, now: float, job: SchedulerJob):
+        """``job``'s effective priority if it has waited since submission."""
+        priority = job.request.priority
+        if priority >= self.max_priority:
+            return priority
+        return min(self.max_priority, priority + self._boost(now, job))
+
+    def next_change(self, now: float, job: SchedulerJob) -> float:
+        """A time no later than :meth:`get_priority`'s next step after
+        ``now`` (``inf`` if it has reached its final value)."""
+        boost = self._boost(now, job)
+        if job.request.priority + boost >= self.max_priority:
+            return math.inf
+        step = job.submit_time + (boost + 1) * self.interval
+        return step - _STEP_SLACK * max(1.0, abs(step))
+
+
 @runtime_checkable
 class SchedulingPolicy(Protocol):
     """The policy surface :class:`~repro.scheduling.elastic.ElasticPolicyEngine`
@@ -140,7 +199,7 @@ class SchedulingPolicy(Protocol):
     :class:`PolicyConfig` is the canonical implementation; anything with
     these attributes (e.g. a third-party config registered through
     :mod:`repro.scheduling.registry`) drives the engine equally.  The
-    three hook stages generalize the paper's fixed algorithm:
+    four hook stages generalize the paper's fixed algorithm:
 
     ``priority_rule``
         queue-ordering stage — rewrites a submission's effective priority
@@ -150,6 +209,9 @@ class SchedulingPolicy(Protocol):
     ``capacity_constraint``
         capacity-constraint stage — factory for a per-engine budget
         tighter than the slot count (power capping).
+    ``aging``
+        aging stage (:class:`Aging`) — raises waiting jobs' priority
+        over time (§3.2.2).
     """
 
     name: str
@@ -161,6 +223,7 @@ class SchedulingPolicy(Protocol):
     priority_rule: Optional[Callable[[JobRequest], float]]
     backfill: Optional[BackfillRule]
     capacity_constraint: Optional[Callable[[], CapacityConstraint]]
+    aging: Optional[Aging]
 
 
 @dataclass
@@ -210,6 +273,11 @@ class PolicyConfig:
         Capacity-constraint stage: a zero-argument factory producing one
         fresh :class:`CapacityConstraint` per engine (engines must not
         share budget state).  ``None`` means slots are the only budget.
+    aging:
+        Aging stage (:class:`Aging`): queued jobs gain priority while
+        they wait, so Figure 3 hands freed slots to long-starved work
+        first.  ``None`` keeps priorities fixed.  It cannot be combined
+        with a backfill rule, which reserves in static queue order.
     """
 
     name: str = "elastic"
@@ -223,6 +291,7 @@ class PolicyConfig:
     priority_rule: Optional[Callable[[JobRequest], float]] = None
     backfill: Optional[BackfillRule] = None
     capacity_constraint: Optional[Callable[[], CapacityConstraint]] = None
+    aging: Optional[Aging] = None
 
     def __post_init__(self):
         # Catch bad parameters at construction with a message naming the
@@ -272,6 +341,11 @@ class PolicyConfig:
             self.capacity_constraint
         ):
             fail("capacity_constraint must be a zero-argument factory or None")
+        if self.aging is not None:
+            if not isinstance(self.aging, Aging):
+                fail(f"aging must be an Aging or None, got {self.aging!r}")
+            if self.backfill is not None:
+                fail("aging cannot be combined with a backfill rule")
 
     @property
     def is_moldable(self) -> bool:

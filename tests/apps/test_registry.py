@@ -64,12 +64,12 @@ class TestPackageSurface:
 
     def test_lazy_scheduling_exports(self):
         from repro.scheduling import (
-            AgingPolicyEngine,
             ElasticSchedulerController,
             PreemptivePolicyEngine,
+            ResumeJob,
         )
 
-        assert AgingPolicyEngine is not None
+        assert ResumeJob is not None
         assert PreemptivePolicyEngine is not None
         assert ElasticSchedulerController is not None
 

@@ -75,7 +75,7 @@ class TestEngineCounters:
         snap = registry.snapshot()
         assert snap["engine.fig3.queue_blocks_skipped"] >= 1
 
-    @pytest.mark.parametrize("policy", ["easy-backfill", "power-capped"])
+    @pytest.mark.parametrize("policy", ["easy-backfill", "power-capped", "aging"])
     def test_hooked_configs_take_the_indexed_walk(self, registry, policy):
         # A silent fallback to the literal scan would skip no block.
         drive_backlog(ElasticPolicyEngine(8, REGISTRY.resolve(policy)))

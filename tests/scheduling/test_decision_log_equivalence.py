@@ -4,8 +4,9 @@ The PR-2 hot-path rework (incremental slot accounting, insort-maintained
 lists, lazy Figure-3 merge) must not change a single scheduling decision:
 the paper-faithful semantics — including the documented Figure 2/3 quirks
 — are defined by :mod:`repro.scheduling._reference`, and this suite
-proves the optimized :class:`ElasticPolicyEngine` (and its aging and
-preemptive extensions) byte-identical to it across randomized workloads.
+proves the optimized :class:`ElasticPolicyEngine` (with its aging stage,
+and the preemptive extension) byte-identical to it across randomized
+workloads.
 
 Each scenario drives both engines through the same deterministic event
 stream (submissions, completions, substrate rescale failures) and
@@ -13,18 +14,26 @@ compares the full serialized decision sequence plus the final snapshot
 and free-slot accounting.
 """
 
+import dataclasses
 import math
 import random
 
 import pytest
 
-from repro.scheduling import ElasticPolicyEngine, JobRequest, PolicyConfig, REGISTRY
+from repro.scheduling import (
+    REGISTRY,
+    Aging,
+    ElasticPolicyEngine,
+    JobRequest,
+    PolicyConfig,
+)
 from repro.scheduling._reference import (
-    ReferenceAgingPolicyEngine,
     ReferenceElasticPolicyEngine,
     ReferencePreemptivePolicyEngine,
 )
-from repro.scheduling.extensions import AgingPolicyEngine, PreemptivePolicyEngine
+from repro.scheduling.extensions import PreemptivePolicyEngine
+
+from .fig3_oracle import ReferenceAgingPolicyEngine
 
 POLICIES = ("elastic", "moldable", "min_replicas", "max_replicas")
 SEEDS = tuple(range(20))
@@ -165,10 +174,23 @@ def test_preemptive_engine_matches_reference(seed):
     )
 
 
+def aging_engine(total_slots, config):
+    """The engine with the aging stage at a 300 s interval."""
+    return ElasticPolicyEngine(
+        total_slots, dataclasses.replace(config, aging=Aging(interval=300.0))
+    )
+
+
+def reference_aging_engine(total_slots, config):
+    return ReferenceAgingPolicyEngine(total_slots, config, aging_interval=300.0)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_aging_engine_matches_reference(seed):
     assert_equivalent(
-        AgingPolicyEngine(TOTAL_SLOTS, REGISTRY.resolve("elastic"), aging_interval=300.0),
+        ElasticPolicyEngine(
+            TOTAL_SLOTS, REGISTRY.resolve("aging", aging_interval=300.0)
+        ),
         ReferenceAgingPolicyEngine(
             TOTAL_SLOTS, REGISTRY.resolve("elastic"), aging_interval=300.0
         ),
@@ -247,12 +269,9 @@ class TestMultiBlockEquivalence:
         )
         assert peak["running"] >= 3
 
-    @pytest.mark.parametrize("seed", (0,))
+    @pytest.mark.parametrize("seed", (0, 1, 2, 3))
     def test_aging_multi_block_matches_reference(self, seed):
-        peak = self._probing(
-            seed, AgingPolicyEngine, ReferenceAgingPolicyEngine,
-            aging_interval=300.0,
-        )
+        peak = self._probing(seed, aging_engine, reference_aging_engine)
         assert peak["running"] >= 3
 
 

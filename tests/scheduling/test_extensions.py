@@ -1,13 +1,19 @@
 """Tests for the §3.2.2 policy extensions: aging and preemption."""
 
 import dataclasses
+import math
 
 import pytest
 
 from repro.errors import SchedulingError
-from repro.scheduling import JobState, PolicyConfig, StartJob
+from repro.scheduling import (
+    Aging,
+    ElasticPolicyEngine,
+    JobState,
+    PolicyConfig,
+    StartJob,
+)
 from repro.scheduling.extensions import (
-    AgingPolicyEngine,
     PreemptJob,
     PreemptivePolicyEngine,
     ResumeJob,
@@ -17,29 +23,41 @@ from repro.scheduling.registry import REGISTRY
 from tests.scheduling.conftest import req
 
 
-class TestAging:
-    def make(self, aging_interval=100.0):
-        return AgingPolicyEngine(
-            64, PolicyConfig(rescale_gap=0.0), aging_interval=aging_interval,
-            max_priority=10,
-        )
+def aging_engine(slots=64, interval=100.0, max_priority=10):
+    return ElasticPolicyEngine(slots, PolicyConfig(
+        rescale_gap=0.0,
+        aging=Aging(interval=interval, max_priority=max_priority),
+    ))
 
+
+class TestAging:
     def test_effective_priority_grows_while_queued(self):
-        policy = self.make(aging_interval=100.0)
+        policy = aging_engine()
         policy.on_submit(req("blocker", 32, 64, priority=5), 0.0)  # 64 slots
         policy.on_submit(req("starving", 32, 32, priority=1), 10.0)
         job = policy.job("starving")
-        assert policy.effective_priority(job, 10.0) == 1
-        assert policy.effective_priority(job, 210.0) == 3
-        assert policy.effective_priority(job, 5000.0) == 10  # capped
+        aging = policy.config.aging
+        assert aging.get_priority(10.0, job) == 1
+        assert aging.get_priority(210.0, job) == 3
+        assert aging.get_priority(5000.0, job) == 10  # capped
 
     def test_running_jobs_do_not_age(self):
-        policy = self.make()
-        policy.on_submit(req("runner", 2, 8, priority=2), 0.0)
-        assert policy.effective_priority(policy.job("runner"), 10_000.0) == 2
+        policy = aging_engine()
+        policy.on_submit(req("blocker", 64, 64, priority=5), 0.0)
+        policy.on_submit(req("waiter", 32, 32, priority=1), 10.0)
+        policy.on_submit(req("runner", 2, 8, priority=2), 20.0)  # queues too
+        policy.on_complete("blocker", 510.0)  # waiter aged to 6 by now
+        policy.rebalance(10_000.0)
+        for name, priority in (("waiter", 1), ("runner", 2)):
+            job = policy.job(name)
+            assert job.state == JobState.RUNNING
+            # Started from the queue with its static key back, and a
+            # running job is never re-keyed.
+            assert job.sort_key == (-priority, job.submit_time, job.seq)
+        policy.running.check_invariants()
 
     def test_aged_job_jumps_the_queue(self):
-        policy = self.make(aging_interval=100.0)
+        policy = aging_engine()
         policy.on_submit(req("blocker", 32, 64, priority=5), 0.0)    # all slots
         policy.on_submit(req("old-low", 32, 32, priority=1), 10.0)   # queues
         policy.on_submit(req("new-high", 32, 32, priority=3), 800.0)  # queues
@@ -49,8 +67,6 @@ class TestAging:
         assert starts[0].job.name == "old-low"
 
     def test_without_aging_the_low_priority_job_starves(self):
-        from repro.scheduling import ElasticPolicyEngine
-
         policy = ElasticPolicyEngine(64, PolicyConfig(rescale_gap=0.0))
         policy.on_submit(req("blocker", 32, 64, priority=5), 0.0)
         policy.on_submit(req("old-low", 32, 32, priority=1), 10.0)
@@ -59,9 +75,63 @@ class TestAging:
         starts = [d for d in decisions if isinstance(d, StartJob)]
         assert starts[0].job.name == "new-high"
 
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            AgingPolicyEngine(64, aging_interval=0.0)
+    @pytest.mark.parametrize("aged", [False, True])
+    def test_aging_never_lowers_a_priority(self, aged):
+        # p12 sits above the cap: capping it at 10 would tie it with an
+        # earlier p11 that has not crossed a single step.
+        policy = (aging_engine(slots=8, interval=600.0) if aged
+                  else ElasticPolicyEngine(8, PolicyConfig(rescale_gap=0.0)))
+        policy.on_submit(req("blocker", 8, 8, priority=20), 0.0)
+        policy.on_submit(req("p11", 8, 8, priority=11), 0.0)
+        policy.on_submit(req("p12", 8, 8, priority=12), 0.0)
+        decisions = policy.on_complete("blocker", 10.0)
+        assert [d.job.name for d in decisions] == ["p12"]
+
+    def test_step_decided_by_the_waiting_time_expression(self):
+        # 11 steps of 0.1 s after a submission at 7 * 0.1 compute to
+        # 1.8000000000000003, but (1.8 - 7 * 0.1) // 0.1 already reads
+        # 11: the step must count from the expression, not the product.
+        submit, interval, now = 7 * 0.1, 0.1, 1.8
+        assert submit + 11 * interval > now
+        assert (now - submit) // interval == 11
+        policy = aging_engine(slots=9, interval=interval, max_priority=100)
+        policy.on_submit(req("blocker", 8, 8, priority=100), 0.0)
+        policy.on_submit(req("b", 8, 8, priority=1), 0.0)  # 1 + 17 at now
+        policy.on_submit(req("a", 8, 8, priority=8), submit)  # 8 + 11
+        policy.rebalance(1.75)  # keys a at 8 + 10, which ties b
+        decisions = policy.on_complete("blocker", now)
+        assert [d.job.name for d in decisions] == ["a"]
+
+    @pytest.mark.parametrize("interval", [
+        0.0, -1.0, math.nan, math.inf, -math.inf, "600", True, None,
+    ])
+    def test_bad_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="interval"):
+            Aging(interval=interval)
+
+    @pytest.mark.parametrize("max_priority", [10.5, 10.0, "10", True, None])
+    def test_non_integer_max_priority_rejected(self, max_priority):
+        with pytest.raises(ValueError, match="max_priority"):
+            Aging(max_priority=max_priority)
+
+    def test_aging_with_backfill_rejected(self):
+        # EASY reserves in static key order; an aged queue is not in it.
+        with pytest.raises(ValueError, match="'easy-backfill'.*backfill"):
+            dataclasses.replace(REGISTRY.resolve("easy-backfill"),
+                                aging=Aging())
+
+    def test_aging_must_be_an_aging_stage(self):
+        with pytest.raises(ValueError, match="'elastic'.*aging"):
+            PolicyConfig(aging=600.0)
+
+    def test_registered_as_an_extension(self):
+        config = REGISTRY.resolve("aging", aging_interval=120.0,
+                                  max_priority=7, rescale_gap=30.0)
+        assert config.aging == Aging(interval=120.0, max_priority=7)
+        assert config.rescale_gap == 30.0
+        assert REGISTRY.resolve("aging").aging == Aging()
+        assert not REGISTRY.describe("aging").paper
+        assert "aging" not in REGISTRY.paper_policies()
 
 
 class TestPreemption:
@@ -156,10 +226,7 @@ class TestSimulatorIntegration:
         from tests.schedsim.test_simulator import submission
 
         sim = ScheduleSimulator(
-            PolicyConfig(name="elastic-aging", rescale_gap=180.0),
-            policy_engine_cls=lambda slots, cfg: AgingPolicyEngine(
-                slots, cfg, aging_interval=120.0
-            ),
+            REGISTRY.resolve("aging", aging_interval=120.0, rescale_gap=180.0)
         )
         subs = [submission(f"j{i}", "medium", time=i * 30.0, priority=1 + i % 5)
                 for i in range(8)]

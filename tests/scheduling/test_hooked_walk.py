@@ -4,7 +4,7 @@ Backfill and capacity-constraint configs hand out freed slots through
 the same indexed two-pointer walk as the paper's policies.  The walk
 tracks whether a waiter was left behind (the scan's ``passed_queued``)
 and caps every start and expansion by the constraint, so its decisions
-must equal :meth:`ElasticPolicyEngine._redistribute_scan`'s.  Each
+must equal the literal scan's (:mod:`tests.scheduling.fig3_oracle`).  Each
 scenario drives the shipped engine and a test-side engine whose walk
 *is* the scan through one randomized stream, and compares the serialized
 decision logs and the backfill rule's reservations.
@@ -25,21 +25,12 @@ from repro.scheduling.policy import ShrinkJob, StartJob
 from repro.scheduling.power import PowerBudget
 from repro.scheduling.registry import REGISTRY
 
+from .fig3_oracle import PreemptiveScanEngine, ScanEngine
 from .test_easy_oracle import SEEDS, SLOTS, Stream
 
 #: 16 replicas at the default 150 W: tighter than the 32 slots, so the
 #: constraint caps starts and expansions on most completions.
 BUDGET_WATTS = 2400.0
-
-
-class ScanEngine(ElasticPolicyEngine):
-    def _redistribute(self, num_workers, now, decisions):
-        self._redistribute_scan(num_workers, now, decisions)
-
-
-class PreemptiveScanEngine(PreemptivePolicyEngine):
-    def _redistribute(self, num_workers, now, decisions):
-        self._redistribute_scan(num_workers, now, decisions)
 
 
 def _easy(conservative=False, launcher_slots=0):

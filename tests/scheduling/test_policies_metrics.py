@@ -25,7 +25,7 @@ class TestPolicyConfigs:
             assert REGISTRY.resolve(name).name == name
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="fcfs"):
             REGISTRY.resolve("fcfs")
 
     def test_moldable_is_elastic_with_infinite_gap(self):
