@@ -3,19 +3,29 @@
 A :class:`CharmApplication` is what the launcher pod's ``mpirun`` runs: it
 builds chare arrays, iterates, and cooperates with the rescale protocol.
 Per §2.2, "the application triggers rescaling during the next
-load-balancing step after receiving the signal" — the driver loop here
-checks for a pending CCS rescale request at every sync point (every
-``sync_every`` iterations) and acknowledges it once the shrink/expand
-completes, which is exactly when the operator may delete/attach pods.
+load-balancing step after receiving the signal" — a pending CCS rescale
+request is applied at the next sync point (every ``sync_every``
+iterations) and acknowledged once the shrink/expand completes, which is
+exactly when the operator may delete/attach pods.
+
+Real-compute apps run one sync block at a time.  An app whose block time
+depends only on the PE count declares :meth:`CharmApplication.block_seconds`
+instead, and the driver *hops*: it lays out the sync-point times the
+per-block sleeps would reach and waits once, until the first sync point
+where something can happen — the last block, the next disk checkpoint, or
+the sync point a newly accepted rescale request pulls the hop back to.
+``completed_steps`` stays exact at any read during a hop.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from array import array
+from bisect import bisect_left, bisect_right
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..charm import CcsRequest, CcsServer, CharmRuntime, RescaleReport, perform_rescale
 from ..charm.pe import HostBinding
-from ..errors import CheckpointError, RescaleError
+from ..errors import CheckpointError, ProcessKilled, RescaleError
 
 __all__ = ["CharmApplication", "RescaleDecision"]
 
@@ -36,9 +46,10 @@ class RescaleDecision:
 class CharmApplication:
     """Base class for applications driven by the operator's launcher.
 
-    Subclasses implement :meth:`setup` and either :meth:`step` (real-compute
-    apps: one generator per iteration) or :meth:`run_block` (modeled apps:
-    advance a whole sync block of iterations in one virtual-time hop).
+    Subclasses implement :meth:`setup` and one of :meth:`step` (real-compute
+    apps: one generator per iteration), :meth:`run_block` (a whole sync
+    block per generator) or :meth:`block_seconds` (modeled apps: the driver
+    hops over every sync block where nothing can happen).
 
     Parameters
     ----------
@@ -82,11 +93,20 @@ class CharmApplication:
         self.ft_store = ft_store
         self.disk_checkpoint_every = disk_checkpoint_every
         self.restored_from_step: Optional[int] = None
-        self.completed_steps = 0
+        self._steps = 0
         self.iteration_log: List[Tuple[float, int]] = []
         self.rescale_reports: List[RescaleReport] = []
         self._pending: Optional[Tuple[int, Optional[Sequence[HostBinding]], CcsRequest]] = None
         self._rts: Optional[CharmRuntime] = None
+        self._finished = False
+        # The hop in flight: its first step, the sync-point times it
+        # spans, the index of the sync point it ends at, and the timer
+        # that wakes the driver there.
+        self._hop_start = 0
+        self._hop_times: Optional[Sequence[float]] = None
+        self._hop_end = 0
+        self._hop_timer = None
+        self._hop_wake = None
 
     # ------------------------------------------------------------------
     # Operator integration
@@ -103,6 +123,9 @@ class CharmApplication:
         if not isinstance(target, int) or target < 1:
             request.reject(f"invalid rescale target {target!r}")
             return
+        if self._finished:
+            request.reject("application finished before the rescale")
+            return
         if self._pending is not None:
             request.reject("a rescale is already pending")
             return
@@ -110,6 +133,7 @@ class CharmApplication:
             request.reject("application declined the rescale")
             return
         self._pending = (target, payload.get("hosts"), request)
+        self._cut_hop()
 
     def _on_status_request(self, request: CcsRequest) -> None:
         request.reply(
@@ -120,6 +144,18 @@ class CharmApplication:
                 "num_pes": self._rts.num_pes if self._rts else 0,
             }
         )
+
+    @property
+    def completed_steps(self) -> int:
+        """Iterations completed by now (during a hop: every sync point
+        at or before the current virtual time)."""
+        if self._hop_times is None:
+            return self._steps
+        return self._hop_steps(self._hop_reached())
+
+    @completed_steps.setter
+    def completed_steps(self, value: int) -> None:
+        self._steps = value
 
     @property
     def progress(self) -> float:
@@ -147,11 +183,15 @@ class CharmApplication:
     def run_block(self, rts: CharmRuntime, start_step: int, num_steps: int):
         """Generator advancing ``num_steps`` iterations between sync points.
 
-        The default delegates to :meth:`step` per iteration; modeled apps
-        override it with a single virtual-time hop.
+        The default delegates to :meth:`step` per iteration.
         """
         for i in range(num_steps):
             yield from self.step(rts, start_step + i)
+
+    #: ``block_seconds(rts, num_steps) -> seconds`` for apps whose block
+    #: time depends only on the PE count.  Declaring it replaces
+    #: :meth:`run_block` with the hop; ``None`` keeps the per-block loop.
+    block_seconds: Optional[Callable[[CharmRuntime, int], float]] = None
 
     def finalize(self, rts: CharmRuntime) -> None:
         """Hook run after the last iteration (reductions, verification)."""
@@ -170,10 +210,9 @@ class CharmApplication:
         yield rts.wait_quiescence()
         yield from self._maybe_restore_from_disk(rts)
         self._record(rts)
+        advance = self._run_next_block if self.block_seconds is None else self._hop
         while self.completed_steps < self.total_steps:
-            block = min(self.sync_every, self.total_steps - self.completed_steps)
-            yield from self.run_block(rts, self.completed_steps, block)
-            self.completed_steps += block
+            yield from advance(rts)
             yield rts.wait_quiescence()
             self._record(rts)
             if self._pending is not None and self.completed_steps < self.total_steps:
@@ -182,12 +221,98 @@ class CharmApplication:
             yield from self._maybe_disk_checkpoint(rts)
         self.finalize(rts)
         yield rts.wait_quiescence()
+        self._finished = True
         # A rescale arriving in the final block is declined: the job is done.
         if self._pending is not None:
             _, _, request = self._pending
             self._pending = None
             request.reject("application finished before the rescale")
         return self
+
+    def _run_next_block(self, rts: CharmRuntime):
+        block = min(self.sync_every, self.total_steps - self._steps)
+        yield from self.run_block(rts, self._steps, block)
+        self._steps += block
+
+    # ------------------------------------------------------------------
+    # The hop (apps declaring block_seconds)
+    # ------------------------------------------------------------------
+
+    def _hop(self, rts: CharmRuntime):
+        """Advance to the next sync point where something can happen.
+
+        Sync-point times accumulate exactly as per-block ``yield dt``
+        sleeps would (``t_k = t_{k-1} + dt_k``, skipping ``dt <= 0``).  The
+        hop ends at the last block, the next disk-checkpoint sync point,
+        or, with a rescale already pending, the first sync point;
+        :meth:`_cut_hop` pulls the end in when a request arrives mid-hop.
+        """
+        engine = rts.engine
+        start = done = self._steps
+        sync = self.sync_every
+        every = self.disk_checkpoint_every
+        full = self.block_seconds(rts, sync)
+        t = engine.now
+        times = array("d")
+        while True:
+            block = min(sync, self.total_steps - done)
+            dt = full if block == sync else self.block_seconds(rts, block)
+            if dt > 0:
+                t += dt
+            times.append(t)
+            done += block
+            if (done == self.total_steps or self._pending is not None
+                    or (every is not None and done % every == 0)):
+                break
+        self._hop_start = start
+        self._hop_times = times
+        self._hop_end = len(times) - 1
+        if t > engine.now:
+            self._hop_wake = wake = engine.event()
+            self._hop_timer = engine.schedule_at(t, wake.succeed)
+            try:
+                yield wake
+            except ProcessKilled:
+                # Pod death: progress stops at the sync points reached.
+                self._hop_timer.cancel()
+                reached = self._hop_reached()
+                self._end_hop(reached, reached)
+                raise
+        # The driver records the final sync point itself.
+        self._end_hop(self._hop_end + 1, self._hop_end)
+
+    def _cut_hop(self) -> None:
+        """End the hop in flight at the first sync point at or after now."""
+        if self._hop_times is None or self._hop_timer.cancelled:
+            return
+        engine = self._rts.engine
+        k = bisect_left(self._hop_times, engine.now)
+        if k < self._hop_end:
+            self._hop_end = k
+            self._hop_timer = engine.reschedule_at(
+                self._hop_timer, self._hop_times[k], self._hop_wake.succeed
+            )
+
+    def _hop_reached(self) -> int:
+        """Sync points of the hop at or before now."""
+        reached = bisect_right(self._hop_times, self._rts.engine.now)
+        return min(reached, self._hop_end + 1)
+
+    def _hop_steps(self, reached: int) -> int:
+        """Completed iterations after ``reached`` sync points of the hop."""
+        return min(self._hop_start + reached * self.sync_every, self.total_steps)
+
+    def _end_hop(self, reached: int, recorded: int) -> None:
+        """Settle the hop at ``reached`` sync points, logging the first
+        ``recorded`` of them as the per-block loop would have."""
+        times = self._hop_times
+        self._hop_times = None
+        self._hop_timer = self._hop_wake = None
+        if self.record_iterations:
+            self.iteration_log.extend(
+                (times[i], self._hop_steps(i + 1)) for i in range(recorded)
+            )
+        self._steps = self._hop_steps(reached)
 
     def _apply_pending_rescale(self, rts: CharmRuntime):
         target, hosts, request = self._pending

@@ -4,8 +4,10 @@ The scheduler experiments run 40 000-timestep jobs (§4.3.1); executing
 those as real numpy stencils would be absurd, and the paper's own simulator
 doesn't either — it models step time with piecewise-linear fits of
 measured scaling curves.  :class:`ModeledApp` does the same *inside the
-full operator stack*: each sync block advances virtual time by
-``steps × step_time(P)``, while rescales still run the genuine
+full operator stack*: a sync block takes ``steps × step_time(P)`` of
+virtual time, so the driver hops straight to the next sync point where
+something can happen (the last block, a disk checkpoint, or a pending
+rescale) in a single wait, while rescales still run the genuine
 checkpoint → restart → restore protocol, with chare PUP sizes reporting the
 nominal problem bytes (so /dev/shm limits and stage costs behave as if the
 data were real — without allocating gigabytes).
@@ -85,7 +87,7 @@ class ModelChare(Chare):
 
 
 class ModeledApp(CharmApplication):
-    """Iterates in whole sync blocks of modeled virtual time."""
+    """Iterates in modeled virtual time, hopping between sync points."""
 
     def __init__(self, config: ModeledAppConfig, **kwargs):
         kwargs.setdefault("sync_every", config.sync_every)
@@ -103,10 +105,8 @@ class ModeledApp(CharmApplication):
             mapping="block",
         )
 
-    def run_block(self, rts: CharmRuntime, start_step: int, num_steps: int):
-        dt = self.config.step_time(rts.num_pes) * num_steps
-        if dt > 0:
-            yield dt
+    def block_seconds(self, rts: CharmRuntime, num_steps: int) -> float:
+        return self.config.step_time(rts.num_pes) * num_steps
 
     def current_step_time(self, rts: CharmRuntime) -> float:
         return self.config.step_time(rts.num_pes)

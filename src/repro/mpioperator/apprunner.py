@@ -157,6 +157,9 @@ class CharmAppRunner:
             self._set_phase(JobPhase.FAILED, message=self.failed)
             self.rts.shutdown()
             return
+        finally:
+            # A completed, crashed or aborted app depends on no pod.
+            self._pod_watch.stop()
         self.rts.shutdown()
         self._set_phase(JobPhase.COMPLETED)
         if self.tracer is not None:

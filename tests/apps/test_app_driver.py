@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.base import CharmApplication
 from repro.charm import CcsClient, CcsServer, CharmRuntime, Chare
+from repro.charm.ccs import CCS_LATENCY
 from repro.experiments.ascii import render_chart, render_profile, render_table
 
 
@@ -76,6 +77,19 @@ class TestDriverEdgeCases:
         kind, err = outcomes["r"]
         assert kind == "err"
         assert "finished" in str(err)
+
+    def test_rescale_after_finish_rejected_at_once(self, engine):
+        # Nobody would ever apply it: the request must not wait out the
+        # rescaler's ack timeout.
+        app = TinyApp()
+        _, outcomes = self.run_to_end(
+            engine, app, requests=[(100.0, "rescale", {"target": 4}, "late")]
+        )
+        kind, err = outcomes["late"]
+        assert kind == "err"
+        assert "finished" in str(err)
+        assert engine.now == pytest.approx(100.0 + 2 * CCS_LATENCY)
+        assert not app.rescale_pending
 
     def test_invalid_rescale_target_rejected(self, engine):
         app = TinyApp()

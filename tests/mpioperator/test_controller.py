@@ -213,3 +213,50 @@ class _FakeRequest:
 
     def reject(self, reason):
         pass
+
+
+class TestRunnerPodWatch:
+    """A runner stops watching pods once its app completes, crashes or
+    aborts: no pod can matter to it any more."""
+
+    def test_running_app_keeps_watching(self, engine, operator, job_factory):
+        job = submit_and_run(engine, operator, job_factory(steps=100000),
+                             until=30.0)
+        assert operator.runner_for(job)._pod_watch.active
+
+    def test_completed_app_stops_watching(self, engine, operator, job_factory):
+        first = submit_and_run(engine, operator, job_factory(steps=5),
+                               until=200.0)
+        watch = operator.runner_for(first)._pod_watch
+        assert first.status.phase == JobPhase.COMPLETED
+        assert not watch.active
+        delivered = watch.delivered
+        # Later pod churn no longer reaches the finished runner.
+        submit_and_run(engine, operator, job_factory(name="job-b", steps=5),
+                       until=400.0)
+        assert watch.delivered == delivered
+
+    def test_crashed_app_stops_watching(self, engine, cluster, job_factory):
+        from repro.mpioperator import CharmJobController
+        from tests.mpioperator.conftest import BlockApp
+
+        class CrashingApp(BlockApp):
+            def step(self, rts, index):
+                raise RuntimeError("boom")
+                yield  # pragma: no cover - marks this as a generator
+
+        operator = CharmJobController(engine, cluster, app_factory=CrashingApp)
+        job = submit_and_run(engine, operator, job_factory(), until=60.0)
+        assert job.status.phase == JobPhase.FAILED
+        assert not operator.runner_for(job)._pod_watch.active
+
+    def test_aborted_app_stops_watching(self, engine, operator, cluster,
+                                        job_factory):
+        job = submit_and_run(engine, operator, job_factory(steps=100000),
+                             until=30.0)
+        runner = operator.runner_for(job)
+        victim = next(p for p in cluster.pods() if p.spec.role == "worker")
+        cluster.fail_pod(victim)
+        engine.run(until=40.0)
+        assert runner.failed is not None
+        assert not runner._pod_watch.active
