@@ -23,6 +23,7 @@ next to the built-ins.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import ReproError
@@ -237,6 +238,9 @@ def _cmd_cloud(args) -> int:
     from .cloud import AUTOSCALER_NAMES, compare_cloud, run_cloud_once
     from .schedsim import format_cost_table
 
+    if not (math.isfinite(args.gap) and args.gap >= 0):
+        print("error: --gap must be a finite number >= 0", file=sys.stderr)
+        return 2
     scenario = _cloud_scenario(args)
     if args.action == "run":
         result = run_cloud_once(

@@ -27,8 +27,7 @@ constructed per-simulation and never shared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Protocol, runtime_checkable
+from typing import NamedTuple, Optional, Protocol, runtime_checkable
 
 from ..errors import CloudError
 
@@ -45,9 +44,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClusterState:
-    """What an autoscaler may observe (one evaluation's snapshot)."""
+class ClusterState(NamedTuple):
+    """What an autoscaler may observe (one evaluation's snapshot).
+
+    Immutable.  A named tuple rather than a frozen dataclass because the
+    simulator builds one on every scheduling event, and a frozen
+    dataclass's ``__init__`` (one ``object.__setattr__`` per field)
+    costs several times the tuple's construction.
+    """
 
     now: float
     #: Slots currently schedulable (ready nodes minus drained capacity).

@@ -28,13 +28,17 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+from bisect import insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CloudError, ProvisioningError
 from ..sim.rng import stream
 
 __all__ = ["NodePool", "Node", "NodeState", "CloudProvider"]
+
+_node_id = attrgetter("id")
 
 
 class NodeState(str, enum.Enum):
@@ -183,12 +187,25 @@ class CloudProvider:
         #: fault-free provider is byte-identical to the pre-fault one.
         self.faults = faults
         self.nodes: List[Node] = []
-        #: Nodes not yet released (provisioning/ready/draining).  The
-        #: per-event capacity views iterate this instead of ``nodes``:
-        #: on a long spot-churny run the full ledger grows with every
-        #: replacement ever provisioned (billing needs it), which turned
-        #: the views — called on every scheduling event — quadratic.
+        #: Nodes not yet released (provisioning/ready/draining), in id
+        #: order.  The full ledger ``nodes`` grows with every replacement
+        #: ever provisioned (billing needs it); the live set stays fleet
+        #: sized.  The per-event questions the simulator asks (fleet
+        #: size, booting nodes, pool headroom, in-flight drains) do not
+        #: scan it either: :meth:`_move` keeps counters per state and per
+        #: pool, plus the draining nodes, on every lifecycle transition,
+        #: and :meth:`check_invariants` recounts them from this list.
         self._live: List[Node] = []
+        self._provisioning = 0
+        self._ready = 0
+        self._ready_slots = 0
+        #: Provisioning + ready nodes per pool name (what max_nodes caps).
+        self._pool_active: Dict[str, int] = {pool.name: 0 for pool in pools}
+        #: Draining nodes in id (ledger) order, the order drains advance.
+        self._draining: List[Node] = []
+        #: Pools are frozen, so the fleet bounds are fixed at construction.
+        self.min_total_nodes = sum(pool.min_nodes for pool in pools)
+        self.max_total_nodes = sum(pool.max_nodes for pool in pools)
         self.interruptions = 0
         self.crashes = 0
         self.provision_failures = 0
@@ -242,11 +259,9 @@ class CloudProvider:
         self._on_provision_failed = on_provision_failed
         for pool in self.pools:
             for _ in range(pool.initial_nodes):
-                node = Node(next(self._ids), pool, engine.now)
-                node.state = NodeState.READY
+                node = self._new_node(pool)
+                self._move(node, NodeState.READY)
                 node.ready_at = engine.now
-                self.nodes.append(node)
-                self._live.append(node)
                 self._schedule_interruption(node)
         if self.faults is not None:
             self.faults.bind(self, engine)
@@ -268,27 +283,31 @@ class CloudProvider:
     @property
     def ready_slots(self) -> int:
         """Slots on ready nodes (what the scheduler can currently hold)."""
-        return sum(n.slots for n in self._live if n.state == NodeState.READY)
+        return self._ready_slots
+
+    @property
+    def active_count(self) -> int:
+        """Fleet size counted for scaling: provisioning + ready nodes."""
+        return self._provisioning + self._ready
+
+    @property
+    def pending_count(self) -> int:
+        """Nodes still provisioning."""
+        return self._provisioning
+
+    @property
+    def draining_count(self) -> int:
+        return len(self._draining)
 
     @property
     def active_nodes(self) -> List[Node]:
         """Nodes the fleet counts for scaling: provisioning or ready."""
-        return [
-            n for n in self._live
-            if n.state in (NodeState.PROVISIONING, NodeState.READY)
-        ]
+        return [n for n in self._live if n.state is not NodeState.DRAINING]
 
     @property
     def draining_nodes(self) -> List[Node]:
-        return [n for n in self._live if n.state == NodeState.DRAINING]
-
-    @property
-    def min_total_nodes(self) -> int:
-        return sum(pool.min_nodes for pool in self.pools)
-
-    @property
-    def max_total_nodes(self) -> int:
-        return sum(pool.max_nodes for pool in self.pools)
+        """A snapshot of the draining nodes, oldest first."""
+        return list(self._draining)
 
     @property
     def nodes_provisioned(self) -> int:
@@ -305,29 +324,30 @@ class CloudProvider:
         order) takes the request — declare the cheap spot pool first to
         prefer it, or last to use it as overflow.
         """
-        engine = self._require_engine()
+        self._require_engine()
         if pool is None:
-            pool = next(
-                (p for p in self.pools
-                 if len(self.nodes_in(p, NodeState.PROVISIONING, NodeState.READY))
-                 < p.max_nodes),
-                None,
-            )
+            pool = self._open_pool()
             if pool is None:
                 raise ProvisioningError("every pool is at max_nodes")
-        elif (
-            len(self.nodes_in(pool, NodeState.PROVISIONING, NodeState.READY))
-            >= pool.max_nodes
-        ):
+        elif pool not in self.pools:
+            raise CloudError(f"pool {pool.name!r} is not one of this "
+                             f"provider's pools")
+        elif self._pool_active[pool.name] >= pool.max_nodes:
             raise ProvisioningError(f"pool {pool.name!r} is at max_nodes")
         return self._provision(pool, attempt=0)
+
+    def _open_pool(self) -> Optional[NodePool]:
+        """The first pool (declaration order) below its ``max_nodes``."""
+        active = self._pool_active
+        for pool in self.pools:
+            if active[pool.name] < pool.max_nodes:
+                return pool
+        return None
 
     def _provision(self, pool: NodePool, attempt: int) -> Node:
         """One boot attempt; the fault injector decides its fate."""
         engine = self._engine
-        node = Node(next(self._ids), pool, engine.now)
-        self.nodes.append(node)
-        self._live.append(node)
+        node = self._new_node(pool)
         verdict = (
             self.faults.provision_outcome(pool, engine.now)
             if self.faults is not None else None
@@ -348,10 +368,9 @@ class CloudProvider:
                           kind: str) -> None:
         if node.state != NodeState.PROVISIONING:
             return  # cancelled while (not) booting
-        node.state = NodeState.RELEASED
+        self._move(node, NodeState.RELEASED)
         node.released_at = self._engine.now
         node.provision_failed = True
-        self._live.remove(node)
         self.provision_failures += 1
         if kind == "timeout":
             self.provision_timeouts += 1
@@ -369,24 +388,18 @@ class CloudProvider:
             )
 
     def _retry_provision(self, pool: NodePool, attempt: int) -> None:
-        in_flight = self.nodes_in(pool, NodeState.PROVISIONING,
-                                  NodeState.READY)
-        if len(in_flight) >= pool.max_nodes:
+        if self._pool_active[pool.name] >= pool.max_nodes:
             return  # the fleet recovered by other means; drop the retry
         self._provision(pool, attempt)
 
     def has_headroom(self) -> bool:
         """Whether any pool can still take a node request."""
-        return any(
-            len(self.nodes_in(p, NodeState.PROVISIONING, NodeState.READY))
-            < p.max_nodes
-            for p in self.pools
-        )
+        return self._open_pool() is not None
 
     def _node_ready(self, node: Node) -> None:
         if node.state != NodeState.PROVISIONING:
             return  # cancelled while booting
-        node.state = NodeState.READY
+        self._move(node, NodeState.READY)
         node.ready_at = self._engine.now
         self._schedule_interruption(node)
         if self._on_ready is not None:
@@ -398,9 +411,8 @@ class CloudProvider:
             raise ProvisioningError(
                 f"cannot cancel node in state {node.state.value}"
             )
-        node.state = NodeState.RELEASED
+        self._move(node, NodeState.RELEASED)
         node.released_at = self._engine.now
-        self._live.remove(node)
 
     def begin_drain(self, node: Node) -> None:
         """Cordon a ready node: its slots leave the cluster as they free."""
@@ -408,7 +420,7 @@ class CloudProvider:
             raise ProvisioningError(
                 f"cannot drain node in state {node.state.value}"
             )
-        node.state = NodeState.DRAINING
+        self._move(node, NodeState.DRAINING)
         node.drain_remaining = node.slots
 
     def drained(self, node: Node, slots: int) -> bool:
@@ -435,10 +447,79 @@ class CloudProvider:
         """Give a node back; billing runs through the teardown window."""
         if not node.alive:
             raise ProvisioningError(f"node {node.id} is already released")
-        node.state = NodeState.RELEASED
+        self._move(node, NodeState.RELEASED)
         node.drain_remaining = 0
         node.released_at = self._engine.now + node.pool.teardown_delay
-        self._live.remove(node)
+
+    # ------------------------------------------------------------------
+    # Live-node bookkeeping
+    # ------------------------------------------------------------------
+
+    def _new_node(self, pool: NodePool) -> Node:
+        """Ledger a fresh node; it starts out provisioning."""
+        node = Node(next(self._ids), pool, self._engine.now)
+        self.nodes.append(node)
+        self._live.append(node)
+        self._tally(node, 1)
+        return node
+
+    def _move(self, node: Node, state: NodeState) -> None:
+        """The one lifecycle transition: set the state, keep the counters."""
+        self._tally(node, -1)
+        node.state = state
+        self._tally(node, 1)
+        if state is NodeState.RELEASED:
+            self._live.remove(node)
+
+    def _tally(self, node: Node, sign: int) -> None:
+        """Add (``sign=1``) or remove (``-1``) ``node`` in its state's books."""
+        state = node.state
+        if state is NodeState.DRAINING:
+            if sign > 0:
+                insort(self._draining, node, key=_node_id)
+            else:
+                self._draining.remove(node)
+            return
+        if state is NodeState.PROVISIONING:
+            self._provisioning += sign
+        elif state is NodeState.READY:
+            self._ready += sign
+            self._ready_slots += sign * node.slots
+        else:
+            return  # released nodes are in no books
+        self._pool_active[node.pool.name] += sign
+
+    def check_invariants(self) -> None:
+        """Recount the live set and compare it with the kept counters.
+
+        Raises :class:`CloudError` (never ``assert``, so the check also
+        runs under ``python -O``) naming the first counter that drifted.
+        """
+        live = self._live
+        if any(n.state is NodeState.RELEASED for n in live):
+            raise CloudError("a released node is still in the live set")
+        ready = [n for n in live if n.state is NodeState.READY]
+        checks = [
+            ("provisioning", self._provisioning,
+             sum(1 for n in live if n.state is NodeState.PROVISIONING)),
+            ("ready", self._ready, len(ready)),
+            ("ready_slots", self._ready_slots, sum(n.slots for n in ready)),
+        ]
+        checks += [
+            (f"pool {pool.name!r} active", self._pool_active[pool.name],
+             len(self.nodes_in(pool, NodeState.PROVISIONING,
+                               NodeState.READY)))
+            for pool in self.pools
+        ]
+        for name, kept, value in checks:
+            if kept != value:
+                raise CloudError(
+                    f"{name} count is {kept}, recount gives {value}")
+        draining = [n for n in live if n.state is NodeState.DRAINING]
+        if self._draining != draining:
+            raise CloudError(
+                f"draining list {[n.id for n in self._draining]} != "
+                f"recount {[n.id for n in draining]}")
 
     # ------------------------------------------------------------------
     # Injected faults (driven by repro.faults.FaultInjector)
@@ -496,10 +577,9 @@ class CloudProvider:
             if node.state == NodeState.DRAINING
             else node.slots
         )
-        node.state = NodeState.RELEASED
+        self._move(node, NodeState.RELEASED)
         node.drain_remaining = 0
         node.interrupted = True
-        self._live.remove(node)
         # A reclaimed instance is gone now — no teardown grace is billed.
         node.released_at = self._engine.now
         self.interruptions += 1

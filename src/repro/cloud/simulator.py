@@ -14,7 +14,11 @@ Event flow
 * Every submission/completion also snapshots a :class:`~repro.cloud
   .autoscaler.ClusterState` and reconciles the fleet toward the
   autoscaler's target (plus a periodic tick, so idle-timeout policies
-  see quiet stretches).
+  see quiet stretches).  The fleet half of the snapshot (nodes counted
+  for scaling, nodes still booting) and the in-flight-drain test read
+  counters the provider keeps on every node lifecycle transition, so an
+  evaluation is O(1) in the fleet and in the ledger; the verdict is
+  only spelled out when a tracer or metrics registry is attached.
 * Scale-up requests nodes from the provider; their slots join the
   cluster only when the provisioning delay elapses (``cloud.node.ready``
   capacity-change events).
@@ -173,6 +177,9 @@ class CloudScheduleSimulator(ScheduleSimulator):
         self.tick = float(tick)
         self.capacity_timeline = ReplicaTimeline()
         self.capacity_timeline.record(engine.now, initial)
+        # Scaling arithmetic uses the first pool's node size; multi-pool
+        # fleets are assumed roughly homogeneous (see autoscaler module).
+        self._slots_per_node = provider.pools[0].slots_per_node
         self._arrived_count = 0
         self._last_completion = engine.now
         #: provider.interruptions as of the last completion — reclaims
@@ -534,31 +541,23 @@ class CloudScheduleSimulator(ScheduleSimulator):
     # ------------------------------------------------------------------
 
     def _cluster_state(self) -> ClusterState:
-        queue = self.policy.queue
+        policy = self.policy
+        queue = policy.queue
         # The queue's aggregate demand is an O(1) counter on
         # IndexedJobList; a custom policy_engine_cls exposing a plain
         # list pays the literal sum.
         demand = getattr(queue, "min_replicas_total", None)
         if demand is None:
             demand = sum(j.request.min_replicas for j in queue)
-        # Scaling arithmetic uses the first pool's node size; multi-pool
-        # fleets are assumed roughly homogeneous (see autoscaler module).
-        spn = self.provider.pools[0].slots_per_node
-        free = self.policy.free_slots
-        active = self.provider.active_nodes
+        provider = self.provider
+        total = policy.total_slots
+        free = policy.free_slots
+        # Positional, in field order: this runs on every evaluation.
         return ClusterState(
-            now=self.engine.now,
-            total_slots=self.policy.total_slots,
-            used_slots=self.policy.total_slots - free,
-            free_slots=free,
-            running_jobs=len(self.policy.running),
-            queued_jobs=len(queue),
-            queued_demand=demand,
-            nodes=len(active),
-            pending_nodes=sum(
-                1 for n in active if n.state == NodeState.PROVISIONING
-            ),
-            slots_per_node=spn,
+            self.engine.now, total, total - free, free,
+            len(policy.running), len(queue), demand,
+            provider.active_count, provider.pending_count,
+            self._slots_per_node,
         )
 
     def _autoscale(self) -> None:
@@ -566,18 +565,21 @@ class CloudScheduleSimulator(ScheduleSimulator):
             self._cancel_tick()
             return
         state = self._cluster_state()
-        lo = max(self.provider.min_total_nodes, 0)
-        hi = self.provider.max_total_nodes
-        target = min(max(self.autoscaler.desired_nodes(state), lo, 0), hi)
+        provider = self.provider
+        target = min(max(self.autoscaler.desired_nodes(state),
+                         provider.min_total_nodes),
+                     provider.max_total_nodes)
         current = state.nodes
-        verdict = "up" if target > current else (
-            "down" if target < current else "hold"
-        )
-        self._trace("cloud.autoscale.verdict", f"autoscaler says {verdict}",
-                    action=verdict, target=target, nodes=current,
-                    queued=state.queued_jobs)
-        if self._obs is not None:
-            self._obs.counter("cloud.autoscale." + verdict).inc()
+        if self.tracer is not None or self._obs is not None:
+            verdict = "up" if target > current else (
+                "down" if target < current else "hold"
+            )
+            self._trace("cloud.autoscale.verdict",
+                        f"autoscaler says {verdict}",
+                        action=verdict, target=target, nodes=current,
+                        queued=state.queued_jobs)
+            if self._obs is not None:
+                self._obs.counter("cloud.autoscale." + verdict).inc()
         acted = False
         if target > current:
             if self._breaker is not None and not self._breaker.allows(
@@ -589,9 +591,9 @@ class CloudScheduleSimulator(ScheduleSimulator):
                 self._arm_breaker_wake()
             else:
                 for _ in range(target - current):
-                    if not self.provider.has_headroom():
+                    if not provider.has_headroom():
                         break
-                    node = self.provider.request_node()
+                    node = provider.request_node()
                     acted = True
                     self._trace("cloud.autoscale",
                                 f"requested {node.pool.name} node",
@@ -657,8 +659,9 @@ class CloudScheduleSimulator(ScheduleSimulator):
 
     def _push_drains(self) -> None:
         """Advance every in-flight drain (called as completions free slots)."""
-        for node in self.provider.draining_nodes:
-            self._drain_node(node)
+        if self.provider.draining_count:
+            for node in self.provider.draining_nodes:
+                self._drain_node(node)
 
     # ------------------------------------------------------------------
     # Tick plumbing
@@ -683,7 +686,7 @@ class CloudScheduleSimulator(ScheduleSimulator):
             state.running_jobs > 0
             or self._arrived_count < self._submitted_count
             or state.pending_nodes > 0
-            or bool(self.provider.draining_nodes)
+            or self.provider.draining_count > 0
         )
         if acted or in_flight:
             self._tick_deadline = due = self.engine.now + self.tick

@@ -34,11 +34,10 @@ class _Window:
         self.entry = entry
         self.remaining = entry.count  # None = unlimited
 
-    def matches(self, pool_name: str, now: float) -> bool:
-        entry = self.entry
-        if entry.pool is not None and entry.pool != pool_name:
-            return False
-        if not entry.time <= now < entry.end:
+    def matches(self, pool_name: str) -> bool:
+        """Whether an attempt on ``pool_name`` inside the window is hit."""
+        pool = self.entry.pool
+        if pool is not None and pool != pool_name:
             return False
         return self.remaining is None or self.remaining > 0
 
@@ -56,6 +55,11 @@ class FaultInjector:
         self.retry = RetryPolicy() if retry is None else retry
         self._windows = [_Window(e) for e in plan.entries
                          if e.kind in WINDOW_KINDS]
+        #: Windows not yet closed, in start order.  Boot attempts arrive
+        #: in time order, so a closed window is dropped for good and the
+        #: scan stops at the first window that has not opened.
+        self._open = list(self._windows)
+        self._last_attempt = float("-inf")
         self._points = [e for e in plan.entries
                         if e.kind not in WINDOW_KINDS]
         self._retry_rng = stream(plan.seed, "faults.retry")
@@ -83,22 +87,39 @@ class FaultInjector:
         ``delay`` is how long the attempt burns before the failure is
         observed.  Windows are consulted in timeline order; the first
         match wins and consumes one unit of its ``count`` budget.
+        Attempts must come in time order (``now`` never decreases).
         """
-        for window in self._windows:
-            if not window.matches(pool.name, now):
-                continue
-            window.consume()
+        if now < self._last_attempt:
+            raise FaultPlanError(
+                f"boot attempt at {now} after one at {self._last_attempt}"
+            )
+        self._last_attempt = now
+        hit = None
+        closed = False
+        for window in self._open:
             entry = window.entry
-            if entry.kind == "capacity_shortage":
-                return ("shortage", 0.0)
-            if entry.kind == "provision_timeout":
-                delay = (entry.delay if entry.delay is not None
-                         else 3.0 * pool.provision_delay)
-                return ("timeout", delay)
+            if entry.time > now:
+                break  # this window and every later one have not opened
+            if entry.end <= now:
+                closed = True
+            elif window.matches(pool.name):
+                hit = window
+                break
+        if closed:
+            self._open = [w for w in self._open if w.entry.end > now]
+        if hit is None:
+            return None
+        hit.consume()
+        entry = hit.entry
+        if entry.kind == "capacity_shortage":
+            return ("shortage", 0.0)
+        if entry.kind == "provision_timeout":
             delay = (entry.delay if entry.delay is not None
-                     else 0.5 * pool.provision_delay)
-            return ("fail", delay)
-        return None
+                     else 3.0 * pool.provision_delay)
+            return ("timeout", delay)
+        delay = (entry.delay if entry.delay is not None
+                 else 0.5 * pool.provision_delay)
+        return ("fail", delay)
 
     def backoff(self, attempt: int) -> float:
         """Deterministic retry delay for the given (0-based) attempt."""

@@ -24,6 +24,20 @@ def state(**kwargs):
     return ClusterState(**defaults)
 
 
+class TestClusterState:
+    def test_snapshot_is_immutable(self):
+        s = state()
+        with pytest.raises(AttributeError):
+            s.nodes = 5
+        assert s.nodes == 4
+
+    def test_derived_fields(self):
+        s = state(used_slots=48, free_slots=16, queued_demand=40)
+        assert s.utilization == 0.75
+        assert s.unmet_demand == 24
+        assert state(total_slots=0).utilization == 1.0
+
+
 class TestStatic:
     def test_holds_first_seen_fleet_size(self):
         scaler = StaticAutoscaler()

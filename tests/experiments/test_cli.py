@@ -87,6 +87,21 @@ class TestPoliciesCli:
         assert "elastic" in out and "ewt" in out
 
 
+class TestCloudCli:
+    @pytest.mark.parametrize("action", ["run", "sweep"])
+    @pytest.mark.parametrize("gap", ["-5", "nan", "inf", "-inf"])
+    def test_bad_gap_is_a_user_error(self, capsys, action, gap):
+        assert main(["cloud", action, f"--gap={gap}", "--jobs", "2",
+                     "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --gap must be a finite number >= 0\n"
+        assert captured.out == ""
+
+    def test_zero_gap_runs(self, capsys):
+        assert main(["cloud", "run", "--gap", "0", "--jobs", "3"]) == 0
+        assert "3 jobs @ 0s" in capsys.readouterr().out
+
+
 class TestBenchCli:
     def test_bench_writes_results(self, capsys, tmp_path):
         out_path = tmp_path / "BENCH_policy_engine.json"

@@ -1,5 +1,7 @@
 """Fault injection at the provider level: windows, retries, point events."""
 
+import random
+
 import pytest
 
 from repro.cloud import CloudProvider, NodePool, NodeState
@@ -110,6 +112,53 @@ class TestProvisioningWindows:
         engine.run()
         assert provider.provision_failures == 0
         assert provider.ready_slots == 16
+
+    def test_pruned_scan_matches_a_full_scan(self):
+        # Every window tested on every attempt, in plan order: the scan
+        # the injector's closed-window prune must reproduce exactly.
+        rng = random.Random(3)
+        entries = tuple(
+            FaultEvent(rng.choice(("provision_fail", "provision_timeout",
+                                   "capacity_shortage")),
+                       time=rng.uniform(0.0, 5000.0),
+                       duration=rng.uniform(1.0, 900.0),
+                       pool=rng.choice((None, "ondemand", "spot")),
+                       count=rng.choice((None, 1, 3)))
+            for _ in range(40)
+        )
+        plan = FaultPlan(entries=entries)
+        injector = FaultInjector(plan)
+        budgets = [e.count for e in plan.entries]
+        pools = (pool(), pool(name="spot"))
+        kinds = {"fail": "provision_fail", "timeout": "provision_timeout",
+                 "shortage": "capacity_shortage"}
+        now = 0.0
+        hits = 0
+        for _ in range(2000):
+            now += rng.choice((0.0, rng.uniform(0.0, 5.0)))
+            target = rng.choice(pools)
+            expected = None
+            for i, entry in enumerate(plan.entries):
+                if (entry.pool in (None, target.name)
+                        and entry.time <= now < entry.end
+                        and budgets[i] != 0):
+                    if budgets[i] is not None:
+                        budgets[i] -= 1
+                    expected = entry.kind
+                    break
+            outcome = injector.provision_outcome(target, now)
+            got = None if outcome is None else kinds[outcome[0]]
+            assert got == expected, now
+            hits += got is not None
+        assert hits > 0
+
+    def test_attempts_must_come_in_time_order(self):
+        injector = FaultInjector(FaultPlan(entries=(
+            FaultEvent("provision_fail", time=0.0, duration=10.0),
+        )))
+        injector.provision_outcome(pool(), 5.0)
+        with pytest.raises(FaultPlanError, match="after one at 5.0"):
+            injector.provision_outcome(pool(), 4.0)
 
     def test_window_closings_are_sorted_and_deduplicated(self):
         plan = FaultPlan(entries=(
