@@ -12,8 +12,7 @@ Quantifies what the paper's discussion predicts:
 
 from benchmarks.conftest import once
 from repro.experiments import render_table
-from repro.scheduling import Aging, ElasticPolicyEngine, JobRequest, PolicyConfig
-from repro.scheduling.extensions import PreemptivePolicyEngine
+from repro.scheduling import REGISTRY, Aging, JobRequest, PolicyConfig
 from repro.schedsim import ScheduleSimulator, Submission
 from repro.perfmodel import size_class
 
@@ -50,14 +49,11 @@ def adversarial_workload():
 def test_extension_preemption_rescues_vip(benchmark, save_result):
     def run():
         out = {}
-        for label, engine_cls in (
-            ("elastic (paper)", ElasticPolicyEngine),
-            ("elastic + preemption", PreemptivePolicyEngine),
+        for label, policy in (
+            ("elastic (paper)", "elastic"),
+            ("elastic + preemption", "preemptive"),
         ):
-            sim = ScheduleSimulator(
-                PolicyConfig(name=label, rescale_gap=60.0),
-                policy_engine_cls=engine_cls,
-            )
+            sim = ScheduleSimulator(REGISTRY.resolve(policy, rescale_gap=60.0))
             result = sim.run(adversarial_workload())
             vip = next(o for o in result.outcomes if o.name == "vip")
             out[label] = vip.response_time

@@ -35,8 +35,9 @@ class RescaleDecision:
 
     The paper proposes letting applications accept or decline a rescale
     based on remaining work and parallel efficiency.  The default accepts
-    everything, matching the evaluated system; the extension policies live
-    in :mod:`repro.scheduling.extensions`.
+    everything, matching the evaluated system; the §3.2.2 extension
+    policies (``aging``, ``preemptive``) live in
+    :mod:`repro.scheduling.policies`.
     """
 
     def should_accept(self, app: "CharmApplication", target: int) -> bool:  # noqa: ARG002

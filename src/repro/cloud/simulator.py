@@ -458,15 +458,14 @@ class CloudScheduleSimulator(ScheduleSimulator):
         store = self._ckpt
         if store is None:
             return
-        preview = getattr(self.policy, "eviction_candidates", None)
         at_risk = (
             node.drain_remaining
             if node.state == NodeState.DRAINING else node.slots
         )
-        if preview is None or at_risk <= 0:
+        if at_risk <= 0:
             return
         now = self.engine.now
-        for candidate in preview(at_risk):
+        for candidate in self.policy.eviction_candidates(at_risk):
             running = self._running.get(candidate.name)
             if running is None:
                 continue
@@ -543,19 +542,13 @@ class CloudScheduleSimulator(ScheduleSimulator):
     def _cluster_state(self) -> ClusterState:
         policy = self.policy
         queue = policy.queue
-        # The queue's aggregate demand is an O(1) counter on
-        # IndexedJobList; a custom policy_engine_cls exposing a plain
-        # list pays the literal sum.
-        demand = getattr(queue, "min_replicas_total", None)
-        if demand is None:
-            demand = sum(j.request.min_replicas for j in queue)
         provider = self.provider
         total = policy.total_slots
         free = policy.free_slots
         # Positional, in field order: this runs on every evaluation.
         return ClusterState(
             self.engine.now, total, total - free, free,
-            len(policy.running), len(queue), demand,
+            len(policy.running), len(queue), queue.min_replicas_total,
             provider.active_count, provider.pending_count,
             self._slots_per_node,
         )

@@ -26,8 +26,10 @@ from ..scheduling import (
     JobOutcome,
     MetricsAccumulator,
     PolicyConfig,
+    PreemptJob,
     ReplicaTimeline,
     RequeueJob,
+    ResumeJob,
     SchedulerMetrics,
     ShrinkJob,
     StartJob,
@@ -35,7 +37,6 @@ from ..scheduling import (
     compute_metrics,
 )
 from ..scheduling.elastic import ElasticPolicyEngine
-from ..scheduling.extensions import PreemptJob, ResumeJob
 from ..sim import Engine
 from .workload import Submission
 
@@ -45,14 +46,10 @@ __all__ = ["ScheduleSimulator", "SimulationResult", "DISK_BANDWIDTH"]
 #: a shared filesystem; we model a modest networked disk).
 DISK_BANDWIDTH = 200e6  # bytes/s
 
-#: Dispatch-table miss sentinel (``None`` is a valid "no-op" handler).
-_UNRESOLVED = object()
-
-#: Decision routing, ordered for the subclass-fallback isinstance walk
-#: (subclasses before their bases: ResumeJob outranks StartJob).  The
-#: per-instance dispatch dict and the fallback resolver are both built
-#: from this single table; handlers are attribute names so bound methods
-#: resolve per simulator (honouring subclass overrides).
+#: Decision routing: one entry per concrete decision class.  The
+#: per-instance dispatch dict is built from it; handlers are attribute
+#: names so bound methods resolve per simulator (honouring subclass
+#: overrides).
 _DECISION_ROUTES = (
     (ResumeJob, "_resume"),
     (StartJob, "_start"),
@@ -133,10 +130,8 @@ class ScheduleSimulator:
 
             self._spans = PhaseSpans(tracer)
             # The policy engine times its Figure-3 redistribute walks on
-            # the same recorder when it knows how (duck-typed: custom
-            # policy_engine_cls may predate the attribute).
-            if hasattr(self.policy, "spans"):
-                self.policy.spans = self._spans
+            # the same recorder.
+            self.policy.spans = self._spans
         self.total_slots = total_slots
         self.overhead = overhead or RescaleOverheadModel()
         self._running: Dict[str, _RunningJob] = {}
@@ -157,8 +152,7 @@ class ScheduleSimulator:
         self._overhead_memo: Dict[tuple, float] = {}
         # Decision application is a dict dispatch on the concrete decision
         # type, built once per simulator (bound methods, so subclass
-        # overrides of the handlers resolve here).  Unknown concrete types
-        # fall back to one isinstance walk over the same routing table.
+        # overrides of the handlers resolve here).
         self._dispatch: Dict[type, Optional[object]] = {
             base: (handler and getattr(self, handler))
             for base, handler in _DECISION_ROUTES
@@ -174,9 +168,6 @@ class ScheduleSimulator:
         self._accumulator: Optional[MetricsAccumulator] = None
         self._stream: Optional[Iterator[Submission]] = None
         self._last_submit_time = float("-inf")
-        #: Resolved once per run (streaming mode only): the policy's
-        #: ``retire`` hook, looked up outside the per-completion path.
-        self._retire = None
 
     # ------------------------------------------------------------------
 
@@ -218,11 +209,8 @@ class ScheduleSimulator:
             )
             # Streaming contract: nothing in the simulator or the policy
             # engine may grow with workload length.  The decision log is
-            # the engine's only O(workload) structure, so switch it off
-            # (guarded: custom policy_engine_cls may predate the flag).
-            if hasattr(self.policy, "keep_decision_log"):
-                self.policy.keep_decision_log = False
-            self._retire = getattr(self.policy, "retire", None)
+            # the engine's only O(workload) structure, so switch it off.
+            self.policy.keep_decision_log = False
         if isinstance(submissions, Sequence):
             if not submissions:
                 raise SchedulingError("workload is empty")
@@ -356,8 +344,7 @@ class ScheduleSimulator:
             del self._timelines[name]
             del self._submissions[name]
             del self._profiles[name]
-            if self._retire is not None:
-                self._retire(name)
+            self.policy.retire(name)
         else:
             self._completed.append(name)
 
@@ -368,26 +355,12 @@ class ScheduleSimulator:
     def _apply(self, decisions) -> None:
         dispatch = self._dispatch
         for decision in decisions:
-            handler = dispatch.get(type(decision), _UNRESOLVED)
-            if handler is _UNRESOLVED:
-                handler = self._resolve_handler(decision)
+            try:
+                handler = dispatch[type(decision)]
+            except KeyError:
+                raise TypeError(f"unknown decision {decision!r}") from None
             if handler is not None:
                 handler(decision)
-
-    def _resolve_handler(self, decision):
-        """Resolve (and cache) the handler for a decision subclass.
-
-        The dispatch table is keyed on concrete types; a decision class
-        the table has never seen walks one isinstance pass over the same
-        ``_DECISION_ROUTES`` the table was built from, and the answer is
-        cached so subsequent instances hit the dict.
-        """
-        for base, handler in _DECISION_ROUTES:
-            if isinstance(decision, base):
-                resolved = handler and getattr(self, handler)
-                self._dispatch[type(decision)] = resolved
-                return resolved
-        raise TypeError(f"unknown decision {decision!r}")
 
     def _start(self, decision) -> None:
         name = decision.job.name

@@ -7,15 +7,16 @@ Public surface::
         SchedulerRegistry, REGISTRY, resolve, list_policies,
         JobRequest, SchedulerJob, JobState,
         Decision, StartJob, ShrinkJob, ExpandJob, EnqueueJob,
+        RequeueJob, PreemptJob, ResumeJob,
         JobOutcome, ReplicaTimeline, SchedulerMetrics, compute_metrics,
         ElasticSchedulerController,
     )
 
 Policies resolve by name through :mod:`repro.scheduling.registry`;
 importing this package registers the paper's four policies and the
-``aging`` extension (:mod:`.policies`), the literature schedulers
-(:mod:`.literature`: ``ewt``, ``prb``, ``easy-backfill``), and the
-power-capped scenario (:mod:`.power`).
+``aging`` and ``preemptive`` extensions (:mod:`.policies`), the
+literature schedulers (:mod:`.literature`: ``ewt``, ``prb``,
+``easy-backfill``), and the power-capped scenario (:mod:`.power`).
 """
 
 from .elastic import ElasticPolicyEngine
@@ -50,7 +51,9 @@ from .policy import (
     EnqueueJob,
     ExpandJob,
     PolicyConfig,
+    PreemptJob,
     RequeueJob,
+    ResumeJob,
     SchedulingPolicy,
     ShrinkJob,
     StartJob,
@@ -82,6 +85,8 @@ __all__ = [
     "ExpandJob",
     "EnqueueJob",
     "RequeueJob",
+    "PreemptJob",
+    "ResumeJob",
     "JobOutcome",
     "ReplicaTimeline",
     "StreamingTimeline",
@@ -101,8 +106,4 @@ def __getattr__(name):
         from .controller import ElasticSchedulerController
 
         return ElasticSchedulerController
-    if name in ("PreemptivePolicyEngine", "PreemptJob", "ResumeJob"):
-        from . import extensions
-
-        return getattr(extensions, name)
     raise AttributeError(f"module 'repro.scheduling' has no attribute {name!r}")

@@ -268,7 +268,8 @@ class ReferenceElasticPolicyEngine:
 
 
 class ReferencePreemptivePolicyEngine(ReferenceElasticPolicyEngine):
-    """Pre-PR-2 copy of :class:`repro.scheduling.PreemptivePolicyEngine`."""
+    """Frozen copy of the preemptive engine, now the
+    ``PolicyConfig.preempt`` stage (the ``preemptive`` policy)."""
 
     def __init__(self, total_slots: int, config: Optional[PolicyConfig] = None):
         super().__init__(total_slots, config)
@@ -291,7 +292,7 @@ class ReferencePreemptivePolicyEngine(ReferenceElasticPolicyEngine):
         return self._log(decisions[:-1] + preemptions + [start])
 
     def _try_preempt(self, job: SchedulerJob, now: float) -> List[Decision]:
-        from .extensions import PreemptJob
+        from .policy import PreemptJob
 
         reserve = self.config.launcher_slots
         needed = job.min_replicas - (self.free_slots - reserve)
@@ -320,7 +321,7 @@ class ReferencePreemptivePolicyEngine(ReferenceElasticPolicyEngine):
         return decisions
 
     def _start_queued(self, job: SchedulerJob, replicas: int, now: float):
-        from .extensions import ResumeJob
+        from .policy import ResumeJob
 
         start = super()._start_queued(job, replicas, now)
         if job.name in self.preempted:

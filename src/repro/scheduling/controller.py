@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..errors import SchedulingError
 from ..k8s import KubeCluster
 from ..mpioperator import CharmJob, CharmJobController, JobPhase
 from .elastic import ElasticPolicyEngine
@@ -40,6 +41,13 @@ class ElasticSchedulerController:
         total_slots: Optional[int] = None,
         tracer=None,
     ):
+        if getattr(config, "preempt", False):
+            # The operator can rescale a job but not checkpoint its pods
+            # to disk, so a PreemptJob would have nowhere to go.
+            raise SchedulingError(
+                f"policy {config.name!r} preempts jobs, which the "
+                "Kubernetes path cannot checkpoint to disk"
+            )
         self.engine = engine
         self.cluster = cluster
         self.operator = operator

@@ -97,7 +97,16 @@ jobs and block size ``B``:
   the aggregate total is a sound upper bound;
 * the same transitions bump ``transitions``, one int add each, so a
   hook stage can price one engine state once: EASY backfilling builds
-  its release profile once per state, not once per Figure-3 candidate.
+  its release profile once per state, not once per Figure-3 candidate;
+* preemption (``PolicyConfig.preempt``, §3.2.2) is a last resort on
+  Figure 2's three enqueue exits (backfill denied, dry run infeasible,
+  shrinks vetoed): they share one tail that enqueues the arrival and,
+  when the stage is on, walks running jobs lowest priority first
+  (never the index-0 job, stopping at the first that ranks at or above
+  the arrival).  If the walk frees enough, each victim leaves through
+  the eviction path and the arrival starts at once.  A victim resumes
+  through Figure 3 as :class:`ResumeJob`; with the stage off that
+  costs the default path one test of an empty set.
 
 Decision sequences are **byte-identical** to the preserved pre-
 optimization engine (:mod:`repro.scheduling._reference`); the golden
@@ -127,7 +136,9 @@ from .policy import (
     EnqueueJob,
     ExpandJob,
     PolicyConfig,
+    PreemptJob,
     RequeueJob,
+    ResumeJob,
     ShrinkJob,
     StartJob,
 )
@@ -181,6 +192,10 @@ class ElasticPolicyEngine:
         #: One fresh constraint per engine: budgets are engine state.
         self._constraint = factory() if factory is not None else None
         self._aging = getattr(config, "aging", None)
+        self._preempt = getattr(config, "preempt", False)
+        #: Names of queued jobs the preemption stage checkpointed to disk;
+        #: empty unless ``preempt`` is set.
+        self._preempted: set = set()
         if self._aging is not None:
             #: Min-heap of ``(due, tiebreak, job, key)``: when each waiter's
             #: aged priority may next step, and the key it was pushed
@@ -267,15 +282,11 @@ class ElasticPolicyEngine:
             # pass the rule (EASY: it may not delay the reserved head) and
             # must fit as is.  Shrinking running jobs for a queue-jumper
             # would rearrange the cluster the reservation protects.
-            if replicas >= req_min and self._backfill.allows(
+            if replicas < req_min or not self._backfill.allows(
                 self, job, replicas, now
             ):
-                decisions.append(self._start(job, replicas, now))
-            else:
-                decisions.append(self._enqueue(job))
-            return self._log(decisions)
-
-        if replicas < req_min:
+                return self._wait(job, now, decisions)
+        elif replicas < req_min:
             # Dry run: would shrinking lower-priority jobs cover the
             # deficit at the new job's minimum?  Under a constraint the
             # walk chases constraint units too (elastic shrink is the
@@ -292,8 +303,7 @@ class ElasticPolicyEngine:
             if not self._shrink_feasible(
                 request.priority, now, req_min - avail, unit_deficit
             ):
-                decisions.append(self._enqueue(job))
-                return self._log(decisions)
+                return self._wait(job, now, decisions)
             # Real pass: shrink towards freeing up to maxReplicas' worth.
             self._shrink_pass(
                 request.priority, now, request.max_replicas - avail,
@@ -302,10 +312,54 @@ class ElasticPolicyEngine:
             # A shrink_filter may veto part of the committed plan.
             replicas = self._start_cap(request)
             if replicas < req_min:
-                decisions.append(self._enqueue(job))
-                return self._log(decisions)
+                return self._wait(job, now, decisions)
         decisions.append(self._start(job, replicas, now))
         return self._log(decisions)
+
+    def _wait(
+        self, job: SchedulerJob, now: float, decisions: List[Decision]
+    ) -> List[Decision]:
+        """Enqueue an arrival Figure 2 could not start; under the
+        preemption stage, checkpoint running jobs to make room (§3.2.2).
+
+        If the victims free enough slots, their :class:`PreemptJob`
+        decisions replace the arrival's :class:`EnqueueJob` and the
+        arrival starts at once.
+        """
+        last = self._enqueue(job)
+        victims = self._preemption_victims(job) if self._preempt else None
+        if victims:
+            for victim in victims:
+                self._preempted.add(victim.name)
+                released = self._release(victim, now)
+                decisions.append(PreemptJob(job=victim, released_replicas=released))
+            self._unpark(job)
+            replicas = min(self.free_slots - self.config.launcher_slots,
+                           job.max_replicas)
+            last = self._start(job, replicas, now)
+        decisions.append(last)
+        return self._log(decisions)
+
+    def _preemption_victims(self, job: SchedulerJob) -> List[SchedulerJob]:
+        """Running jobs whose slots would let ``job`` start, or none.
+
+        Lowest priority first; the index-0 job is never a victim, and the
+        walk stops at the first job ranked at or above ``job``.  Pure
+        query: no state is touched.
+        """
+        reserve = self.config.launcher_slots
+        needed = job.min_replicas - (self.free_slots - reserve)
+        victims: List[SchedulerJob] = []
+        # islice over the lazy reverse iterator stops before the head
+        # without materializing the running list on every attempt.
+        for candidate in itertools.islice(
+            reversed(self.running), max(0, len(self.running) - 1)
+        ):
+            if needed <= 0 or candidate.priority >= job.priority:
+                break
+            victims.append(candidate)
+            needed -= candidate.replicas + reserve
+        return victims if needed <= 0 else []
 
     def _start_cap(self, request: JobRequest) -> int:
         """Replicas an arrival could start with now: the free slots less
@@ -837,6 +891,12 @@ class ElasticPolicyEngine:
         the job's §3.2.1 scheduling events, so no rescale-gap penalty
         applies.
         """
+        released = self._release(job, -math.inf)
+        return RequeueJob(job=job, released_replicas=released)
+
+    def _release(self, job: SchedulerJob, last_action: float) -> int:
+        """Move a running job back to the queue, freeing all its slots
+        (an eviction or a preemption); returns the replicas it held."""
         self.running.remove(job)
         released = job.replicas
         self._used_slots -= released + self.config.launcher_slots
@@ -844,9 +904,9 @@ class ElasticPolicyEngine:
         if self._constraint is not None:
             self._constraint.charge(job.request, -released)
         job.replicas = 0
-        job.last_action = -math.inf
+        job.last_action = last_action
         self._park(job)
-        return RequeueJob(job=job, released_replicas=released)
+        return released
 
     # ------------------------------------------------------------------
     # Substrate feedback
@@ -922,7 +982,7 @@ class ElasticPolicyEngine:
         self.running.add(job)
         return start
 
-    def _start_queued(self, job: SchedulerJob, replicas: int, now: float) -> StartJob:
+    def _start_queued(self, job: SchedulerJob, replicas: int, now: float) -> Decision:
         if self._pending_starts is not None:
             # Mid-walk in on_complete: defer the queue→running move so the
             # walk's block pointers never see a structural mutation.  The
@@ -932,9 +992,14 @@ class ElasticPolicyEngine:
             start = self._activate(job, replicas, now)
             self.queue.rescaled(job, before)
             self._pending_starts.append(job)
-            return start
-        self._unpark(job)
-        return self._start(job, replicas, now)
+        else:
+            self._unpark(job)
+            start = self._start(job, replicas, now)
+        if self._preempted and job.name in self._preempted:
+            # A job the preemption stage checkpointed restarts from disk.
+            self._preempted.discard(job.name)
+            return ResumeJob(job=job, replicas=replicas)
+        return start
 
     def _enqueue(self, job: SchedulerJob) -> EnqueueJob:
         # NOTE: lastAction deliberately untouched (see module docstring).

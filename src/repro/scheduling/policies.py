@@ -14,8 +14,9 @@ parameterized exactly as the paper emulates them (§4.3.2):
 Each is a named factory on :data:`repro.scheduling.registry.REGISTRY`
 (``paper=True``); the golden decision-log suite pins registry-resolved
 configs byte-identical to the frozen reference engine.  The module also
-registers ``aging``, the §3.2.2 aging-priorities extension, as a
-non-paper policy.  Callers resolve through the registry::
+registers the two §3.2.2 extensions as non-paper policies: ``aging``
+(aging priorities) and ``preemptive`` (checkpoint-to-disk preemption).
+Callers resolve through the registry::
 
     from repro.scheduling.registry import resolve
     config = resolve("elastic", rescale_gap=90.0)
@@ -23,6 +24,7 @@ non-paper policy.  Callers resolve through the registry::
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from .job import JobRequest
@@ -132,3 +134,17 @@ def _aging(
         shrink_filter=shrink_filter,
         aging=Aging(interval=aging_interval, max_priority=max_priority),
     )
+
+
+@REGISTRY.register(
+    "preemptive", tags=("extension",),
+    description="§3.2.2 job preemption: lower-priority jobs checkpoint "
+                "to disk to make room for a waiting arrival",
+)
+def _preemptive(
+    rescale_gap: float = DEFAULT_RESCALE_GAP,
+    launcher_slots: int = 0,
+    shrink_filter=None,
+) -> PolicyConfig:
+    config = _elastic(rescale_gap, launcher_slots, shrink_filter)
+    return dataclasses.replace(config, name="preemptive", preempt=True)

@@ -21,6 +21,8 @@ __all__ = [
     "ExpandJob",
     "EnqueueJob",
     "RequeueJob",
+    "PreemptJob",
+    "ResumeJob",
     "PolicyConfig",
     "SchedulingPolicy",
     "BackfillRule",
@@ -77,12 +79,31 @@ class RequeueJob(Decision):
     Emitted only by forced capacity shrinks (a spot-instance interruption
     reclaiming a node out from under the scheduler, §2's cloud reality) —
     never by the Figure-2/3 policy logic itself.  Unlike
-    :class:`~repro.scheduling.extensions.PreemptJob` the eviction is not a
-    scheduling choice and carries no checkpoint: the substrate decides
-    what survives (the schedsim model restarts the job from scratch).
+    :class:`PreemptJob` the eviction is not a scheduling choice and
+    carries no checkpoint: the substrate decides what survives (the
+    schedsim model restarts the job from scratch).
     """
 
     released_replicas: int
+
+
+@dataclass(frozen=True)
+class PreemptJob(Decision):
+    """Checkpoint a running job to disk and release all its slots.
+
+    Emitted by the preemption stage (``PolicyConfig.preempt``).  The job
+    returns to the queue with its progress preserved; the substrate must
+    charge the disk checkpoint cost and, on resume, the restore cost.
+    """
+
+    released_replicas: int
+
+
+@dataclass(frozen=True)
+class ResumeJob(Decision):
+    """A preempted job restarting from its disk checkpoint."""
+
+    replicas: int
 
 
 @runtime_checkable
@@ -199,7 +220,7 @@ class SchedulingPolicy(Protocol):
     :class:`PolicyConfig` is the canonical implementation; anything with
     these attributes (e.g. a third-party config registered through
     :mod:`repro.scheduling.registry`) drives the engine equally.  The
-    four hook stages generalize the paper's fixed algorithm:
+    five hook stages generalize the paper's fixed algorithm:
 
     ``priority_rule``
         queue-ordering stage — rewrites a submission's effective priority
@@ -212,6 +233,9 @@ class SchedulingPolicy(Protocol):
     ``aging``
         aging stage (:class:`Aging`) — raises waiting jobs' priority
         over time (§3.2.2).
+    ``preempt``
+        preemption stage — a last resort after Figure 2 enqueues an
+        arrival: checkpoint lower-priority running jobs to disk (§3.2.2).
     """
 
     name: str
@@ -224,6 +248,7 @@ class SchedulingPolicy(Protocol):
     backfill: Optional[BackfillRule]
     capacity_constraint: Optional[Callable[[], CapacityConstraint]]
     aging: Optional[Aging]
+    preempt: bool
 
 
 @dataclass
@@ -278,6 +303,14 @@ class PolicyConfig:
         they wait, so Figure 3 hands freed slots to long-starved work
         first.  ``None`` keeps priorities fixed.  It cannot be combined
         with a backfill rule, which reserves in static queue order.
+    preempt:
+        Preemption stage (§3.2.2): when Figure 2 leaves a strictly
+        higher-priority arrival waiting, checkpoint running jobs of
+        lower priority to disk — lowest first, never the index-0 job —
+        until it fits (:class:`PreemptJob`); they resume from disk
+        through Figure 3 (:class:`ResumeJob`).  It cannot be combined
+        with a capacity constraint, whose charge and admit points a
+        preemption bypasses.
     """
 
     name: str = "elastic"
@@ -292,6 +325,7 @@ class PolicyConfig:
     backfill: Optional[BackfillRule] = None
     capacity_constraint: Optional[Callable[[], CapacityConstraint]] = None
     aging: Optional[Aging] = None
+    preempt: bool = False
 
     def __post_init__(self):
         # Catch bad parameters at construction with a message naming the
@@ -346,6 +380,10 @@ class PolicyConfig:
                 fail(f"aging must be an Aging or None, got {self.aging!r}")
             if self.backfill is not None:
                 fail("aging cannot be combined with a backfill rule")
+        if not isinstance(self.preempt, bool):
+            fail(f"preempt must be a bool, got {self.preempt!r}")
+        if self.preempt and self.capacity_constraint is not None:
+            fail("preemption cannot be combined with a capacity constraint")
 
     @property
     def is_moldable(self) -> bool:

@@ -12,9 +12,9 @@ actuator* — a high-priority arrival shrinks running jobs until both the
 slot and the watt deficits are covered: the engine's one Figure-2 walk,
 carrying a watt deficit beside the slot deficit.
 
-The constraint composes with the base engine only.  The preemptive
-extension rejects it at construction, because its checkpoint
-transitions bypass the charge points.
+The constraint does not compose with the preemption stage:
+``PolicyConfig`` rejects ``preempt`` beside a capacity constraint,
+because a preemption's checkpoint transitions bypass the charge points.
 """
 
 from __future__ import annotations

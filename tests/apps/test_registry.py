@@ -63,14 +63,9 @@ class TestPackageSurface:
         assert issubclass(repro.ReproError, Exception)
 
     def test_lazy_scheduling_exports(self):
-        from repro.scheduling import (
-            ElasticSchedulerController,
-            PreemptivePolicyEngine,
-            ResumeJob,
-        )
+        from repro.scheduling import ElasticSchedulerController, ResumeJob
 
         assert ResumeJob is not None
-        assert PreemptivePolicyEngine is not None
         assert ElasticSchedulerController is not None
 
     def test_lazy_export_unknown_attribute(self):
@@ -84,7 +79,7 @@ class TestPackageSurface:
 
         for module in (
             "repro.sim", "repro.k8s", "repro.charm", "repro.mpioperator",
-            "repro.scheduling", "repro.scheduling.extensions",
+            "repro.scheduling", "repro.scheduling.policies",
             "repro.charm.faulttolerance", "repro.perfmodel", "repro.apps",
             "repro.apps.evolving", "repro.schedsim", "repro.experiments",
             "repro.cli",

@@ -6,6 +6,8 @@ provisioning latency; scale-down drains instead of killing; a spot
 interruption evicts, restarts, and still finishes the workload.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.cloud import (
@@ -20,7 +22,14 @@ from repro.cloud import (
     run_cloud_once,
 )
 from repro.errors import CloudError
-from repro.scheduling import REGISTRY, RequeueJob, ShrinkJob, StartJob
+from repro.scheduling import (
+    REGISTRY,
+    ElasticPolicyEngine,
+    PreemptJob,
+    RequeueJob,
+    ShrinkJob,
+    StartJob,
+)
 from repro.schedsim import ScheduleSimulator, WorkloadSpec, generate_workload
 from repro.sim import Engine
 from repro.sim.trace import Tracer
@@ -383,3 +392,47 @@ class TestConstruction:
         with pytest.raises(CloudError, match="tick"):
             CloudScheduleSimulator(REGISTRY.resolve("elastic"), provider,
                                    tick=0.0)
+
+
+class CompletionCounter(ElasticPolicyEngine):
+    """The engine, counting completions per job."""
+
+    def __init__(self, total_slots, config=None):
+        super().__init__(total_slots, config)
+        self.completions = Counter()
+
+    def on_complete(self, name, now):
+        self.completions[name] += 1
+        return super().on_complete(name, now)
+
+
+class TestPreemptionOnSpot:
+    """The preemption stage composes with spot evictions: a job may be
+    checkpointed to disk by a higher-priority arrival, evicted by a
+    reclaim, or both, and still finishes exactly once."""
+
+    SEEDS = range(40)
+
+    @pytest.mark.parametrize("autoscaler", [StaticAutoscaler,
+                                            QueueDepthAutoscaler])
+    def test_every_job_completes_once(self, autoscaler):
+        scenario = CloudScenario(
+            initial_nodes=2, min_nodes=2, max_nodes=4,
+            spot_nodes=2, spot_mean_lifetime=1800.0,
+        )
+        preemptions = 0
+        for seed in self.SEEDS:
+            provider = CloudProvider(scenario.pools(), seed=seed)
+            simulator = CloudScheduleSimulator(
+                REGISTRY.resolve("preemptive"), provider,
+                autoscaler=autoscaler(), policy_engine_cls=CompletionCounter,
+            )
+            workload = paper_workload(seed, num_jobs=16, gap=30.0)
+            result = simulator.run(workload)
+            names = {sub.request.name for sub in workload}
+            assert simulator.policy.completions == Counter(names)
+            assert sorted(o.name for o in result.outcomes) == sorted(names)
+            provider.check_invariants()
+            preemptions += sum(isinstance(d, PreemptJob)
+                               for d in simulator.policy.decision_log)
+        assert preemptions > 0

@@ -36,6 +36,14 @@ class TestCli:
         assert main(["fig7", "--trials", "2"]) == 0
         assert "Figure 7a" in capsys.readouterr().out
 
+    def test_run_refuses_preemption_up_front(self, capsys):
+        # The Kubernetes path cannot checkpoint a pod to disk, so a
+        # preemptive policy is a user error, not a crash mid-run.
+        assert main(["run", "preemptive", "--jobs", "16", "--gap", "5",
+                     "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: policy 'preemptive' preempts jobs")
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "fcfs"])

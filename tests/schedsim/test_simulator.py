@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.perfmodel import size_class
-from repro.scheduling import JobRequest, REGISTRY
+from repro.scheduling import JobRequest, REGISTRY, SchedulerJob, policy
 from repro.schedsim import (
     ScheduleSimulator,
     Submission,
@@ -127,6 +127,22 @@ class TestSimulator:
             # whole time it existed.
             max_possible = outcome.turnaround_time * 64
             assert busy <= max_possible
+
+    def test_every_decision_class_is_routed(self):
+        sim = ScheduleSimulator(REGISTRY.resolve("elastic"))
+        kinds = {getattr(policy, name) for name in policy.__all__}
+        decisions = {k for k in kinds
+                     if isinstance(k, type) and issubclass(k, policy.Decision)}
+        assert decisions - {policy.Decision} == set(sim._dispatch)
+
+    def test_unknown_decision_is_a_type_error(self):
+        class Unrouted(policy.Decision):
+            pass
+
+        sim = ScheduleSimulator(REGISTRY.resolve("elastic"))
+        job = SchedulerJob(request=JobRequest("a", 1, 1), submit_time=0.0)
+        with pytest.raises(TypeError, match="unknown decision"):
+            sim._apply([Unrouted(job=job)])
 
     def test_never_overcommits(self):
         # Sampled occupancy from the timelines never exceeds the slots.

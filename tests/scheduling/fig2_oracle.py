@@ -16,9 +16,10 @@ from typing import List, Tuple
 
 from repro.errors import CapacityError, JobStateError
 from repro.scheduling import ElasticPolicyEngine
-from repro.scheduling.extensions import PreemptivePolicyEngine
 from repro.scheduling.job import JobRequest, SchedulerJob
 from repro.scheduling.policy import Decision
+
+from .preempt_oracle import PreemptOracle
 
 
 class Fig2OracleEngine(ElasticPolicyEngine):
@@ -415,6 +416,6 @@ class Fig2OracleEngine(ElasticPolicyEngine):
         return removed, self._log(decisions)
 
 
-class PreemptiveFig2Oracle(PreemptivePolicyEngine, Fig2OracleEngine):
-    """Preemption over the oracle's Figure 2 (the MRO puts
-    :class:`Fig2OracleEngine` between the two shipped classes)."""
+class PreemptiveFig2Oracle(PreemptOracle, Fig2OracleEngine):
+    """The preemption oracle over the oracle's Figure 2 (the MRO puts
+    :class:`Fig2OracleEngine` between the copy and the shipped class)."""

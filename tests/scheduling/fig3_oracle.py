@@ -15,6 +15,9 @@ Copied verbatim from the engine as it was before aging became a
   engine, on top of :mod:`repro.scheduling._reference`, that the golden
   decision-log suite pins the aging stage against.
 
+:class:`PreemptiveScanEngine` and :class:`PreemptiveAgingEngine` add the
+preemption oracle of :mod:`tests.scheduling.preempt_oracle` to the scan.
+
 ``test_hooked_walk.py`` and ``test_aging_walk.py`` diff the shipped
 indexed walk against these engines.  Not a test module: no test here is
 collected.
@@ -25,9 +28,10 @@ from typing import Iterator, List, Optional
 
 from repro.scheduling import ElasticPolicyEngine
 from repro.scheduling._reference import ReferenceElasticPolicyEngine
-from repro.scheduling.extensions import PreemptivePolicyEngine
 from repro.scheduling.job import JobState, SchedulerJob, priority_order_key
 from repro.scheduling.policy import Decision, PolicyConfig
+
+from .preempt_oracle import PreemptOracle
 
 
 class Fig3Scan:
@@ -103,8 +107,8 @@ class ScanEngine(Fig3Scan, ElasticPolicyEngine):
     """The shipped engine with Figure 3 as the literal scan."""
 
 
-class PreemptiveScanEngine(Fig3Scan, PreemptivePolicyEngine):
-    """The preemptive engine with Figure 3 as the literal scan."""
+class PreemptiveScanEngine(Fig3Scan, PreemptOracle):
+    """The preemption oracle with Figure 3 as the literal scan."""
 
 
 class AgingPolicyEngine(ScanEngine):
@@ -187,8 +191,8 @@ class AgingPolicyEngine(ScanEngine):
         return super().rebalance(now)
 
 
-class PreemptiveAgingEngine(AgingPolicyEngine, PreemptivePolicyEngine):
-    """Aging through the scan, with the preemptive engine's Figure 2."""
+class PreemptiveAgingEngine(AgingPolicyEngine, PreemptOracle):
+    """Aging through the scan, with the preemption oracle's Figure 2."""
 
 
 class ReferenceAgingPolicyEngine(ReferenceElasticPolicyEngine):

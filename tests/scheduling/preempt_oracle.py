@@ -1,50 +1,33 @@
-"""Job preemption, a policy extension the paper discusses but does not
-evaluate (§3.2.2).
+"""Oracle for the preemption stage: the subclass it replaced.
 
-:class:`PreemptivePolicyEngine` — "lower-priority jobs could be sent a
-signal to checkpoint to disk and then be preempted to make room for
-higher-priority jobs ... restarted from [the] checkpoint at a later
-time" (§3.2.2, *Job preemption*).  It extends the Figure-2/3 engine
-without modifying it; the evaluated system is untouched when the class
-is not used.
+:class:`PreemptivePolicyEngine` is copied verbatim from the engine as it
+was before preemption became the ``PolicyConfig.preempt`` stage: it ran
+Figure 2 through the base engine and, when the arrival ended up
+enqueued, walked the victims and started the arrival afterwards.  It
+logs its own decisions on top of the base engine's, so only the
+returned lists are compared.
 
-The section's other extension, *aging priorities*, is not a subclass:
-it is the :class:`~repro.scheduling.policy.Aging` stage of
-:class:`~repro.scheduling.policy.PolicyConfig` (the ``aging`` policy in
-the registry), served by the base engine's indexed Figure-3 walk.
+:class:`PreemptOracle` runs that copy on a ``preempt=False`` copy of its
+config, so a config with the stage on drives the shipped engine and the
+oracle alike without preempting twice.  ``fig2_oracle.py`` and
+``fig3_oracle.py`` build their preemptive oracles on it.  Not a test
+module: no test here is collected.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+import dataclasses
 from itertools import islice
 from typing import List, Optional
 
-from ..errors import SchedulingError
-from .elastic import ElasticPolicyEngine
-from .job import SchedulerJob
-from .policy import Decision, EnqueueJob, PolicyConfig, StartJob
-
-__all__ = ["PreemptivePolicyEngine", "PreemptJob", "ResumeJob"]
-
-
-@dataclass(frozen=True)
-class PreemptJob(Decision):
-    """Checkpoint a running job to disk and release all its slots.
-
-    The job returns to the queue with its progress preserved; the
-    substrate must charge the disk checkpoint cost and, on resume, the
-    restore cost.
-    """
-
-    released_replicas: int
-
-
-@dataclass(frozen=True)
-class ResumeJob(Decision):
-    """A preempted job restarting from its disk checkpoint."""
-
-    replicas: int
+from repro.errors import SchedulingError
+from repro.scheduling import ElasticPolicyEngine
+from repro.scheduling.job import SchedulerJob
+from repro.scheduling.policy import (
+    Decision,
+    EnqueueJob,
+    PolicyConfig,
+    PreemptJob,
+    ResumeJob,
+)
 
 
 class PreemptivePolicyEngine(ElasticPolicyEngine):
@@ -126,3 +109,11 @@ class PreemptivePolicyEngine(ElasticPolicyEngine):
             self.preempted.discard(job.name)
             return ResumeJob(job=job, replicas=replicas)
         return start
+
+
+class PreemptOracle(PreemptivePolicyEngine):
+    """The copy above with the engine's own preemption stage off."""
+
+    def __init__(self, total_slots: int, config: Optional[PolicyConfig] = None):
+        config = dataclasses.replace(config or PolicyConfig(), preempt=False)
+        super().__init__(total_slots, config)

@@ -17,7 +17,6 @@ import random
 import pytest
 
 from repro.scheduling import Aging, ElasticPolicyEngine, joblist
-from repro.scheduling.extensions import PreemptivePolicyEngine
 from repro.scheduling.registry import REGISTRY
 
 from .fig3_oracle import AgingPolicyEngine, PreemptiveAgingEngine
@@ -62,10 +61,10 @@ def aged(config, interval):
 
 def engines(config, interval, preemptive=False):
     """(shipped, oracle) engines for one base config and interval."""
-    shipped_cls = PreemptivePolicyEngine if preemptive else ElasticPolicyEngine
     oracle_cls = PreemptiveAgingEngine if preemptive else AgingPolicyEngine
-    shipped = shipped_cls(SLOTS, aged(CONFIGS[config](), interval))
-    oracle = oracle_cls(SLOTS, CONFIGS[config](), aging_interval=interval)
+    base = dataclasses.replace(CONFIGS[config](), preempt=preemptive)
+    shipped = ElasticPolicyEngine(SLOTS, aged(base, interval))
+    oracle = oracle_cls(SLOTS, base, aging_interval=interval)
     return shipped, oracle
 
 

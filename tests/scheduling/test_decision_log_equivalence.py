@@ -4,8 +4,8 @@ The PR-2 hot-path rework (incremental slot accounting, insort-maintained
 lists, lazy Figure-3 merge) must not change a single scheduling decision:
 the paper-faithful semantics — including the documented Figure 2/3 quirks
 — are defined by :mod:`repro.scheduling._reference`, and this suite
-proves the optimized :class:`ElasticPolicyEngine` (with its aging stage,
-and the preemptive extension) byte-identical to it across randomized
+proves the optimized :class:`ElasticPolicyEngine` (with its aging and
+preemption stages) byte-identical to it across randomized
 workloads.
 
 Each scenario drives both engines through the same deterministic event
@@ -31,7 +31,6 @@ from repro.scheduling._reference import (
     ReferenceElasticPolicyEngine,
     ReferencePreemptivePolicyEngine,
 )
-from repro.scheduling.extensions import PreemptivePolicyEngine
 
 from .fig3_oracle import ReferenceAgingPolicyEngine
 
@@ -168,7 +167,7 @@ def test_elastic_engine_matches_reference(policy, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_preemptive_engine_matches_reference(seed):
     assert_equivalent(
-        PreemptivePolicyEngine(TOTAL_SLOTS, REGISTRY.resolve("elastic")),
+        ElasticPolicyEngine(TOTAL_SLOTS, REGISTRY.resolve("preemptive")),
         ReferencePreemptivePolicyEngine(TOTAL_SLOTS, REGISTRY.resolve("elastic")),
         seed,
     )
@@ -228,7 +227,7 @@ class TestMultiBlockEquivalence:
     """
 
     @staticmethod
-    def _probing(seed, engine_cls, reference_cls, **engine_kwargs):
+    def _probing(seed, engine_cls, reference_cls, policy="elastic"):
         peak = {"running": 0, "queue": 0}
         events = [0]
 
@@ -240,10 +239,8 @@ class TestMultiBlockEquivalence:
                 engine.running.check_invariants()
                 engine.queue.check_invariants()
 
-        optimized = engine_cls(BACKLOG_SLOTS, REGISTRY.resolve("elastic"),
-                               **engine_kwargs)
-        reference = reference_cls(BACKLOG_SLOTS, REGISTRY.resolve("elastic"),
-                                  **engine_kwargs)
+        optimized = engine_cls(BACKLOG_SLOTS, REGISTRY.resolve(policy))
+        reference = reference_cls(BACKLOG_SLOTS, REGISTRY.resolve("elastic"))
         log_opt = drive_backlog(optimized, seed, probe=probe)
         log_ref = drive_backlog(reference, seed)
         assert log_opt == log_ref
@@ -265,7 +262,8 @@ class TestMultiBlockEquivalence:
     @pytest.mark.parametrize("seed", (0, 1))
     def test_preemptive_multi_block_matches_reference(self, seed):
         peak = self._probing(
-            seed, PreemptivePolicyEngine, ReferencePreemptivePolicyEngine
+            seed, ElasticPolicyEngine, ReferencePreemptivePolicyEngine,
+            policy="preemptive",
         )
         assert peak["running"] >= 3
 

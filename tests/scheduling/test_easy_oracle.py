@@ -18,14 +18,15 @@ import random
 import pytest
 
 from repro.scheduling import ElasticPolicyEngine, JobRequest
-from repro.scheduling.extensions import (
-    PreemptivePolicyEngine,
-    PreemptJob,
-    ResumeJob,
-)
 from repro.scheduling.job import priority_order_key
 from repro.scheduling.literature import EasyBackfill
-from repro.scheduling.policy import EnqueueJob, RequeueJob, StartJob
+from repro.scheduling.policy import (
+    EnqueueJob,
+    PreemptJob,
+    RequeueJob,
+    ResumeJob,
+    StartJob,
+)
 from repro.scheduling.registry import REGISTRY
 
 from .easy_oracle import EasyBackfill as OracleEasyBackfill
@@ -48,10 +49,13 @@ def serialize(decision):
     return (type(decision).__name__, decision.job.name, extra)
 
 
-def configs(conservative=False, launcher_slots=0):
+def configs(conservative=False, launcher_slots=0, preempt=False):
     """(shipped, oracle) easy-backfill configs differing only in the rule."""
-    new = REGISTRY.resolve("easy-backfill", conservative=conservative,
-                           launcher_slots=launcher_slots)
+    new = dataclasses.replace(
+        REGISTRY.resolve("easy-backfill", conservative=conservative,
+                         launcher_slots=launcher_slots),
+        preempt=preempt,
+    )
     old = dataclasses.replace(
         new, backfill=OracleEasyBackfill(conservative=conservative)
     )
@@ -170,20 +174,20 @@ def test_decision_logs_match_the_oracle(seed, launcher_slots, conservative):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_preemptive_engine_matches_the_oracle(seed):
-    new_cfg, old_cfg = configs()
-    new = Stream(PreemptivePolicyEngine(SLOTS, new_cfg), seed).run()
-    old = Stream(PreemptivePolicyEngine(SLOTS, old_cfg), seed).run()
+    new_cfg, old_cfg = configs(preempt=True)
+    new = Stream(ElasticPolicyEngine(SLOTS, new_cfg), seed).run()
+    old = Stream(ElasticPolicyEngine(SLOTS, old_cfg), seed).run()
     assert new.log == old.log
     assert_same_reservations(new_cfg.backfill, old_cfg.backfill,
                              overtaken(new.decisions))
 
 
 def test_preemptive_streams_do_preempt():
-    cfg, _ = configs()
+    cfg, _ = configs(preempt=True)
     preempted = sum(
         isinstance(d, PreemptJob)
         for seed in SEEDS
-        for d in Stream(PreemptivePolicyEngine(SLOTS, cfg), seed).run().decisions
+        for d in Stream(ElasticPolicyEngine(SLOTS, cfg), seed).run().decisions
     )
     assert preempted > 0
 
@@ -316,7 +320,7 @@ class TestRepricing:
 
 
 def test_transitions_counter_moves_on_every_transition():
-    engine = PreemptivePolicyEngine(8, REGISTRY.resolve("elastic"))
+    engine = ElasticPolicyEngine(8, REGISTRY.resolve("preemptive"))
     seen = [engine.transitions]
 
     def moved():

@@ -5,18 +5,13 @@ import math
 
 import pytest
 
-from repro.errors import SchedulingError
 from repro.scheduling import (
     Aging,
     ElasticPolicyEngine,
     JobState,
     PolicyConfig,
-    StartJob,
-)
-from repro.scheduling.extensions import (
-    PreemptJob,
-    PreemptivePolicyEngine,
     ResumeJob,
+    StartJob,
 )
 from repro.scheduling.power import PowerBudget
 from repro.scheduling.registry import REGISTRY
@@ -136,7 +131,9 @@ class TestAging:
 
 class TestPreemption:
     def make(self):
-        return PreemptivePolicyEngine(64, PolicyConfig(rescale_gap=0.0))
+        return ElasticPolicyEngine(
+            64, PolicyConfig(rescale_gap=0.0, preempt=True)
+        )
 
     def test_preempts_rigid_low_priority_victim(self):
         policy = self.make()
@@ -195,8 +192,21 @@ class TestPreemption:
         # Preempting releases victims without charging the constraint and
         # restarts the arrival without admit(): the charged watts would
         # drift from the actual draw, so the combination must not build.
-        with pytest.raises(SchedulingError, match=repr(config.name)):
-            PreemptivePolicyEngine(64, config)
+        with pytest.raises(ValueError, match=repr(config.name)):
+            dataclasses.replace(config, preempt=True)
+
+    def test_preempt_must_be_a_bool(self):
+        with pytest.raises(ValueError, match="preempt must be a bool"):
+            PolicyConfig(preempt=1)
+
+    def test_registered_as_an_extension(self):
+        config = REGISTRY.resolve("preemptive", rescale_gap=30.0,
+                                  launcher_slots=1)
+        assert config.preempt and config.name == "preemptive"
+        assert (config.rescale_gap, config.launcher_slots) == (30.0, 1)
+        assert not REGISTRY.resolve("elastic").preempt
+        assert not REGISTRY.describe("preemptive").paper
+        assert "preemptive" not in REGISTRY.paper_policies()
 
 
 class TestSimulatorIntegration:
@@ -204,10 +214,7 @@ class TestSimulatorIntegration:
         from repro.schedsim import ScheduleSimulator
         from tests.schedsim.test_simulator import submission
 
-        sim = ScheduleSimulator(
-            PolicyConfig(name="elastic-preempt", rescale_gap=0.0),
-            policy_engine_cls=PreemptivePolicyEngine,
-        )
+        sim = ScheduleSimulator(REGISTRY.resolve("preemptive", rescale_gap=0.0))
         subs = [
             submission("v1", "large", time=0.0, priority=1),
             submission("v2", "large", time=0.0, priority=1),

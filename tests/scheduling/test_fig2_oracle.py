@@ -17,7 +17,6 @@ import dataclasses
 import pytest
 
 from repro.scheduling import ElasticPolicyEngine, joblist
-from repro.scheduling.extensions import PreemptivePolicyEngine
 from repro.scheduling.policy import ShrinkJob
 from repro.scheduling.power import PowerBudget
 from repro.scheduling.registry import REGISTRY
@@ -94,9 +93,12 @@ def block_load(request, monkeypatch):
         monkeypatch.setattr(joblist, "BLOCK_LOAD", request.param)
 
 
-def run_pair(shipped_cls, oracle_cls, config, seed):
-    shipped = Stream(shipped_cls(SLOTS, CONFIGS[config]()), seed).run()
-    oracle = Stream(oracle_cls(SLOTS, CONFIGS[config]()), seed).run()
+def run_pair(oracle_cls, config, seed, preempt=False):
+    def build():
+        return dataclasses.replace(CONFIGS[config](), preempt=preempt)
+
+    shipped = Stream(ElasticPolicyEngine(SLOTS, build()), seed).run()
+    oracle = Stream(oracle_cls(SLOTS, build()), seed).run()
     return shipped, oracle
 
 
@@ -111,14 +113,13 @@ def assert_same(shipped, oracle):
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_submit_path_matches_the_oracle(block_load, config, seed):
-    assert_same(*run_pair(ElasticPolicyEngine, Fig2OracleEngine, config, seed))
+    assert_same(*run_pair(Fig2OracleEngine, config, seed))
 
 
 @pytest.mark.parametrize("config", ["elastic", "elastic-gap30", "easy"])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_preemptive_submit_path_matches_the_oracle(block_load, config, seed):
-    assert_same(*run_pair(PreemptivePolicyEngine, PreemptiveFig2Oracle,
-                          config, seed))
+    assert_same(*run_pair(PreemptiveFig2Oracle, config, seed, preempt=True))
 
 
 @pytest.mark.parametrize("config", SHRINKING)

@@ -20,7 +20,6 @@ import pytest
 
 from repro.obs import metrics as obs_metrics
 from repro.scheduling import ElasticPolicyEngine, JobRequest, joblist
-from repro.scheduling.extensions import PreemptivePolicyEngine
 from repro.scheduling.policy import ShrinkJob, StartJob
 from repro.scheduling.power import PowerBudget
 from repro.scheduling.registry import REGISTRY
@@ -58,10 +57,8 @@ CONFIGS = {
     "easy+power": _easy_power,
 }
 
-ENGINES = {
-    "elastic": (ElasticPolicyEngine, ScanEngine),
-    "preemptive": (PreemptivePolicyEngine, PreemptiveScanEngine),
-}
+#: Scan oracle per engine; ``preemptive`` turns the preemption stage on.
+SCANS = {"elastic": ScanEngine, "preemptive": PreemptiveScanEngine}
 
 
 @pytest.fixture(autouse=True)
@@ -70,9 +67,12 @@ def small_blocks(monkeypatch):
 
 
 def run_pair(engines, config, seed):
-    walk_cls, scan_cls = ENGINES[engines]
-    walk = Stream(walk_cls(SLOTS, CONFIGS[config]()), seed).run()
-    scan = Stream(scan_cls(SLOTS, CONFIGS[config]()), seed).run()
+    def build():
+        return dataclasses.replace(CONFIGS[config](),
+                                   preempt=engines == "preemptive")
+
+    walk = Stream(ElasticPolicyEngine(SLOTS, build()), seed).run()
+    scan = Stream(SCANS[engines](SLOTS, build()), seed).run()
     return walk, scan
 
 
