@@ -12,7 +12,9 @@ Quantifies what the paper's discussion predicts:
 
 from benchmarks.conftest import once
 from repro.experiments import render_table
-from repro.scheduling import REGISTRY, Aging, JobRequest, PolicyConfig
+from repro.scheduling import (
+    REGISTRY, Aging, JobRequest, PolicyConfig, StaticPriority,
+)
 from repro.schedsim import ScheduleSimulator, Submission
 from repro.perfmodel import size_class
 
@@ -90,12 +92,12 @@ def test_extension_aging_bounds_starvation(benchmark, save_result):
 
     def run():
         out = {}
-        for label, aging in (
-            ("elastic (paper)", None),
+        for label, priority in (
+            ("elastic (paper)", StaticPriority()),
             ("elastic + aging", Aging(interval=300.0)),
         ):
             sim = ScheduleSimulator(
-                PolicyConfig(name=label, rescale_gap=60.0, aging=aging)
+                PolicyConfig(name=label, rescale_gap=60.0, priority=priority)
             )
             result = sim.run(workload())
             starved = next(o for o in result.outcomes if o.name == "starved")

@@ -6,14 +6,14 @@ Three things in one demo:
 1. list what's registered (the paper's four, the literature policies,
    the power-capped scenario) and resolve one by name;
 2. register a *custom* policy — shortest-job-first via the
-   ``priority_rule`` hook — exactly the way a third-party package would;
+   ``priority`` stage — exactly the way a third-party package would;
 3. run EASY backfilling and the power-capped scenario on the same
    workload and compare the §4.3 metrics side by side.
 
 Run:  python examples/policy_registry_demo.py
 """
 
-from repro.scheduling import PolicyConfig
+from repro.scheduling import PolicyConfig, StaticPriority
 from repro.scheduling.literature import estimate_runtime
 from repro.scheduling.registry import REGISTRY
 from repro.schedsim import ScheduleSimulator, WorkloadSpec, generate_workload
@@ -28,7 +28,9 @@ def register_sjf() -> None:
         return PolicyConfig(
             name="sjf",
             rescale_gap=rescale_gap,
-            priority_rule=lambda req: -estimate_runtime(req, req.min_replicas),
+            priority=StaticPriority(
+                lambda req: -estimate_runtime(req, req.min_replicas)
+            ),
             **overrides,
         )
 
@@ -55,7 +57,7 @@ def main() -> None:
     print(
         "\nEASY backfills around the reserved queue head; the power-capped "
         "scenario trades completion time for a hard watt ceiling; sjf "
-        "reorders the queue through the priority_rule hook alone."
+        "reorders the queue through the priority stage alone."
     )
 
 

@@ -3,7 +3,8 @@
 Public surface::
 
     from repro.scheduling import (
-        ElasticPolicyEngine, PolicyConfig, SchedulingPolicy, Aging,
+        ElasticPolicyEngine, PolicyConfig, SchedulingPolicy,
+        StaticPriority, Aging,
         SchedulerRegistry, REGISTRY, resolve, list_policies,
         JobRequest, SchedulerJob, JobState,
         Decision, StartJob, ShrinkJob, ExpandJob, EnqueueJob,
@@ -57,12 +58,14 @@ from .policy import (
     SchedulingPolicy,
     ShrinkJob,
     StartJob,
+    StaticPriority,
 )
 
 __all__ = [
     "ElasticPolicyEngine",
     "PolicyConfig",
     "SchedulingPolicy",
+    "StaticPriority",
     "Aging",
     "BackfillRule",
     "CapacityConstraint",

@@ -83,14 +83,18 @@ jobs and block size ``B``:
   inf``) every running block is skipped in O(1), so a completion costs
   the rule's test on each waiter that fits the budget, not a merge over
   the whole backlog;
-* aging (``PolicyConfig.aging``, §3.2.2) takes the same walk.  A
-  waiter's effective priority is a step function of its waiting time,
-  so a heap holds each waiter's next step, and a hand-out first re-keys
-  the waiters whose step has come (O(log n) each).  The queue is then
-  sorted by effective priority while running jobs keep their static
-  keys, so the walk's merge is the aged ``sorted(running + queue)``.
-  Aging rules out a backfill rule, and Figure 3 is then the only
-  reader of queue order;
+* the priority stage (``PolicyConfig.priority``) keys each job at
+  submission.  A static rule (the user priority, EWT, PRB) never
+  changes a key, and its step heap stays empty.  Under aging (§3.2.2)
+  a waiter's effective priority is a step function of its waiting
+  time, so the heap holds each waiter's next step, and every event
+  (submit, complete, capacity change) first re-keys the waiters whose
+  step has come (O(log n) each).  The queue is then sorted by
+  effective priority while running jobs keep their submission keys, so
+  the walk's merge is the aged ``sorted(running + queue)``, and EASY
+  reserves for the head of the aged order.  A re-key that puts a
+  waiter at the queue front calls the backfill rule's ``overtakes``,
+  which retires the reservation of the head it displaced;
 * the Figure-2 dry run short-circuits to *infeasible* when the blocks'
   total ``shrinkable`` sum cannot cover the requested slots — priority
   stops and gap ineligibility only ever reduce what the walk frees, so
@@ -121,7 +125,6 @@ by the live-job count instead of the workload length.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import itertools
 import math
@@ -132,6 +135,7 @@ from ..obs.metrics import active_registry
 from .job import JobRequest, JobState, SchedulerJob, priority_order_key
 from .joblist import IndexedJobList
 from .policy import (
+    USER_PRIORITY,
     Decision,
     EnqueueJob,
     ExpandJob,
@@ -141,6 +145,7 @@ from .policy import (
     ResumeJob,
     ShrinkJob,
     StartJob,
+    StaticPriority,
 )
 
 __all__ = ["ElasticPolicyEngine"]
@@ -178,11 +183,24 @@ class ElasticPolicyEngine:
         # and applied after the walk (the walk's block pointers must not
         # see structural mutations mid-flight).
         self._pending_starts: Optional[List[SchedulerJob]] = None
-        # The SchedulingPolicy hook stages (all None on the paper's four
-        # policies, keeping every hot path bytewise identical).  getattr
-        # keeps duck-typed configs without the new fields working.
+        # The SchedulingPolicy hook stages (the user priority and None on
+        # the paper's four policies, keeping every hot path bytewise
+        # identical).  getattr keeps duck-typed configs without the new
+        # fields working.
         config = self.config
-        self._priority_rule = getattr(config, "priority_rule", None)
+        self._priority = getattr(config, "priority", USER_PRIORITY)
+        #: A static rule's ``fn``, else None.  A static rule never re-keys
+        #: a job, so the submit path calls ``fn`` directly and a parked
+        #: job schedules no step.  Two calls into the rule per arrival
+        #: cost ~20% of perfbench's k8s_operator ``submit_p50_us`` (two
+        #: shared cores, CPython 3.11), where arrivals run cache-cold.
+        self._static_fn = (self._priority.fn if isinstance(
+            self._priority, StaticPriority) else None)
+        #: Min-heap of ``(due, tiebreak, job, key)``: when each waiter's
+        #: effective priority may next change, and the key it was pushed
+        #: under.  Empty under a static priority rule.
+        self._steps: List[tuple] = []
+        self._step_ties = itertools.count()
         self._backfill = getattr(config, "backfill", None)
         # Optional companion of BackfillRule.allows: told when a job
         # enters the queue ahead of every waiter, so a rule can retire
@@ -191,17 +209,10 @@ class ElasticPolicyEngine:
         factory = getattr(config, "capacity_constraint", None)
         #: One fresh constraint per engine: budgets are engine state.
         self._constraint = factory() if factory is not None else None
-        self._aging = getattr(config, "aging", None)
         self._preempt = getattr(config, "preempt", False)
         #: Names of queued jobs the preemption stage checkpointed to disk;
         #: empty unless ``preempt`` is set.
         self._preempted: set = set()
-        if self._aging is not None:
-            #: Min-heap of ``(due, tiebreak, job, key)``: when each waiter's
-            #: aged priority may next step, and the key it was pushed
-            #: under.  Only aging engines carry it.
-            self._aging_steps: List[tuple] = []
-            self._aging_ties = itertools.count()
         #: Span recorder a tracing substrate may attach
         #: (:class:`repro.obs.spans.PhaseSpans`); None = no span timing.
         self.spans = None
@@ -249,8 +260,8 @@ class ElasticPolicyEngine:
 
         Both lists stay sorted by :func:`priority_order_key` with unique
         keys, so merging them reproduces ``sorted(running + queue)``.
-        Under aging, waiters rank by their effective priority as of the
-        last Figure-3 hand-out.
+        Waiters rank by their effective priority as of the last event;
+        running jobs by their priority at submission.
         """
         return list(heapq.merge(self.running, self.queue, key=priority_order_key))
 
@@ -260,17 +271,16 @@ class ElasticPolicyEngine:
 
     def on_submit(self, request: JobRequest, now: float) -> List[Decision]:
         request = self.config.job_transform(request)
-        if self._priority_rule is not None:
-            # Queue-ordering stage: the rule rewrites the *effective*
-            # priority, so the engine's priority-keyed order and block
-            # aggregates stay exact.  Metrics weight by the submission's
-            # original priority (the simulator keeps its own request).
-            request = dataclasses.replace(
-                request, priority=self._priority_rule(request)
-            )
         if request.name in self._jobs:
             raise JobStateError(f"job {request.name!r} already submitted")
+        if self._steps:
+            self._rekey_due(now)
         job = SchedulerJob(request=request, submit_time=now)
+        static = self._static_fn
+        job.priority = priority = (
+            static(request) if static is not None
+            else self._priority.get_priority(now, job)
+        )
         self._jobs[request.name] = job
         req_min = request.min_replicas
         decisions: List[Decision] = []
@@ -301,12 +311,12 @@ class ElasticPolicyEngine:
                 unit_deficit = req_min * weight - headroom
                 unit_target = request.max_replicas * weight - headroom
             if not self._shrink_feasible(
-                request.priority, now, req_min - avail, unit_deficit
+                priority, now, req_min - avail, unit_deficit
             ):
                 return self._wait(job, now, decisions)
             # Real pass: shrink towards freeing up to maxReplicas' worth.
             self._shrink_pass(
-                request.priority, now, request.max_replicas - avail,
+                priority, now, request.max_replicas - avail,
                 unit_target, decisions, self.config.rescale_gap,
             )
             # A shrink_filter may veto part of the committed plan.
@@ -419,11 +429,11 @@ class ElasticPolicyEngine:
             if lo >= len(jobs):
                 continue  # only the protected job in here
             if now - block.newest_action >= gap:
-                if jobs[-1].request.priority > priority:
+                if jobs[-1].priority > priority:
                     # First candidate visited is eligible and outranks the
                     # arrival: the literal walk breaks here.
                     return False
-                if cons is None and jobs[lo].request.priority <= priority:
+                if cons is None and jobs[lo].priority <= priority:
                     # Every visitable member ranks at or below the arrival:
                     # credit the whole block (minus the protected job's
                     # share in block 0) without touching its members.
@@ -441,7 +451,7 @@ class ElasticPolicyEngine:
                 candidate = jobs[i]
                 if now - candidate.last_action < gap:
                     continue
-                if candidate.request.priority > priority:
+                if candidate.priority > priority:
                     return False
                 extra = candidate.replicas - candidate.request.min_replicas
                 if extra > 0:
@@ -493,10 +503,10 @@ class ElasticPolicyEngine:
             lo = 1 if b == 0 else 0
             if lo < len(jobs):
                 if now - block.newest_action >= gap and (
-                    jobs[-1].request.priority > priority
+                    jobs[-1].priority > priority
                 ):
                     return  # the literal walk breaks immediately
-                if block.shrinkable == 0 and jobs[lo].request.priority <= priority:
+                if block.shrinkable == 0 and jobs[lo].priority <= priority:
                     continue  # no victims and no stop condition in here
             for i in range(len(jobs) - 1, lo - 1, -1):
                 if slot_target <= 0 and unit_target <= 0:
@@ -504,7 +514,7 @@ class ElasticPolicyEngine:
                 candidate = jobs[i]
                 if now - candidate.last_action < gap:
                     continue
-                if candidate.request.priority > priority:
+                if candidate.priority > priority:
                     return
                 floor = candidate.request.min_replicas
                 old_replicas = candidate.replicas
@@ -567,8 +577,8 @@ class ElasticPolicyEngine:
         Queue→running moves are deferred until the walk ends (its block
         pointers must not see structural mutations), then applied.
         """
-        if self._aging is not None:
-            self._age_waiters(now)
+        if self._steps:
+            self._rekey_due(now)
         decisions: List[Decision] = []
         spans = self.spans
         if spans is not None:
@@ -585,30 +595,33 @@ class ElasticPolicyEngine:
                 spans.end("redistribute", decisions=len(decisions))
         return self._log(decisions)
 
-    def _age_waiters(self, now: float) -> None:
-        """Re-key every waiter whose aged priority stepped by ``now``.
+    def _rekey_due(self, now: float) -> None:
+        """Re-key every waiter whose effective priority changed by ``now``.
 
         Afterwards the queue is sorted by effective priority at ``now``
-        (see the module docstring).  Steps are pushed slightly early, and
-        the priority is recomputed from the waiting time, so a step that
-        has not yet arrived in float terms is pushed again just after
-        ``now``.
+        (see the module docstring).  Changes are pushed slightly early,
+        and the priority is recomputed at ``now``, so a step that has not
+        yet arrived in float terms is pushed again just after ``now``.  A
+        waiter re-keyed to the queue front overtakes the head there.
         """
-        steps, aging, queue = self._aging_steps, self._aging, self.queue
+        steps, rule, queue = self._steps, self._priority, self.queue
+        overtakes = self._backfill_overtakes
         while steps and steps[0][0] <= now:
             _, _, job, key = heapq.heappop(steps)
             if job.sort_key is not key:
                 continue  # left the queue, or re-keyed since the push
-            priority = aging.get_priority(now, job)
+            priority = rule.get_priority(now, job)
             if priority != -key[0]:
+                was_front = queue[0] is job
                 queue.remove(job)
                 key = job.sort_key = (-priority, job.submit_time, job.seq)
-                queue.add(job)
-            due = aging.next_change(now, job)
+                if queue.add(job) and not was_front and overtakes is not None:
+                    overtakes(self, job)
+            due = rule.next_change(now, job)
             if due <= now:
                 due = math.nextafter(now, math.inf)
             if due < math.inf:
-                heapq.heappush(steps, (due, next(self._aging_ties), job, key))
+                heapq.heappush(steps, (due, next(self._step_ties), job, key))
 
     def _redistribute(
         self, num_workers: int, now: float, decisions: List[Decision]
@@ -632,8 +645,8 @@ class ElasticPolicyEngine:
         each ``add`` (it can only lower it, so no skip is invalidated),
         ``passed`` records that a waiter was left behind, the condition
         under which the scan consults the backfill rule (see the module
-        docstring for why the two agree), and aging has re-keyed the
-        queue by effective priority before the walk starts.
+        docstring for why the two agree), and the priority stage has
+        re-keyed the queue by effective priority before the walk starts.
         """
         if self._obs is not None:
             self._obs_redistributes.inc()
@@ -823,6 +836,8 @@ class ElasticPolicyEngine:
         if slots <= 0:
             raise CapacityError(f"capacity shrink must be positive, got {slots}")
         slots = min(slots, self.total_slots)
+        if self._steps:
+            self._rekey_due(now)  # evictions re-enter the queue
         decisions: List[Decision] = []
         deficit = slots - self.free_slots
         if deficit > 0:
@@ -1011,19 +1026,22 @@ class ElasticPolicyEngine:
         job.state = JobState.QUEUED
         if self.queue.add(job) and self._backfill_overtakes is not None:
             self._backfill_overtakes(self, job)
-        if self._aging is not None:
-            # Due at once: the next hand-out keys it by its waiting time.
-            heapq.heappush(self._aging_steps, (
-                -math.inf, next(self._aging_ties), job, job.sort_key
-            ))
+        if self._static_fn is None:
+            # It enters under its submission key, so it is due at its
+            # first change since submission: at once for an evicted or
+            # preempted job whose priority has changed since.
+            due = self._priority.next_change(job.submit_time, job)
+            if due < math.inf:
+                heapq.heappush(self._steps,
+                               (due, next(self._step_ties), job, job.sort_key))
 
     def _unpark(self, job: SchedulerJob) -> None:
-        """Take ``job`` out of the queue, dropping any aged key."""
+        """Take ``job`` out of the queue, dropping any re-keyed one."""
         self.queue.remove(job)
-        if self._aging is not None:
-            # Running jobs do not age: the next add() rebuilds the static
-            # key as a fresh tuple, which also voids the job's old steps.
-            job.sort_key = ()
+        # Running jobs keep their submission priority: the next add()
+        # rebuilds that key as a fresh tuple, which also voids the job's
+        # pending steps.
+        job.sort_key = ()
 
     def _shrink(self, job: SchedulerJob, new_replicas: int, now: float) -> Optional[ShrinkJob]:
         if self.config.shrink_filter is not None and not self.config.shrink_filter(

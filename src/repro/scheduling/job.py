@@ -78,10 +78,15 @@ class SchedulerJob:
     request: JobRequest
     submit_time: float = 0.0
     seq: int = field(default_factory=_seq.__next__)
+    #: Effective priority at submission (the policy's priority stage);
+    #: defaults to the user's ``request.priority``.  Figure 2's victim
+    #: walk and preemption compare it.
+    priority: Optional[float] = None
     #: Cached :func:`priority_order_key` — every component is fixed at
-    #: construction (user priority, submission time, sequence), and the
-    #: sorted containers ask for the key often enough that rebuilding the
-    #: tuple showed up in trace-scale profiles.
+    #: submission (priority, submission time, sequence), and the sorted
+    #: containers ask for the key often enough that rebuilding the tuple
+    #: showed up in trace-scale profiles.  A time-varying priority stage
+    #: re-keys a waiter here; the engine drops that key when it starts.
     sort_key: tuple = field(init=False, repr=False, compare=False, default=())
     state: JobState = JobState.QUEUED
     replicas: int = 0
@@ -92,15 +97,15 @@ class SchedulerJob:
     completion_time: Optional[float] = None
     rescale_count: int = 0
 
+    def __post_init__(self):
+        if self.priority is None:
+            self.priority = self.request.priority
+
     # Short accessors mirroring the pseudocode's field names ----------------
 
     @property
     def name(self) -> str:
         return self.request.name
-
-    @property
-    def priority(self) -> int:
-        return self.request.priority
 
     @property
     def min_replicas(self) -> int:
@@ -124,14 +129,15 @@ class SchedulerJob:
 def priority_order_key(job: SchedulerJob):
     """Sort key for *decreasing* effective priority.
 
-    Higher user priority first; among equals, earlier submission first
-    (§3.2.1), with the submission sequence as the final deterministic
-    tie-break.  The tuple is immutable per job and cached on it.
+    Higher effective priority (:attr:`SchedulerJob.priority`) first;
+    among equals, earlier submission first (§3.2.1), with the submission
+    sequence as the final deterministic tie-break.  The tuple is cached
+    on the job.
     """
     return job.sort_key or _build_sort_key(job)
 
 
 def _build_sort_key(job: SchedulerJob) -> tuple:
-    key = (-job.request.priority, job.submit_time, job.seq)
+    key = (-job.priority, job.submit_time, job.seq)
     job.sort_key = key
     return key

@@ -71,6 +71,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Iterator, List, Optional
 
+from ..errors import SchedulingError
 from .job import SchedulerJob, priority_order_key
 
 __all__ = ["IndexedJobList", "BLOCK_LOAD"]
@@ -91,6 +92,11 @@ def _headroom(job: SchedulerJob) -> int:
     """The slots Figure 3 could still hand to ``job`` (never negative)."""
     extra = job.request.max_replicas - job.replicas
     return extra if extra > 0 else 0
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise SchedulingError(message)
 
 
 class _Block:
@@ -477,40 +483,47 @@ class IndexedJobList:
         return self._blocks
 
     def check_invariants(self) -> None:
-        """Validate ordering, length, and aggregate bounds (test hook)."""
+        """Validate ordering, length, and aggregate bounds.
+
+        Raises :class:`~repro.errors.SchedulingError` naming the first
+        broken invariant; unlike an ``assert`` it still checks under
+        ``python -O``.
+        """
         seen = 0
         prev_key = None
-        assert self.min_replicas_total == sum(
+        _require(self.min_replicas_total == sum(
             j.request.min_replicas for block in self._blocks for j in block.jobs
-        ), "min_replicas_total drifted"
-        assert self.shrinkable_total == sum(
+        ), "min_replicas_total drifted")
+        _require(self.shrinkable_total == sum(
             _surplus(j) for block in self._blocks for j in block.jobs
-        ), "shrinkable_total drifted"
+        ), "shrinkable_total drifted")
         for b, block in enumerate(self._blocks):
-            assert block.jobs, "empty block retained"
-            assert len(block.jobs) <= 2 * BLOCK_LOAD, "oversized block"
-            assert block.keys == [
+            _require(bool(block.jobs), "empty block retained")
+            _require(len(block.jobs) <= 2 * BLOCK_LOAD, "oversized block")
+            _require(block.keys == [
                 priority_order_key(j) for j in block.jobs
-            ], "keys mirror drifted"
+            ], "keys mirror drifted")
             exact_shrinkable = sum(_surplus(j) for j in block.jobs)
-            assert block.shrinkable == exact_shrinkable, "shrinkable drifted"
+            _require(block.shrinkable == exact_shrinkable, "shrinkable drifted")
             exact_expandable = sum(_headroom(j) for j in block.jobs)
-            assert block.expandable == exact_expandable, "expandable drifted"
-            assert block.newest_action >= max(
+            _require(block.expandable == exact_expandable, "expandable drifted")
+            _require(block.newest_action >= max(
                 j.last_action for j in block.jobs
-            ), "newest_action is not an upper bound"
-            assert block.oldest_action <= min(
+            ), "newest_action is not an upper bound")
+            _require(block.oldest_action <= min(
                 j.last_action for j in block.jobs
-            ), "oldest_action is not a lower bound"
+            ), "oldest_action is not a lower bound")
             exact_min = min(j.request.min_replicas for j in block.jobs)
-            assert block.min_needed == exact_min, "min_needed drifted"
-            assert block._min_count == sum(
+            _require(block.min_needed == exact_min, "min_needed drifted")
+            _require(block._min_count == sum(
                 1 for j in block.jobs if j.request.min_replicas == exact_min
-            ), "min_needed holder count drifted"
-            assert self._maxkeys[b] == priority_order_key(block.jobs[-1])
+            ), "min_needed holder count drifted")
+            _require(self._maxkeys[b] == priority_order_key(block.jobs[-1]),
+                     "block max key drifted")
             for job in block.jobs:
                 key = priority_order_key(job)
-                assert prev_key is None or prev_key < key, "sort order violated"
+                _require(prev_key is None or prev_key < key,
+                         "sort order violated")
                 prev_key = key
                 seen += 1
-        assert seen == self._len, "length counter drifted"
+        _require(seen == self._len, "length counter drifted")

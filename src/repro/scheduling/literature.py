@@ -7,7 +7,7 @@ ships the first residents, built entirely on the
 
 * **ewt** — estimated-waiting-time priority rule: jobs with less
   estimated work outrank longer ones at equal user priority
-  (queue-ordering stage; the SJF-flavoured EWT heuristic of the
+  (a static priority stage; the SJF-flavoured EWT heuristic of the
   accasim schedulers-from-literature collection).
 * **prb** — priority-rule-based ordering (Borghesi et al.): a weighted
   blend of user priority, estimated runtime, and requested size.
@@ -31,8 +31,8 @@ import math
 from typing import Dict, List, Tuple
 
 from .job import JobRequest, JobState, SchedulerJob, priority_order_key
-from .policies import DEFAULT_RESCALE_GAP
-from .policy import PolicyConfig
+from .policies import elastic_variant
+from .policy import PolicyConfig, StaticPriority
 from .registry import REGISTRY
 
 __all__ = [
@@ -90,7 +90,7 @@ def estimate_runtime(request: JobRequest, replicas: int) -> float:
 
 
 def ewt_priority(request: JobRequest) -> float:
-    """Queue-ordering stage: less estimated work ⇒ higher rank.
+    """Priority rule: less estimated work ⇒ higher rank.
 
     At its minimum size a job's estimated runtime is the longest it can
     take; negating it makes short jobs outrank long ones while the
@@ -350,40 +350,16 @@ class EasyBackfill:
 # -- registrations -----------------------------------------------------
 
 
-@REGISTRY.register(
-    "ewt", tags=("literature", "priority-rule"),
+REGISTRY.register(
+    "ewt", elastic_variant("ewt", priority=StaticPriority(ewt_priority)),
+    tags=("literature", "priority-rule"),
     description="estimated-waiting-time ordering: least estimated work first",
 )
-def _ewt(
-    rescale_gap: float = DEFAULT_RESCALE_GAP,
-    launcher_slots: int = 0,
-    shrink_filter=None,
-) -> PolicyConfig:
-    return PolicyConfig(
-        name="ewt",
-        rescale_gap=rescale_gap,
-        launcher_slots=launcher_slots,
-        shrink_filter=shrink_filter,
-        priority_rule=ewt_priority,
-    )
-
-
-@REGISTRY.register(
-    "prb", tags=("literature", "priority-rule"),
+REGISTRY.register(
+    "prb", elastic_variant("prb", priority=StaticPriority(prb_priority)),
+    tags=("literature", "priority-rule"),
     description="priority-rule-based blend of priority, runtime, and width",
 )
-def _prb(
-    rescale_gap: float = DEFAULT_RESCALE_GAP,
-    launcher_slots: int = 0,
-    shrink_filter=None,
-) -> PolicyConfig:
-    return PolicyConfig(
-        name="prb",
-        rescale_gap=rescale_gap,
-        launcher_slots=launcher_slots,
-        shrink_filter=shrink_filter,
-        priority_rule=prb_priority,
-    )
 
 
 @REGISTRY.register(

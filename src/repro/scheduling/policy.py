@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Optional, Protocol, runtime_checkable
 
 from .job import JobRequest, SchedulerJob
@@ -27,6 +28,8 @@ __all__ = [
     "SchedulingPolicy",
     "BackfillRule",
     "CapacityConstraint",
+    "PriorityRule",
+    "StaticPriority",
     "Aging",
 ]
 
@@ -159,24 +162,80 @@ class CapacityConstraint(Protocol):
         ...
 
 
+@runtime_checkable
+class PriorityRule(Protocol):
+    """Priority stage: a job's effective priority over time.
+
+    The shape of vLLM's ``Policy.get_priority(now, seq_group)``: bigger
+    schedules sooner.  The engine keys a job by :meth:`get_priority` at
+    submission and re-keys a waiter whenever :meth:`next_change` comes
+    due, so its indexed queue stays sorted by effective priority at
+    every event.  Running jobs keep their submission key.  A waiter's
+    priority must never fall: EASY's head reservation is retired only
+    when another waiter rises past the head.
+    """
+
+    def get_priority(self, now: float, job: SchedulerJob) -> float:
+        """``job``'s effective priority at ``now``."""
+        ...
+
+    def next_change(self, now: float, job: SchedulerJob) -> float:
+        """A time no later than :meth:`get_priority`'s next change after
+        ``now`` (``inf`` if it never changes again)."""
+        ...
+
+
+@dataclass(frozen=True)
+class StaticPriority:
+    """A priority fixed at submission: ``fn(request)``.
+
+    The default ``fn`` is the user-supplied ``request.priority``; the
+    EWT and PRB rules of :mod:`repro.scheduling.literature` are static
+    too.  The engine never re-keys a job under a static rule.
+    """
+
+    fn: Callable[[JobRequest], float] = attrgetter("priority")
+
+    def get_priority(self, now: float, job: SchedulerJob) -> float:
+        return self.fn(job.request)
+
+    def next_change(self, now: float, job: SchedulerJob) -> float:
+        return math.inf
+
+
+#: The default priority stage: the user's own priority.
+USER_PRIORITY = StaticPriority()
+
+
 @dataclass(frozen=True)
 class Aging:
     """Aging priorities (§3.2.2): waiting raises a queued job's priority.
 
-    A waiter gains one level per ``interval`` seconds since its
-    submission, up to ``max_priority``; a priority already at or above
-    the cap stays as it is, so aging never lowers one.  The effective
-    priority is :meth:`get_priority` (the ``get_priority(now, job)``
-    shape of vLLM's scheduling policy), a step function of the waiting
-    time, and :meth:`next_change` says when it can next step — so the
-    engine re-keys a waiter only when it crosses a step, and its indexed
-    queue stays sorted by effective priority.  Running jobs do not age.
+    Wraps a static ``base`` rule (the user priority by default).  A
+    waiter gains one unit of the base rule per ``interval`` seconds
+    since its submission, up to ``max_priority``, which is in the base
+    rule's units too; a base priority already at or above the cap stays
+    as it is, so aging never lowers one.  :meth:`get_priority` is a step
+    function of the waiting time, and :meth:`next_change` says when it
+    can next step.
+
+    Over EWT (``Aging(StaticPriority(ewt_priority), interval=1.0,
+    max_priority=0)``) a waiter's priority is its wait minus its
+    estimated runtime, in seconds, until it reaches the cap of 0.  Below
+    the cap, a job submitted ``d`` seconds before another outranks it
+    iff ``d`` is at least the difference of their estimates (to within
+    one step).
     """
 
+    base: StaticPriority = USER_PRIORITY
     interval: float = 600.0
     max_priority: int = 10
 
     def __post_init__(self):
+        if not isinstance(self.base, StaticPriority):
+            raise ValueError(
+                f"aging base must be a StaticPriority, got {self.base!r}"
+            )
         interval = self.interval
         if isinstance(interval, bool) or not (
             isinstance(interval, (int, float)) and 0 < interval < math.inf
@@ -195,18 +254,15 @@ class Aging:
     def _boost(self, now: float, job: SchedulerJob) -> int:
         return int(max(0.0, now - job.submit_time) // self.interval)
 
-    def get_priority(self, now: float, job: SchedulerJob):
-        """``job``'s effective priority if it has waited since submission."""
-        priority = job.request.priority
+    def get_priority(self, now: float, job: SchedulerJob) -> float:
+        priority = self.base.get_priority(now, job)
         if priority >= self.max_priority:
             return priority
         return min(self.max_priority, priority + self._boost(now, job))
 
     def next_change(self, now: float, job: SchedulerJob) -> float:
-        """A time no later than :meth:`get_priority`'s next step after
-        ``now`` (``inf`` if it has reached its final value)."""
         boost = self._boost(now, job)
-        if job.request.priority + boost >= self.max_priority:
+        if self.base.get_priority(now, job) + boost >= self.max_priority:
             return math.inf
         step = job.submit_time + (boost + 1) * self.interval
         return step - _STEP_SLACK * max(1.0, abs(step))
@@ -220,19 +276,17 @@ class SchedulingPolicy(Protocol):
     :class:`PolicyConfig` is the canonical implementation; anything with
     these attributes (e.g. a third-party config registered through
     :mod:`repro.scheduling.registry`) drives the engine equally.  The
-    five hook stages generalize the paper's fixed algorithm:
+    four hook stages generalize the paper's fixed algorithm:
 
-    ``priority_rule``
-        queue-ordering stage — rewrites a submission's effective priority
-        (EWT/PRB priority rules).
+    ``priority``
+        priority stage (:class:`PriorityRule`) — queue order: the user
+        priority, a static rule such as EWT or PRB
+        (:class:`StaticPriority`), or :class:`Aging` over one (§3.2.2).
     ``backfill``
         backfill-eligibility stage — gates out-of-order starts (EASY).
     ``capacity_constraint``
         capacity-constraint stage — factory for a per-engine budget
         tighter than the slot count (power capping).
-    ``aging``
-        aging stage (:class:`Aging`) — raises waiting jobs' priority
-        over time (§3.2.2).
     ``preempt``
         preemption stage — a last resort after Figure 2 enqueues an
         arrival: checkpoint lower-priority running jobs to disk (§3.2.2).
@@ -244,10 +298,9 @@ class SchedulingPolicy(Protocol):
     job_transform: Callable[[JobRequest], JobRequest]
     shrink_filter: Optional[Callable[[SchedulerJob, int], bool]]
     literal_completion_budget: bool
-    priority_rule: Optional[Callable[[JobRequest], float]]
+    priority: PriorityRule
     backfill: Optional[BackfillRule]
     capacity_constraint: Optional[Callable[[], CapacityConstraint]]
-    aging: Optional[Aging]
     preempt: bool
 
 
@@ -282,13 +335,16 @@ class PolicyConfig:
         (``False``) uses the accumulated free slots as the budget —
         deadlock-free and faithful to the stated intent ("the freed CPUs
         are reassigned ... to start new jobs").  Set ``True`` to study the
-        literal pseudocode (see the ablation bench).
-    priority_rule:
-        Queue-ordering stage: maps a submission to its *effective*
-        priority (any real number; bigger schedules sooner).  Applied
-        after ``job_transform``; ``None`` keeps the user-supplied
-        priority.  Expressed as a priority rewrite rather than a
-        comparator so the engine's priority-keyed indexes stay valid.
+        literal pseudocode (see the ablation bench).  Must be a bool.
+    priority:
+        Priority stage (:class:`PriorityRule`): a job's *effective*
+        priority (any real number; bigger schedules sooner), computed
+        from the submission after ``job_transform``.  The default keeps
+        the user-supplied priority; :class:`StaticPriority` wraps any
+        other fixed rule (EWT, PRB), and :class:`Aging` raises a
+        waiter's priority over time, so Figure 3 hands freed slots to
+        long-starved work first.  The submission itself is never
+        rewritten: metrics weight by the user's priority.
     backfill:
         Backfill-eligibility stage (:class:`BackfillRule`): gates any
         start that would jump ahead of older queued work.  ``None``
@@ -298,11 +354,6 @@ class PolicyConfig:
         Capacity-constraint stage: a zero-argument factory producing one
         fresh :class:`CapacityConstraint` per engine (engines must not
         share budget state).  ``None`` means slots are the only budget.
-    aging:
-        Aging stage (:class:`Aging`): queued jobs gain priority while
-        they wait, so Figure 3 hands freed slots to long-starved work
-        first.  ``None`` keeps priorities fixed.  It cannot be combined
-        with a backfill rule, which reserves in static queue order.
     preempt:
         Preemption stage (§3.2.2): when Figure 2 leaves a strictly
         higher-priority arrival waiting, checkpoint running jobs of
@@ -321,10 +372,9 @@ class PolicyConfig:
     )
     shrink_filter: Optional[Callable[[SchedulerJob, int], bool]] = None
     literal_completion_budget: bool = False
-    priority_rule: Optional[Callable[[JobRequest], float]] = None
+    priority: PriorityRule = USER_PRIORITY
     backfill: Optional[BackfillRule] = None
     capacity_constraint: Optional[Callable[[], CapacityConstraint]] = None
-    aging: Optional[Aging] = None
     preempt: bool = False
 
     def __post_init__(self):
@@ -365,8 +415,12 @@ class PolicyConfig:
             fail("job_transform must be callable")
         if self.shrink_filter is not None and not callable(self.shrink_filter):
             fail("shrink_filter must be callable or None")
-        if self.priority_rule is not None and not callable(self.priority_rule):
-            fail("priority_rule must be callable or None")
+        for flag in ("literal_completion_budget", "preempt"):
+            value = getattr(self, flag)
+            if not isinstance(value, bool):
+                fail(f"{flag} must be a bool, got {value!r}")
+        if not isinstance(self.priority, PriorityRule):
+            fail(f"priority must be a PriorityRule, got {self.priority!r}")
         if self.backfill is not None and not callable(
             getattr(self.backfill, "allows", None)
         ):
@@ -375,13 +429,6 @@ class PolicyConfig:
             self.capacity_constraint
         ):
             fail("capacity_constraint must be a zero-argument factory or None")
-        if self.aging is not None:
-            if not isinstance(self.aging, Aging):
-                fail(f"aging must be an Aging or None, got {self.aging!r}")
-            if self.backfill is not None:
-                fail("aging cannot be combined with a backfill rule")
-        if not isinstance(self.preempt, bool):
-            fail(f"preempt must be a bool, got {self.preempt!r}")
         if self.preempt and self.capacity_constraint is not None:
             fail("preemption cannot be combined with a capacity constraint")
 

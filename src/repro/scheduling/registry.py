@@ -10,7 +10,7 @@ benches) resolves them through one surface::
 
     @REGISTRY.register("sjf", description="shortest job first")
     def _sjf(rescale_gap=180.0, **overrides):
-        return PolicyConfig(name="sjf", priority_rule=..., ...)
+        return PolicyConfig(name="sjf", priority=StaticPriority(...), ...)
 
     config = REGISTRY.resolve("sjf", rescale_gap=60.0)
 

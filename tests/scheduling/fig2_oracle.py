@@ -10,7 +10,6 @@ signature.  ``test_fig2_oracle.py`` diffs the shipped engine against
 these engines.  Not a test module: no test here is collected.
 """
 
-import dataclasses
 import math
 from typing import List, Tuple
 
@@ -27,17 +26,11 @@ class Fig2OracleEngine(ElasticPolicyEngine):
 
     def on_submit(self, request: JobRequest, now: float) -> List[Decision]:
         request = self.config.job_transform(request)
-        if self._priority_rule is not None:
-            # Queue-ordering stage: the rule rewrites the *effective*
-            # priority, so the engine's priority-keyed order and block
-            # aggregates stay exact.  Metrics weight by the submission's
-            # original priority (the simulator keeps its own request).
-            request = dataclasses.replace(
-                request, priority=self._priority_rule(request)
-            )
         if request.name in self._jobs:
             raise JobStateError(f"job {request.name!r} already submitted")
         job = SchedulerJob(request=request, submit_time=now)
+        # The priority stage keys the job, as in the shipped engine.
+        job.priority = self._priority.get_priority(now, job)
         self._jobs[request.name] = job
         if self._constraint is not None:
             return self._submit_constrained(job, now)

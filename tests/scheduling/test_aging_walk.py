@@ -56,7 +56,9 @@ def block_load(request, monkeypatch):
 
 
 def aged(config, interval):
-    return dataclasses.replace(config, aging=Aging(interval=interval))
+    return dataclasses.replace(
+        config, priority=Aging(config.priority, interval=interval)
+    )
 
 
 def engines(config, interval, preemptive=False):

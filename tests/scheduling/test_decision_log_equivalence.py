@@ -176,7 +176,7 @@ def test_preemptive_engine_matches_reference(seed):
 def aging_engine(total_slots, config):
     """The engine with the aging stage at a 300 s interval."""
     return ElasticPolicyEngine(
-        total_slots, dataclasses.replace(config, aging=Aging(interval=300.0))
+        total_slots, dataclasses.replace(config, priority=Aging(interval=300.0))
     )
 
 

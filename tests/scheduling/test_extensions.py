@@ -11,8 +11,11 @@ from repro.scheduling import (
     JobState,
     PolicyConfig,
     ResumeJob,
+    SchedulerJob,
     StartJob,
+    StaticPriority,
 )
+from repro.scheduling.literature import ewt_priority
 from repro.scheduling.power import PowerBudget
 from repro.scheduling.registry import REGISTRY
 from tests.scheduling.conftest import req
@@ -21,7 +24,7 @@ from tests.scheduling.conftest import req
 def aging_engine(slots=64, interval=100.0, max_priority=10):
     return ElasticPolicyEngine(slots, PolicyConfig(
         rescale_gap=0.0,
-        aging=Aging(interval=interval, max_priority=max_priority),
+        priority=Aging(interval=interval, max_priority=max_priority),
     ))
 
 
@@ -31,7 +34,7 @@ class TestAging:
         policy.on_submit(req("blocker", 32, 64, priority=5), 0.0)  # 64 slots
         policy.on_submit(req("starving", 32, 32, priority=1), 10.0)
         job = policy.job("starving")
-        aging = policy.config.aging
+        aging = policy.config.priority
         assert aging.get_priority(10.0, job) == 1
         assert aging.get_priority(210.0, job) == 3
         assert aging.get_priority(5000.0, job) == 10  # capped
@@ -109,24 +112,68 @@ class TestAging:
         with pytest.raises(ValueError, match="max_priority"):
             Aging(max_priority=max_priority)
 
-    def test_aging_with_backfill_rejected(self):
-        # EASY reserves in static key order; an aged queue is not in it.
-        with pytest.raises(ValueError, match="'easy-backfill'.*backfill"):
-            dataclasses.replace(REGISTRY.resolve("easy-backfill"),
-                                aging=Aging())
+    def test_aging_with_backfill_accepted(self):
+        # EASY reserves for the head of the aged order.
+        config = dataclasses.replace(REGISTRY.resolve("easy-backfill"),
+                                     priority=Aging())
+        assert config.priority == Aging() and config.backfill is not None
 
-    def test_aging_must_be_an_aging_stage(self):
-        with pytest.raises(ValueError, match="'elastic'.*aging"):
-            PolicyConfig(aging=600.0)
+    @pytest.mark.parametrize("priority", [600.0, None, lambda r: -r.priority])
+    def test_priority_must_be_a_priority_rule(self, priority):
+        with pytest.raises(ValueError, match="'elastic'.*priority"):
+            PolicyConfig(priority=priority)
+
+    @pytest.mark.parametrize("base", [Aging(), lambda r: r.priority, None])
+    def test_aging_base_must_be_static(self, base):
+        with pytest.raises(ValueError, match="base"):
+            Aging(base)
 
     def test_registered_as_an_extension(self):
         config = REGISTRY.resolve("aging", aging_interval=120.0,
                                   max_priority=7, rescale_gap=30.0)
-        assert config.aging == Aging(interval=120.0, max_priority=7)
+        assert config.priority == Aging(interval=120.0, max_priority=7)
         assert config.rescale_gap == 30.0
-        assert REGISTRY.resolve("aging").aging == Aging()
+        assert REGISTRY.resolve("aging").priority == Aging()
         assert not REGISTRY.describe("aging").paper
         assert "aging" not in REGISTRY.paper_policies()
+
+
+class TestAgingOverEwt:
+    """``Aging(StaticPriority(ewt_priority), interval=1.0, max_priority=0)``:
+    a waiter's priority is its wait minus its estimated runtime, so a
+    long job outranks a later-submitted short one iff it was submitted
+    at least the difference of their estimates earlier."""
+
+    @staticmethod
+    def first_started(delay, aging=True):
+        ewt = StaticPriority(ewt_priority)
+        priority = Aging(ewt, interval=1.0, max_priority=0) if aging else ewt
+        policy = ElasticPolicyEngine(8, PolicyConfig(rescale_gap=0.0,
+                                                     priority=priority))
+        policy.on_submit(req("blocker", 8, 8, est_runtime=10.0), 0.0)
+        policy.on_submit(req("long", 8, 8, est_runtime=1000.0), 0.0)
+        policy.on_submit(req("short", 8, 8, est_runtime=100.0), delay)
+        # 50 s after the short job's submission neither has reached the cap.
+        return policy.on_complete("blocker", delay + 50.0)[0].job.name
+
+    @pytest.mark.parametrize("delay, first", [
+        (850.0, "short"), (899.0, "short"), (900.0, "long"),
+        (901.0, "long"), (950.0, "long"),
+    ])
+    def test_long_job_overtakes_after_the_estimate_gap(self, delay, first):
+        assert self.first_started(delay) == first
+
+    def test_without_aging_the_short_job_always_wins(self):
+        assert self.first_started(950.0, aging=False) == "short"
+
+    def test_steps_are_in_seconds_of_estimate(self):
+        job = SchedulerJob(req("long", 8, 8, est_runtime=1000.0),
+                           submit_time=0.0)
+        aging = Aging(StaticPriority(ewt_priority), interval=1.0,
+                      max_priority=0)
+        assert aging.get_priority(0.0, job) == -1000.0
+        assert aging.get_priority(250.5, job) == -750.0
+        assert aging.get_priority(5000.0, job) == 0  # the cap
 
 
 class TestPreemption:

@@ -7,10 +7,16 @@ upper-bound ``newest_action``) under randomized churn including in-place
 rescales, which is exactly the traffic the engine throws at it.
 """
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
+from repro.errors import SchedulingError
 from repro.scheduling import JobRequest, SchedulerJob, priority_order_key
 from repro.scheduling.joblist import BLOCK_LOAD, IndexedJobList
 
@@ -199,6 +205,36 @@ class TestAggregates:
         assert indexed.min_replicas_total == sum(
             j.request.min_replicas for j in jobs[17:]
         )
+
+    @pytest.mark.parametrize("field, message", [
+        ("shrinkable", "shrinkable drifted"),
+        ("expandable", "expandable drifted"),
+        ("min_needed", "min_needed drifted"),
+    ])
+    def test_corrupted_aggregate_raises(self, field, message):
+        indexed = IndexedJobList(make_jobs(3 * BLOCK_LOAD, seed=5))
+        indexed.check_invariants()
+        block = indexed.blocks[1]
+        setattr(block, field, getattr(block, field) + 1)
+        with pytest.raises(SchedulingError, match=message):
+            indexed.check_invariants()
+
+    def test_invariant_check_survives_optimized_mode(self):
+        """Not an ``assert``: ``python -O`` still catches the drift."""
+        script = (
+            "from repro.scheduling import JobRequest, SchedulerJob\n"
+            "from repro.scheduling.joblist import IndexedJobList\n"
+            "jobs = IndexedJobList([SchedulerJob(JobRequest('a', 1, 4))])\n"
+            "jobs.blocks[0].expandable += 1\n"
+            "jobs.check_invariants()\n"
+        )
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-O", "-c", script],
+                                capture_output=True, text=True, env=env,
+                                timeout=60)
+        assert result.returncode != 0
+        assert "SchedulingError: expandable drifted" in result.stderr
 
     def test_min_needed_exact_with_duplicate_holders(self):
         """Removing one of several min-holders must not rescan wrongly."""

@@ -7,13 +7,14 @@ sizing (exact runtime estimates) a backfilled start never delays the
 reserved queue head past its recorded reservation.
 """
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.scheduling import ElasticPolicyEngine, JobRequest
+from repro.scheduling import ElasticPolicyEngine, JobRequest, StaticPriority
 from repro.scheduling.literature import (
     DEFAULT_RUNTIME_ESTIMATE,
     EasyBackfill,
@@ -89,12 +90,34 @@ class TestPriorityRules:
         # Despite submitting later, the short job outranks the long one.
         assert [j.name for j in engine.queue] == ["short", "long"]
 
-    def test_priority_rule_applies_before_rigid_transform(self):
+    def test_figure_2_compares_effective_priorities(self):
+        """Under ewt the shrink walk ranks by estimated work, whatever
+        the user priorities say."""
+        engine = ElasticPolicyEngine(8, REGISTRY.resolve("ewt",
+                                                         rescale_gap=0.0))
+        engine.on_submit(est_req("top", 2, 2, 10.0), 0.0)
+        engine.on_submit(est_req("victim", 2, 6, 100.0, priority=1), 0.0)
+        # A long arrival ranks below the victim: it may not shrink it.
+        decisions = engine.on_submit(
+            est_req("long", 4, 4, 1000.0, priority=5), 1.0
+        )
+        assert [type(d).__name__ for d in decisions] == ["EnqueueJob"]
+        # A short one outranks it, even at a lower user priority.
+        decisions = engine.on_submit(
+            est_req("short", 4, 4, 50.0, priority=1), 2.0
+        )
+        assert [(type(d).__name__, d.job.name) for d in decisions] == [
+            ("ShrinkJob", "victim"), ("StartJob", "short"),
+        ]
+
+    def test_priority_stage_keys_the_job_not_the_request(self):
         config = REGISTRY.resolve("ewt")
         engine = ElasticPolicyEngine(8, config)
-        decisions = engine.on_submit(est_req("a", 2, 8, 50.0), 0.0)
-        job = decisions[0].job
-        assert job.request.priority == ewt_priority(est_req("a", 2, 8, 50.0))
+        request = est_req("a", 2, 8, 50.0, priority=3)
+        job = engine.on_submit(request, 0.0)[0].job
+        assert job.priority == ewt_priority(request)
+        # The submission is never rewritten: it keeps the user priority.
+        assert job.request is request and job.request.priority == 3
 
 
 class TestEasyBackfillUnit:
@@ -240,3 +263,41 @@ def test_all_literature_policies_run_end_to_end():
         assert result.metrics.policy == name
         assert result.metrics.job_count == 12
         assert 0.0 < result.metrics.utilization <= 1.0
+
+
+def test_ewt_outcomes_weight_by_the_submitted_priority():
+    """The engine ranks by EWT, but the §4.3 metrics weight each job by
+    the user priority it was submitted with (1–5), never by -estimate."""
+    submissions = generate_workload(WorkloadSpec(num_jobs=12, seed=3))
+    result = ScheduleSimulator(REGISTRY.resolve("ewt")).run(submissions)
+    submitted = {s.request.name: s.request.priority for s in submissions}
+    assert set(submitted.values()) <= set(range(1, 6))
+    assert {o.name: o.priority for o in result.outcomes} == submitted
+    weights = sum(submitted.values())
+    assert result.metrics.weighted_mean_response == pytest.approx(
+        sum(o.priority * o.response_time for o in result.outcomes) / weights
+    )
+
+
+def test_any_priority_rule_orders_like_its_static_twin():
+    """A rule the engine only knows through get_priority/next_change
+    schedules exactly like the StaticPriority it mirrors."""
+
+    class Ewt:
+        def get_priority(self, now, job):
+            return ewt_priority(job.request)
+
+        def next_change(self, now, job):
+            return math.inf
+
+    submissions = generate_workload(WorkloadSpec(num_jobs=24, seed=5,
+                                                 submission_gap=30.0))
+    results = [
+        ScheduleSimulator(dataclasses.replace(REGISTRY.resolve("ewt"),
+                                              priority=rule)).run(submissions)
+        for rule in (StaticPriority(ewt_priority), Ewt())
+    ]
+    assert [o.start_time for o in results[0].outcomes] == [
+        o.start_time for o in results[1].outcomes
+    ]
+    assert results[0].metrics == results[1].metrics

@@ -51,6 +51,14 @@ class TestPolicyConfigValidation:
         with pytest.raises(ValueError, match="shrink_filter"):
             PolicyConfig(shrink_filter=42)
 
+    @pytest.mark.parametrize("value", ["no", 1, 0, None])
+    def test_rejects_non_bool_literal_completion_budget(self, value):
+        with pytest.raises(
+            ValueError,
+            match=f"'elastic'.*literal_completion_budget.*{value!r}",
+        ):
+            PolicyConfig(literal_completion_budget=value)
+
     def test_none_shrink_filter_is_fine(self):
         PolicyConfig(shrink_filter=None)
 
