@@ -130,12 +130,11 @@ import itertools
 import math
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import CapacityError, JobStateError
+from ..errors import CapacityError, JobStateError, SchedulingError
 from ..obs.metrics import active_registry
 from .job import JobRequest, JobState, SchedulerJob, priority_order_key
 from .joblist import IndexedJobList
 from .policy import (
-    USER_PRIORITY,
     Decision,
     EnqueueJob,
     ExpandJob,
@@ -186,16 +185,14 @@ class ElasticPolicyEngine:
         # The SchedulingPolicy hook stages (the user priority and None on
         # the paper's four policies, keeping every hot path bytewise
         # identical).  getattr keeps duck-typed configs without the new
-        # fields working.
+        # fields working, but a config still naming a removed ordering
+        # stage would lose its order silently, so it is refused.
         config = self.config
-        self._priority = getattr(config, "priority", USER_PRIORITY)
-        #: A static rule's ``fn``, else None.  A static rule never re-keys
-        #: a job, so the submit path calls ``fn`` directly and a parked
-        #: job schedules no step.  Two calls into the rule per arrival
-        #: cost ~20% of perfbench's k8s_operator ``submit_p50_us`` (two
-        #: shared cores, CPython 3.11), where arrivals run cache-cold.
-        self._static_fn = (self._priority.fn if isinstance(
-            self._priority, StaticPriority) else None)
+        for removed in ("priority_rule", "aging"):
+            if hasattr(config, removed):
+                raise SchedulingError(f"policy {config.name!r}: {removed!r} "
+                                      "was replaced by the priority stage")
+        self._priority = getattr(config, "priority", StaticPriority())
         #: Min-heap of ``(due, tiebreak, job, key)``: when each waiter's
         #: effective priority may next change, and the key it was pushed
         #: under.  Empty under a static priority rule.
@@ -276,11 +273,7 @@ class ElasticPolicyEngine:
         if self._steps:
             self._rekey_due(now)
         job = SchedulerJob(request=request, submit_time=now)
-        static = self._static_fn
-        job.priority = priority = (
-            static(request) if static is not None
-            else self._priority.get_priority(now, job)
-        )
+        job.priority = priority = self._priority.get_priority(now, job)
         self._jobs[request.name] = job
         req_min = request.min_replicas
         decisions: List[Decision] = []
@@ -1026,14 +1019,13 @@ class ElasticPolicyEngine:
         job.state = JobState.QUEUED
         if self.queue.add(job) and self._backfill_overtakes is not None:
             self._backfill_overtakes(self, job)
-        if self._static_fn is None:
-            # It enters under its submission key, so it is due at its
-            # first change since submission: at once for an evicted or
-            # preempted job whose priority has changed since.
-            due = self._priority.next_change(job.submit_time, job)
-            if due < math.inf:
-                heapq.heappush(self._steps,
-                               (due, next(self._step_ties), job, job.sort_key))
+        # It enters under its submission key, so it is due at its first
+        # change since submission: at once for an evicted or preempted
+        # job whose priority has changed since.
+        due = self._priority.next_change(job.submit_time, job)
+        if due < math.inf:
+            heapq.heappush(self._steps,
+                           (due, next(self._step_ties), job, job.sort_key))
 
     def _unpark(self, job: SchedulerJob) -> None:
         """Take ``job`` out of the queue, dropping any re-keyed one."""

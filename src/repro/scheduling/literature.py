@@ -31,7 +31,7 @@ import math
 from typing import Dict, List, Tuple
 
 from .job import JobRequest, JobState, SchedulerJob, priority_order_key
-from .policies import elastic_variant
+from .policies import DEFAULT_RESCALE_GAP
 from .policy import PolicyConfig, StaticPriority
 from .registry import REGISTRY
 
@@ -350,16 +350,40 @@ class EasyBackfill:
 # -- registrations -----------------------------------------------------
 
 
-REGISTRY.register(
-    "ewt", elastic_variant("ewt", priority=StaticPriority(ewt_priority)),
-    tags=("literature", "priority-rule"),
+@REGISTRY.register(
+    "ewt", tags=("literature", "priority-rule"),
     description="estimated-waiting-time ordering: least estimated work first",
 )
-REGISTRY.register(
-    "prb", elastic_variant("prb", priority=StaticPriority(prb_priority)),
-    tags=("literature", "priority-rule"),
+def _ewt(
+    rescale_gap: float = DEFAULT_RESCALE_GAP,
+    launcher_slots: int = 0,
+    shrink_filter=None,
+) -> PolicyConfig:
+    return PolicyConfig(
+        name="ewt",
+        rescale_gap=rescale_gap,
+        launcher_slots=launcher_slots,
+        shrink_filter=shrink_filter,
+        priority=StaticPriority(ewt_priority),
+    )
+
+
+@REGISTRY.register(
+    "prb", tags=("literature", "priority-rule"),
     description="priority-rule-based blend of priority, runtime, and width",
 )
+def _prb(
+    rescale_gap: float = DEFAULT_RESCALE_GAP,
+    launcher_slots: int = 0,
+    shrink_filter=None,
+) -> PolicyConfig:
+    return PolicyConfig(
+        name="prb",
+        rescale_gap=rescale_gap,
+        launcher_slots=launcher_slots,
+        shrink_filter=shrink_filter,
+        priority=StaticPriority(prb_priority),
+    )
 
 
 @REGISTRY.register(

@@ -24,6 +24,7 @@ Callers resolve through the registry::
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from .job import JobRequest
@@ -44,51 +45,74 @@ def _pin_max(request: JobRequest) -> JobRequest:
     return request.with_rigid_replicas(request.max_replicas)
 
 
-def elastic_variant(name: str, **stages):
-    """A registry factory: the elastic policy named ``name``, with
-    ``stages`` fixed over the keyword overrides every policy takes.
-
-    ``stages`` are shared by every config the factory builds, so they
-    must hold no per-engine state (EASY's reservations do).
-    """
-
-    def factory(
-        rescale_gap: float = DEFAULT_RESCALE_GAP,
-        launcher_slots: int = 0,
-        shrink_filter=None,
-    ) -> PolicyConfig:
-        return PolicyConfig(**{
-            "name": name,
-            "rescale_gap": rescale_gap,
-            "launcher_slots": launcher_slots,
-            "shrink_filter": shrink_filter,
-            **stages,
-        })
-
-    factory.__name__ = factory.__qualname__ = f"_{name}"
-    return factory
-
-
-REGISTRY.register(
-    "elastic", elastic_variant("elastic"), paper=True, tags=("paper",),
+@REGISTRY.register(
+    "elastic", paper=True, tags=("paper",),
     description="§3.2 priority-based elastic scheduling (the contribution)",
 )
-# The gap override is accepted and ignored: moldable *is* T = inf.
-REGISTRY.register(
-    "moldable", elastic_variant("moldable", rescale_gap=math.inf), paper=True,
-    tags=("paper",),
+def _elastic(
+    rescale_gap: float = DEFAULT_RESCALE_GAP,
+    launcher_slots: int = 0,
+    shrink_filter=None,
+) -> PolicyConfig:
+    return PolicyConfig(
+        name="elastic",
+        rescale_gap=rescale_gap,
+        launcher_slots=launcher_slots,
+        shrink_filter=shrink_filter,
+    )
+
+
+@REGISTRY.register(
+    "moldable", paper=True, tags=("paper",),
     description="size chosen at start, never rescaled (T_rescale_gap = inf)",
 )
-REGISTRY.register(
-    "min_replicas", elastic_variant("min_replicas", job_transform=_pin_min),
-    paper=True, tags=("paper", "rigid"),
+def _moldable(
+    rescale_gap: float = DEFAULT_RESCALE_GAP,  # accepted and ignored
+    launcher_slots: int = 0,
+    shrink_filter=None,
+) -> PolicyConfig:
+    return PolicyConfig(
+        name="moldable",
+        rescale_gap=math.inf,
+        launcher_slots=launcher_slots,
+        shrink_filter=shrink_filter,
+    )
+
+
+@REGISTRY.register(
+    "min_replicas", paper=True, tags=("paper", "rigid"),
     description="rigid baseline: every job pinned to its minimum size",
 )
-REGISTRY.register(
-    "max_replicas", elastic_variant("max_replicas", job_transform=_pin_max),
-    paper=True, tags=("paper", "rigid"),
+def _min_replicas(
+    rescale_gap: float = DEFAULT_RESCALE_GAP,
+    launcher_slots: int = 0,
+    shrink_filter=None,
+) -> PolicyConfig:
+    return PolicyConfig(
+        name="min_replicas",
+        rescale_gap=rescale_gap,
+        launcher_slots=launcher_slots,
+        job_transform=_pin_min,
+        shrink_filter=shrink_filter,
+    )
+
+
+@REGISTRY.register(
+    "max_replicas", paper=True, tags=("paper", "rigid"),
     description="rigid baseline: every job pinned to its maximum size",
 )
+def _max_replicas(
+    rescale_gap: float = DEFAULT_RESCALE_GAP,
+    launcher_slots: int = 0,
+    shrink_filter=None,
+) -> PolicyConfig:
+    return PolicyConfig(
+        name="max_replicas",
+        rescale_gap=rescale_gap,
+        launcher_slots=launcher_slots,
+        job_transform=_pin_max,
+        shrink_filter=shrink_filter,
+    )
 
 
 @REGISTRY.register(
@@ -96,7 +120,7 @@ REGISTRY.register(
     description="§3.2.2 aging priorities: a waiting job gains one "
                 "priority level per interval, up to a cap",
 )
-def _aging_policy(
+def _aging(
     rescale_gap: float = DEFAULT_RESCALE_GAP,
     launcher_slots: int = 0,
     shrink_filter=None,
@@ -112,8 +136,15 @@ def _aging_policy(
     )
 
 
-REGISTRY.register(
-    "preemptive", elastic_variant("preemptive", preempt=True), tags=("extension",),
+@REGISTRY.register(
+    "preemptive", tags=("extension",),
     description="§3.2.2 job preemption: lower-priority jobs checkpoint "
                 "to disk to make room for a waiting arrival",
 )
+def _preemptive(
+    rescale_gap: float = DEFAULT_RESCALE_GAP,
+    launcher_slots: int = 0,
+    shrink_filter=None,
+) -> PolicyConfig:
+    config = _elastic(rescale_gap, launcher_slots, shrink_filter)
+    return dataclasses.replace(config, name="preemptive", preempt=True)

@@ -189,7 +189,8 @@ class PriorityRule(Protocol):
 class StaticPriority:
     """A priority fixed at submission: ``fn(request)``.
 
-    The default ``fn`` is the user-supplied ``request.priority``; the
+    The default ``fn`` is the user-supplied ``request.priority``, and
+    ``StaticPriority()`` is every policy's default priority stage; the
     EWT and PRB rules of :mod:`repro.scheduling.literature` are static
     too.  The engine never re-keys a job under a static rule.
     """
@@ -201,10 +202,6 @@ class StaticPriority:
 
     def next_change(self, now: float, job: SchedulerJob) -> float:
         return math.inf
-
-
-#: The default priority stage: the user's own priority.
-USER_PRIORITY = StaticPriority()
 
 
 @dataclass(frozen=True)
@@ -227,7 +224,7 @@ class Aging:
     one step).
     """
 
-    base: StaticPriority = USER_PRIORITY
+    base: StaticPriority = StaticPriority()
     interval: float = 600.0
     max_priority: int = 10
 
@@ -372,7 +369,7 @@ class PolicyConfig:
     )
     shrink_filter: Optional[Callable[[SchedulerJob, int], bool]] = None
     literal_completion_budget: bool = False
-    priority: PriorityRule = USER_PRIORITY
+    priority: PriorityRule = StaticPriority()
     backfill: Optional[BackfillRule] = None
     capacity_constraint: Optional[Callable[[], CapacityConstraint]] = None
     preempt: bool = False

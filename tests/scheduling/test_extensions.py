@@ -2,9 +2,11 @@
 
 import dataclasses
 import math
+import types
 
 import pytest
 
+from repro.errors import SchedulingError
 from repro.scheduling import (
     Aging,
     ElasticPolicyEngine,
@@ -122,6 +124,20 @@ class TestAging:
     def test_priority_must_be_a_priority_rule(self, priority):
         with pytest.raises(ValueError, match="'elastic'.*priority"):
             PolicyConfig(priority=priority)
+
+    @pytest.mark.parametrize("removed, stage", [
+        ("priority_rule", ewt_priority), ("aging", Aging()),
+    ])
+    def test_duck_typed_config_with_a_removed_stage_rejected(
+        self, removed, stage
+    ):
+        # A config that only duck-types SchedulingPolicy and still sets a
+        # removed ordering stage must not fall back to user-priority order.
+        fields = vars(PolicyConfig(name="legacy"))
+        del fields["priority"]
+        config = types.SimpleNamespace(**fields, **{removed: stage})
+        with pytest.raises(SchedulingError, match=f"'legacy'.*{removed}"):
+            ElasticPolicyEngine(64, config)
 
     @pytest.mark.parametrize("base", [Aging(), lambda r: r.priority, None])
     def test_aging_base_must_be_static(self, base):
