@@ -1,63 +1,71 @@
-"""Policy-engine hot-path benchmarks (PR 2's tentpole artifact).
+"""Policy-engine flatness benchmark: 100k-job churn at 10k-job throughput.
 
-Bounds the scheduler's per-event cost at trace scale: raw engine churn
-with an O(n) queue backlog — optimized vs the frozen pre-optimization
-reference on identical work — and the end-to-end simulator in streaming
-``retain="metrics"`` mode.  The same measurements back the ``repro
-bench`` CLI verb and the CI regression gate; this pytest wrapper keeps
-them in the ``pytest-benchmark`` harness with the other paper artifacts.
-
-Environment knobs: ``REPRO_BENCH_JOBS`` (churn/simulator size, default
-10_000).
+Drives :class:`ElasticPolicyEngine` directly on a synthetic
+submit/complete stream that grows an O(n) queue backlog, the regime in
+which an unindexed Figure-3 walk goes quadratic.  End-to-end speed is
+gated by ``benchmarks/perf_gate.py``; this slow test guards the shape of
+the curve, which a fixed-size A/B comparison cannot see.
 """
 
-import os
+import time
+from random import Random
+from typing import List, Sequence
 
 import pytest
 
 from benchmarks.conftest import once
-from repro.bench import bench_engine_churn, bench_simulator
+from repro.scheduling import ElasticPolicyEngine, JobRequest
+from repro.scheduling.registry import REGISTRY
+
+CHURN_SLOTS = 256
 
 
-def _jobs_from_env(default: int = 10_000) -> int:
-    return int(os.environ.get("REPRO_BENCH_JOBS", default))
+def _churn_workload(n_jobs: int, seed: int) -> List[JobRequest]:
+    """A deterministic job stream with mixed sizes and priorities."""
+    rng = Random(seed)
+    requests = []
+    for i in range(n_jobs):
+        low = rng.randint(1, 8)
+        high = min(low + rng.choice((0, 2, 6, 14, 30)), CHURN_SLOTS)
+        requests.append(
+            JobRequest(
+                name=f"b{i}",
+                min_replicas=low,
+                max_replicas=high,
+                priority=rng.randint(1, 5),
+            )
+        )
+    return requests
 
 
-def test_engine_churn_optimized(benchmark, save_result):
-    """Optimized engine on the backlog-growing churn stream."""
-    jobs = _jobs_from_env()
-    row = once(benchmark, bench_engine_churn, jobs)
-    assert row["events"] == 2 * jobs
-    save_result(
-        "policy_engine_churn",
-        f"optimized engine: {jobs} jobs, {row['events_per_sec']:.0f} events/s",
-    )
+def _drive_churn(engine, requests: Sequence[JobRequest]) -> int:
+    """Submit 3 jobs per completion so the queue backlog grows to O(n),
+    then drain; returns the number of policy events processed."""
+    now = 0.0
+    events = 0
+    for i, request in enumerate(requests):
+        now += 240.0  # > default T_rescale_gap: the Figure-3 walk stays hot
+        engine.on_submit(request, now)
+        events += 1
+        if i % 3 == 2 and engine.running:
+            now += 240.0
+            engine.on_complete(engine.running[0].name, now)
+            events += 1
+    while engine.running:
+        now += 240.0
+        engine.on_complete(engine.running[0].name, now)
+        events += 1
+    return events
 
 
-def test_engine_speedup_vs_reference(benchmark, save_result):
-    """The acceptance ratio: optimized vs pre-PR engine, same workload.
-
-    The golden equivalence test proves the decision sequences identical,
-    so this is a pure constant-factor/asymptotic comparison.
-    """
-    jobs = _jobs_from_env()
-
-    def measure():
-        optimized = bench_engine_churn(jobs)
-        reference = bench_engine_churn(jobs, reference=True)
-        return optimized, reference
-
-    optimized, reference = once(benchmark, measure)
-    speedup = optimized["events_per_sec"] / reference["events_per_sec"]
-    assert speedup >= 5.0, (
-        f"optimized engine is only {speedup:.2f}x the reference at "
-        f"{jobs} jobs; the PR-2 acceptance criterion requires >= 5x"
-    )
-    save_result(
-        "policy_engine_speedup",
-        f"{jobs} jobs: optimized {optimized['events_per_sec']:.0f} ev/s vs "
-        f"reference {reference['events_per_sec']:.0f} ev/s = {speedup:.1f}x",
-    )
+def bench_engine_churn(n_jobs: int, seed: int = 7) -> float:
+    """Raw policy-engine events/sec on the backlog-growing churn stream."""
+    requests = _churn_workload(n_jobs, seed)
+    engine = ElasticPolicyEngine(CHURN_SLOTS, REGISTRY.resolve("elastic"))
+    engine.keep_decision_log = False
+    begin = time.perf_counter()
+    events = _drive_churn(engine, requests)
+    return events / (time.perf_counter() - begin)
 
 
 @pytest.mark.slow
@@ -73,27 +81,14 @@ def test_engine_churn_100k_holds_10k_throughput(benchmark, save_result):
         return bench_engine_churn(10_000), bench_engine_churn(100_000)
 
     small, large = once(benchmark, measure)
-    ratio = small["events_per_sec"] / large["events_per_sec"]
+    ratio = small / large
     assert ratio < 2.5, (
         f"100k churn runs {ratio:.1f}x slower per event than 10k — the "
         "indexed walks have regressed towards the pre-PR-3 cliff"
     )
     save_result(
         "policy_engine_100k",
-        f"10k: {small['events_per_sec']:.0f} ev/s, "
-        f"100k: {large['events_per_sec']:.0f} ev/s "
+        f"10k: {small:.0f} ev/s, "
+        f"100k: {large:.0f} ev/s "
         f"(ratio {ratio:.2f}, must stay < 2.5)",
-    )
-
-
-def test_simulator_streaming_throughput(benchmark, save_result):
-    """End-to-end simulator events/sec, streaming metrics mode."""
-    jobs = _jobs_from_env()
-    row = once(benchmark, bench_simulator, jobs)
-    # The streaming contract: every policy-engine job record retired.
-    assert row["live_job_records"] == 0
-    save_result(
-        "policy_engine_simulator",
-        f"simulator: {jobs} jobs, {row['events_per_sec']:.0f} events/s, "
-        f"peak RSS {row['peak_rss_kb']} kB",
     )

@@ -10,9 +10,11 @@ provides the equivalents against the simulated cluster::
     python -m repro fig4|fig5|fig6|fig7|fig8|fig9|table1
     python -m repro workloads list|show|run ...      # trace/synthetic scenarios
     python -m repro policies list|show ...           # the scheduler registry
-    python -m repro bench [--baseline BENCH_*.json]  # hot-path regression gate
     python -m repro obs export-trace|dashboard ...   # Perfetto traces, trends
     python -m repro faults plan|replay|chaos ...     # deterministic chaos
+
+Speed is measured by ``perfbench/run.py`` and gated in CI by
+``benchmarks/perf_gate.py``, an A/B comparison against the parent commit.
 
 Policy names are resolved through the scheduler registry
 (:mod:`repro.scheduling.registry`), so third-party policies shipped via
@@ -319,13 +321,6 @@ def _cmd_policies(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    """Policy-engine benchmark + regression gate (see repro.bench)."""
-    from .bench import main_bench
-
-    return main_bench(args)
-
-
 def _cmd_obs(args) -> int:
     """Observability verbs: trace export + trend dashboard (repro.obs)."""
     from .obs.cli import main_obs
@@ -487,55 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trial-cache directory (or REPRO_SWEEP_CACHE)")
     cloud.set_defaults(fn=_cmd_cloud)
 
-    bench = sub.add_parser(
-        "bench",
-        help="measure policy-engine throughput; gate against a baseline",
-        description="Runs the scheduler hot-path benchmarks (engine churn + "
-                    "simulator at each size), writes machine-readable "
-                    "BENCH_*.json results, and optionally fails on "
-                    "regression vs a committed baseline.",
-    )
-    bench.add_argument("--suite", default="engine",
-                       choices=("engine", "policy_engine", "sweep", "cloud",
-                                "faults"),
-                       help="'engine' = churn/simulator throughput (default; "
-                            "'policy_engine' is an alias matching the "
-                            "BENCH_policy_engine.json it writes); "
-                            "'sweep' = sweep throughput + trial-cache "
-                            "hit rates (BENCH_sweep.json); 'cloud' = "
-                            "spot-churn and autoscaler-grid events/sec "
-                            "(BENCH_cloud.json); 'faults' = chaos-run "
-                            "throughput + checkpoint recovery delta "
-                            "(BENCH_faults.json)")
-    bench.add_argument("--sizes", default=None,
-                       help="comma-separated job counts (engine suite only; "
-                            "default: 1000,10000,100000)")
-    bench.add_argument("--reference-max", type=int, default=None,
-                       help="largest size to also run through the frozen "
-                            "pre-optimization reference engine (engine "
-                            "suite only; default 10000)")
-    bench.add_argument("--output", default=None,
-                       help="where to write the JSON results ('' to skip; "
-                            "default: BENCH_policy_engine.json, "
-                            "BENCH_sweep.json, or BENCH_cloud.json "
-                            "per --suite)")
-    bench.add_argument("--baseline", default=None,
-                       help="committed BENCH_*.json to gate against; "
-                            "non-zero exit on >threshold regression")
-    bench.add_argument("--threshold", type=float, default=0.30,
-                       help="allowed normalized events/sec drop vs the "
-                            "baseline (default 0.30)")
-    bench.add_argument("--min-speedup", type=float, default=None,
-                       help="fail unless optimized/reference speedup at "
-                            "--speedup-jobs reaches this ratio")
-    bench.add_argument("--speedup-jobs", type=int, default=10_000,
-                       help="job count the --min-speedup gate reads "
-                            "(default 10000)")
-    bench.add_argument("--quiet", action="store_true",
-                       help="suppress per-scenario progress messages "
-                            "(warnings and gate results still print)")
-    bench.set_defaults(fn=_cmd_bench)
-
     obs = sub.add_parser(
         "obs",
         help="observability: export a Perfetto trace; render the trend "
@@ -543,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="export-trace runs one instrumented workload with span "
                     "tracing attached and writes Chrome-trace/Perfetto JSON "
                     "(open at https://ui.perfetto.dev). dashboard renders a "
-                    "static-HTML trend report from a directory of nightly "
-                    "BENCH_*.json artifacts.",
+                    "static-HTML trend report from a directory of "
+                    "perf_gate documents.",
     )
     obs.add_argument("action", choices=("export-trace", "dashboard"))
     obs.add_argument("--jobs", type=int, default=200,
@@ -565,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--autoscaler", default="queue",
                      help="autoscaler name for --cloud (default queue)")
     obs.add_argument("--input", default=None,
-                     help="dashboard: directory of BENCH_*.json artifacts "
+                     help="dashboard: directory of perf_gate documents "
                           "(default .)")
     obs.add_argument("--output", default=None,
                      help="output path (default trace.json / "

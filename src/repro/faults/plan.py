@@ -299,7 +299,7 @@ class FaultPlan:
 
 def reference_chaos_plan(seed: int = 7,
                          horizon: float = 2400.0) -> FaultPlan:
-    """The committed chaos scenario used by CI, the bench suite, and docs.
+    """The committed chaos scenario used by CI, the tests, and docs.
 
     Mixes synthesized pressure (crashes + noticed interruptions drawn
     from the seed) with explicit entries that pin the corner cases: a

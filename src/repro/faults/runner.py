@@ -1,4 +1,4 @@
-"""End-to-end chaos runs: one wiring shared by CLI, bench, and tests.
+"""End-to-end chaos runs: one wiring shared by the CLI and the tests.
 
 A chaos run is :func:`repro.cloud.sweep.run_cloud_once` with the fault
 stack attached: a provider carrying a :class:`FaultInjector`, an

@@ -5,13 +5,13 @@ Four pieces, one contract:
 * :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry` of
   counters/gauges/histograms.  Disabled by default; components bind
   their instruments at construction, so the uninstrumented hot paths
-  stay branch-free (the blocking bench gates prove it).
+  stay branch-free (the blocking perf gate measures them that way).
 * :mod:`repro.obs.spans` / :mod:`repro.obs.perfetto` — span-style phase
   timing over the existing :class:`repro.sim.trace.Tracer`, exported as
   Chrome-trace/Perfetto JSON (``repro obs export-trace``).
 * :mod:`repro.obs.manifest` — :class:`RunManifest` provenance (git SHA,
   seed, policy, config digest, wall/virtual time, peak RSS) attached to
-  every bench/sweep/cloud artifact.
+  every perf-gate document and exported trace.
 * :mod:`repro.obs.dashboard` — the static-HTML trend report the nightly
   workflow publishes (``repro obs dashboard``).
 

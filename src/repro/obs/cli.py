@@ -4,7 +4,8 @@
 §4.3.1 simulator, or the autoscaled cloud substrate with ``--cloud`` —
 with a tracer attached, and writes the Chrome-trace/Perfetto JSON that
 https://ui.perfetto.dev loads directly.  ``repro obs dashboard`` renders
-the static-HTML trend page from a directory of nightly BENCH artifacts.
+the static-HTML trend page from a directory of the documents
+``benchmarks/perf_gate.py`` writes.
 """
 
 from __future__ import annotations

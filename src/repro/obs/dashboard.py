@@ -1,30 +1,28 @@
-"""The nightly trend dashboard: BENCH artifacts → one static HTML page.
+"""The nightly trend dashboard: perf_gate documents → one static HTML page.
 
-``repro obs dashboard`` scans a directory tree for ``BENCH_*.json``
-documents (any ``*.json`` carrying a ``"benchmark"`` key qualifies —
-the schema :mod:`repro.bench` writes), orders them by their manifest's
-UTC timestamp (file mtime when a pre-manifest document has none), and
-renders trend charts with no dependencies beyond the standard library:
-inline SVG line charts in a self-contained HTML file the nightly
-workflow uploads as an artifact.
+``repro obs dashboard`` scans a directory tree for the JSON documents
+``benchmarks/perf_gate.py --output`` writes (``"benchmark":
+"perfbench"``), orders them by their manifest's UTC timestamp (file
+mtime when a document has none), and renders trend charts with no
+dependencies beyond the standard library: inline SVG line charts in a
+self-contained HTML file the nightly workflow uploads as an artifact.
 
 Input layout
 ------------
 Any nesting works; the nightly workflow keeps one subdirectory per run::
 
     history/
-      2026-08-07-abc123/BENCH_policy_engine.json
-      2026-08-07-abc123/BENCH_sweep.json
-      2026-08-08-def456/BENCH_policy_engine.json
+      1001/perfbench.json
+      1002/perfbench.json
       ...
 
 Tracked series
 --------------
-* ``policy_engine`` suite — normalized events/sec per gating row
-  (``engine_*`` / ``simulator_*``; ``reference_*`` rows are skipped);
-* ``cloud`` suite — normalized events/sec plus ``cost_per_job`` dollars
-  from the spot-churn rows;
-* ``sweep`` suite — trial-cache hit rate of the warm and edit re-runs.
+One series per workload × end-to-end metric: the median of the run's
+``change`` values, in the unit the document records.  Documents with
+any other ``"benchmark"`` value (the retired per-suite speed documents
+a restored history may still hold) are skipped with one
+``RuntimeWarning`` each.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ from __future__ import annotations
 import html
 import json
 import os
+import statistics
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -46,16 +45,12 @@ class DashboardError(ValueError):
 
 @dataclass
 class BenchDocument:
-    """One discovered BENCH_*.json plus its ordering key and label."""
+    """One discovered perf_gate document plus its ordering key and label."""
 
     path: str
     document: Dict
     timestamp: str  # ISO-8601 (manifest) or mtime-derived fallback
     git_sha: str
-
-    @property
-    def suite(self) -> str:
-        return self.document.get("benchmark", "?")
 
     @property
     def label(self) -> str:
@@ -102,6 +97,13 @@ def collect_documents(root: str) -> List[BenchDocument]:
                 # Not a bench document at all (other tooling's JSON
                 # living in the same tree) — quietly irrelevant.
                 continue
+            if document["benchmark"] != "perfbench":
+                warnings.warn(
+                    f"skipping legacy BENCH_* document {path} (benchmark "
+                    f"{document['benchmark']!r}); only perf_gate documents "
+                    "are plotted", RuntimeWarning, stacklevel=2,
+                )
+                continue
             manifest = document.get("manifest") or {}
             if not isinstance(manifest, dict):
                 warnings.warn(
@@ -136,7 +138,7 @@ def _numeric(value: object) -> Optional[float]:
     """``value`` as a float, or ``None`` for anything non-numeric.
 
     Bools are rejected explicitly (they are ints to ``isinstance`` but a
-    ``"normalized": true`` in a mangled artifact is garbage, not a 1.0).
+    ``"change": [true]`` in a mangled artifact is garbage, not a 1.0).
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
@@ -146,53 +148,33 @@ def _numeric(value: object) -> Optional[float]:
 def build_series(documents: Sequence[BenchDocument]) -> List[Series]:
     """Fold the discovered documents into per-metric trend series.
 
-    Row values that are not plain numbers (a truncated write, a hand-
-    edited artifact) are skipped per-point: the series keeps its other
-    runs rather than the page crashing.
+    Run values that are not plain numbers (a truncated write, a hand-
+    edited artifact) cost that point a warning: the series keeps its
+    other runs rather than the page crashing.
     """
-    table: Dict[Tuple[str, str, str], Series] = {}
-
-    def series(key: Tuple[str, str, str], title: str, unit: str) -> Series:
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = Series(title=title, unit=unit)
-        return entry
-
-    def add(key: Tuple[str, str, str], title: str, unit: str,
-            label: str, raw: object) -> None:
-        value = _numeric(raw)
-        if value is None:
-            warnings.warn(
-                f"skipping non-numeric {key[2]} value {raw!r} in "
-                f"{key[0]}/{key[1]}", RuntimeWarning, stacklevel=3,
-            )
-            return
-        series(key, title, unit).add(label, value)
-
+    table: Dict[Tuple[str, str], Series] = {}
     for doc in documents:
-        suite = doc.suite
         results = doc.document.get("results", {})
         if not isinstance(results, dict):
             continue
-        for row_key, row in sorted(results.items()):
-            if not isinstance(row, dict):
+        for workload, metrics in sorted(results.items()):
+            if not isinstance(metrics, dict):
                 continue
-            if suite == "sweep":
-                if "hit_rate" in row and not row.get("informational"):
-                    add((suite, row_key, "hit_rate"),
-                        f"{row_key} cache hit rate", "hit rate",
-                        doc.label, row["hit_rate"])
-                continue
-            if row_key.startswith("reference_"):
-                continue
-            if "normalized" in row:
-                add((suite, row_key, "normalized"),
-                    f"{row_key} throughput", "normalized ev/s",
-                    doc.label, row["normalized"])
-            if "cost_per_job" in row:
-                add((suite, row_key, "cost_per_job"),
-                    f"{row_key} cost", "$/job",
-                    doc.label, row["cost_per_job"])
+            for name, entry in sorted(metrics.items()):
+                runs = entry.get("change") if isinstance(entry, dict) else None
+                values = ([_numeric(v) for v in runs]
+                          if isinstance(runs, list) else [None])
+                if not values or None in values:
+                    warnings.warn(
+                        f"skipping non-numeric {workload}/{name} runs "
+                        f"{runs!r} in {doc.path}", RuntimeWarning, stacklevel=2,
+                    )
+                    continue
+                key = (workload, name)
+                if key not in table:
+                    table[key] = Series(title=f"{workload} {name}",
+                                        unit=str(entry.get("unit", "")))
+                table[key].add(doc.label, statistics.median(values))
     return [table[key] for key in sorted(table)]
 
 
@@ -281,15 +263,10 @@ th { color: #718096; font-weight: 600; }
 """
 
 
-def render_dashboard(root: str, title: str = "repro nightly trends") -> str:
-    """Scan ``root`` and render the full trend page as an HTML string."""
-    documents = collect_documents(root)
-    if not documents:
-        raise DashboardError(
-            f"no BENCH_*.json benchmark documents found under {root!r}"
-        )
+def render_dashboard(documents: Sequence[BenchDocument], root: str,
+                     title: str = "repro nightly trends") -> str:
+    """The trend page for ``documents`` (paths shown relative to ``root``)."""
     all_series = build_series(documents)
-    runs = sorted({(d.timestamp, d.git_sha) for d in documents})
 
     from .manifest import git_sha, utc_timestamp
 
@@ -311,14 +288,8 @@ def render_dashboard(root: str, title: str = "repro nightly trends") -> str:
             f"</div>{delta_html}{_svg_chart(series)}</div>"
         )
 
-    run_rows = "".join(
-        f"<tr><td>{html.escape(ts)}</td><td><code>{html.escape(sha)}</code>"
-        "</td></tr>"
-        for ts, sha in runs
-    )
     doc_rows = "".join(
-        f"<tr><td>{html.escape(d.suite)}</td>"
-        f"<td>{html.escape(os.path.relpath(d.path, root))}</td>"
+        f"<tr><td>{html.escape(os.path.relpath(d.path, root))}</td>"
         f"<td>{html.escape(d.timestamp)}</td>"
         f"<td><code>{html.escape(d.git_sha)}</code></td></tr>"
         for d in documents
@@ -333,20 +304,15 @@ def render_dashboard(root: str, title: str = "repro nightly trends") -> str:
 </head>
 <body>
 <h1>{html.escape(title)}</h1>
-<p class="meta">{len(documents)} artifacts across {len(runs)} runs ·
+<p class="meta">{len(documents)} runs ·
 generated {utc_timestamp()} at <code>{git_sha()}</code></p>
 <div class="grid-cards">
 {''.join(cards)}
 </div>
 <h2>Artifacts</h2>
 <table>
-<tr><th>suite</th><th>file</th><th>timestamp</th><th>git sha</th></tr>
+<tr><th>file</th><th>timestamp</th><th>git sha</th></tr>
 {doc_rows}
-</table>
-<h2>Runs</h2>
-<table>
-<tr><th>timestamp</th><th>git sha</th></tr>
-{run_rows}
 </table>
 </body>
 </html>
@@ -359,9 +325,9 @@ def write_dashboard(root: str, output: str,
     documents = collect_documents(root)
     if not documents:
         raise DashboardError(
-            f"no BENCH_*.json benchmark documents found under {root!r}"
+            f"no perf_gate documents found under {root!r}"
         )
-    page = render_dashboard(root, title=title)
+    page = render_dashboard(documents, root, title=title)
     with open(output, "w", encoding="utf-8") as handle:
         handle.write(page)
     return len(documents)

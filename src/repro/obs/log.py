@@ -1,12 +1,12 @@
 """A small structured, level-aware logger for CLI-facing progress output.
 
-The bench harness (and any other long-running verb) used to carry its
-own ad-hoc ``say()`` closures, each one a different opinion about where
-progress lines go.  This module is the single shared answer: named
-loggers, numeric levels, ``key=value`` structured fields, everything on
-stderr so machine-readable stdout stays clean.  ``--quiet`` flags map to
-:func:`set_level`; the ``REPRO_LOG_LEVEL`` environment variable sets the
-process default.
+Long-running verbs used to carry their own ad-hoc ``say()`` closures,
+each one a different opinion about where progress lines go.  This
+module is the single shared answer: named loggers, numeric levels,
+``key=value`` structured fields, everything on stderr so
+machine-readable stdout stays clean.  :func:`set_level` moves the
+threshold; the ``REPRO_LOG_LEVEL`` environment variable sets the process
+default.
 
 Deliberately not :mod:`logging`: no handler graphs, no global config
 pickling into process pools — just enough structure for a CLI.

@@ -1,12 +1,12 @@
 """Run provenance: who produced this artifact, from what, and at what cost.
 
-Every bench/sweep/cloud artifact this repository emits now carries a
-:class:`RunManifest` — the minimum record needed to audit a performance
-trajectory across commits: the git SHA the numbers were measured on, the
-workload seed and policy, a digest of the configuration that shaped the
-run, wall and virtual durations, and the process's peak RSS.  The trend
-dashboard (:mod:`repro.obs.dashboard`) orders artifacts by the
-manifest's UTC timestamp and labels points with its SHA.
+Every perf_gate document, sweep and exported trace this repository emits
+carries a :class:`RunManifest` — the minimum record needed to audit a
+performance trajectory across commits: the git SHA the numbers were
+measured on, the workload seed and policy, a digest of the configuration
+that shaped the run, wall and virtual durations, and the process's peak
+RSS.  The trend dashboard (:mod:`repro.obs.dashboard`) orders documents
+by the manifest's UTC timestamp and labels points with its SHA.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from typing import Any, Dict, Optional
 
 __all__ = ["RunManifest", "git_sha", "config_digest", "MANIFEST_SCHEMA_VERSION"]
 
-#: Bumped when manifest/BENCH document fields change shape;
-#: ``compare_results`` warns (never fails) across versions.
+#: Bumped when the manifest's fields change shape.
 MANIFEST_SCHEMA_VERSION = 2
 
 _git_sha: Optional[str] = None

@@ -1,8 +1,8 @@
 """Counters, gauges, and histograms with a no-op fast path when disabled.
 
 The observability contract of this repository is *zero overhead when
-off*: the blocking bench gates (``simulator_100000`` and friends) run
-with telemetry disabled, so instrumented components must cost nothing
+off*: the blocking perf gate (``benchmarks/perf_gate.py``) runs with
+telemetry disabled, so instrumented components must cost nothing
 measurable there.  The design that achieves it:
 
 * Components fetch their instruments **once, at construction**, from the

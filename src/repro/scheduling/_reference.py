@@ -5,12 +5,9 @@
 for the Figure-3 walk).  This module preserves the original direct
 transliteration of the paper's pseudocode **verbatim** so the optimized
 engine can be proven equivalent:
-
-* ``tests/scheduling/test_decision_log_equivalence.py`` drives randomized
-  workloads through both implementations and asserts byte-identical
-  decision sequences;
-* ``benchmarks/bench_policy_engine.py`` and ``repro bench`` run both on
-  the same synthetic workload to report the events/sec speedup.
+``tests/scheduling/test_decision_log_equivalence.py`` drives randomized
+workloads through both implementations and asserts byte-identical
+decision sequences.
 
 Do **not** optimize this module; its entire value is staying slow and
 obviously faithful to the paper.  Behavioural fixes that change decision

@@ -6,8 +6,8 @@ insert/remove an O(n) memmove — tolerable — but, much worse, it gives
 the Figure-2/3 walks nothing to *skip with*: the Figure-3 redistribution
 loop touches every queued candidate even when the freed budget cannot
 start any of them, which is the superlinear term behind the 100k-job
-throughput cliff (``BENCH_policy_engine.json``: 56k events/s at 10k jobs
-vs 6.6k at 100k).
+throughput cliff (the engine churn benchmark ran 56k events/s at 10k
+jobs vs 6.6k at 100k).
 
 :class:`IndexedJobList` replaces the flat list with a *blocked* sorted
 list (the ``sortedcontainers`` layout: a list of small sorted blocks)

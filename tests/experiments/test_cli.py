@@ -51,8 +51,14 @@ class TestCli:
     def test_parser_has_all_artifact_commands(self):
         parser = build_parser()
         text = parser.format_help()
-        for cmd in ("jobs", "run", "simulate", "table1", "bench", "policies"):
+        for cmd in ("jobs", "run", "simulate", "table1", "policies"):
             assert cmd in text
+
+    def test_bench_verb_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestPoliciesCli:
@@ -108,79 +114,3 @@ class TestCloudCli:
     def test_zero_gap_runs(self, capsys):
         assert main(["cloud", "run", "--gap", "0", "--jobs", "3"]) == 0
         assert "3 jobs @ 0s" in capsys.readouterr().out
-
-
-class TestBenchCli:
-    def test_bench_writes_results(self, capsys, tmp_path):
-        out_path = tmp_path / "BENCH_policy_engine.json"
-        assert main([
-            "bench", "--sizes", "200", "--reference-max", "200",
-            "--output", str(out_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "engine_200" in out and "reference_200" in out
-        assert "simulator_200" in out
-        import json
-
-        document = json.loads(out_path.read_text())
-        assert document["benchmark"] == "policy_engine"
-        assert "engine_200" in document["results"]
-        assert "200" in document["speedup_vs_reference"]
-
-    def test_bench_policy_engine_suite_alias(self, capsys, tmp_path):
-        out_path = tmp_path / "bench.json"
-        assert main([
-            "bench", "--suite", "policy_engine", "--sizes", "200",
-            "--reference-max", "0", "--output", str(out_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "engine_200" in out
-        assert "simulator_easy_200" in out  # the registry-resolved row
-
-    def test_bench_regression_gate_passes_against_self(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        """A run gated against its own output trivially passes.
-
-        One real measurement: the gated second call is fed that same
-        document, so two noisy timings are never compared.
-        """
-        import repro.bench
-
-        measured = []
-        run_bench = repro.bench.run_bench
-
-        def measure_once(**kwargs):
-            if not measured:
-                measured.append(run_bench(**kwargs))
-            return measured[0]
-
-        monkeypatch.setattr(repro.bench, "run_bench", measure_once)
-        out_path = tmp_path / "bench.json"
-        assert main(["bench", "--sizes", "200", "--reference-max", "0",
-                     "--output", str(out_path)]) == 0
-        capsys.readouterr()
-        assert main(["bench", "--sizes", "200", "--reference-max", "0",
-                     "--output", "", "--baseline", str(out_path)]) == 0
-        assert len(measured) == 1
-        assert "regression gate passed" in capsys.readouterr().out
-
-    def test_bench_regression_gate_fails_on_impossible_baseline(
-        self, capsys, tmp_path
-    ):
-        import json
-
-        from repro.bench import run_bench
-
-        document = run_bench(sizes=(200,), reference_max=0)
-        for row in document["results"].values():
-            row["normalized"] *= 1e6  # a baseline no machine can meet
-        baseline = tmp_path / "impossible.json"
-        baseline.write_text(json.dumps(document))
-        assert main(["bench", "--sizes", "200", "--reference-max", "0",
-                     "--output", "", "--baseline", str(baseline)]) == 1
-
-    def test_bench_speedup_gate_unmeasurable_fails(self, capsys):
-        # --min-speedup needs a reference measurement at --speedup-jobs.
-        assert main(["bench", "--sizes", "200", "--reference-max", "0",
-                     "--output", "", "--min-speedup", "5"]) == 1

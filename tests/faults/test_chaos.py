@@ -48,6 +48,17 @@ class TestRecoveryDelta:
         assert off.recovered_slot_seconds == 0.0
         assert off.restarts_from_scratch > 0
 
+    def test_recovery_values_are_pinned(self, with_checkpoints,
+                                        without_checkpoints):
+        # Virtual time only, so exact: any change to the checkpoint and
+        # restart path moves one of these.
+        on, off = with_checkpoints.faults, without_checkpoints.faults
+        assert round(on.goodput_fraction, 6) == 0.974429
+        assert round(off.goodput_fraction, 6) == 0.956478
+        assert round(on.recovered_slot_seconds, 6) == 3209.896146
+        assert round(off.lost_slot_seconds - on.lost_slot_seconds, 6) \
+            == 3209.896146
+
     def test_every_job_still_completes(self, with_checkpoints,
                                        without_checkpoints):
         for run in (with_checkpoints, without_checkpoints):

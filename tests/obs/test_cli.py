@@ -1,8 +1,6 @@
-"""The ``repro obs`` CLI verbs and the bench document/schema plumbing."""
+"""The ``repro obs`` CLI verbs."""
 
 import json
-
-import pytest
 
 from repro.cli import main
 
@@ -30,71 +28,22 @@ class TestExportTrace:
 
 
 class TestDashboardVerb:
-    def test_dashboard_renders(self, tmp_path):
-        (tmp_path / "BENCH_policy_engine.json").write_text(json.dumps({
-            "benchmark": "policy_engine",
+    def test_dashboard_renders(self, tmp_path, capsys):
+        (tmp_path / "perfbench.json").write_text(json.dumps({
+            "benchmark": "perfbench",
             "manifest": {"git_sha": "abc", "created_utc": "2026-08-08T00:00:00Z"},
-            "results": {"engine_1000": {"normalized": 0.02}},
+            "results": {"k8s_operator": {"jobs_per_s": {
+                "unit": "1/s", "parent": [], "change": [80.0, 81.0],
+                "verdict": None}}},
         }))
         out = tmp_path / "dash.html"
         assert main(["obs", "dashboard", "--input", str(tmp_path),
                      "--output", str(out)]) == 0
-        assert "<svg" in out.read_text()
+        page = out.read_text()
+        assert "<svg" in page and "k8s_operator jobs_per_s" in page
+        assert "rendered from 1 artifacts" in capsys.readouterr().out
 
     def test_dashboard_empty_dir_exits_2(self, tmp_path, capsys):
         assert main(["obs", "dashboard", "--input", str(tmp_path),
                      "--output", str(tmp_path / "d.html")]) == 2
         assert "error" in capsys.readouterr().err
-
-
-class TestBenchDocuments:
-    @pytest.fixture(scope="class")
-    def document(self):
-        from repro.bench import run_bench
-
-        return run_bench(sizes=(200,), reference_max=0)
-
-    def test_document_carries_schema_and_manifest(self, document):
-        assert document["schema"] == 2
-        assert document["schema_version"] == 2
-        manifest = document["manifest"]
-        assert manifest["schema_version"] == 2
-        assert manifest["git_sha"]
-        assert manifest["created_utc"].endswith("Z")
-        assert manifest["wall_seconds"] > 0
-
-    def test_compare_results_warns_on_schema_mismatch(self, document):
-        import warnings
-
-        from repro.bench import compare_results
-
-        legacy = dict(document, schema=1)
-        legacy.pop("schema_version")
-        with pytest.warns(RuntimeWarning, match="schema mismatch"):
-            failures = compare_results(document, legacy, threshold=0.5)
-        assert failures == []  # rows still compared, and they match
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert compare_results(document, document) == []
-
-    def test_bench_quiet_flag_suppresses_progress(self, tmp_path, capsys):
-        from repro.obs.log import set_level
-
-        try:
-            assert main(["bench", "--sizes", "200", "--reference-max", "0",
-                         "--quiet", "--output", ""]) == 0
-            err = capsys.readouterr().err
-            assert "[repro.bench]" not in err
-        finally:
-            set_level("info")
-
-    def test_committed_baselines_are_schema_2(self):
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parents[2]
-        for name in ("BENCH_policy_engine.json", "BENCH_sweep.json",
-                     "BENCH_cloud.json"):
-            document = json.loads((root / name).read_text())
-            assert document["schema_version"] == 2, name
-            assert document["manifest"]["git_sha"], name

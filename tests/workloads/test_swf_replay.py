@@ -7,7 +7,7 @@ length in CI").  The fixture is a deterministic generator-frozen trace
 so the replay doubles as an end-to-end regression net over the SWF
 parser, the streaming simulator, and every policy engine the trace is
 driven through.  The full-length replays are slow-marked and wired into
-the CI bench job; the parse/shape checks run with the tier-1 suite.
+the CI perf-gate job; the parse/shape checks run with the tier-1 suite.
 """
 
 import os
