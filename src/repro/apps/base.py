@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import accumulate, islice, repeat
+from math import gcd
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..charm import CcsRequest, CcsServer, CharmRuntime, RescaleReport, perform_rescale
@@ -28,6 +30,18 @@ from ..charm.pe import HostBinding
 from ..errors import CheckpointError, ProcessKilled, RescaleError
 
 __all__ = ["CharmApplication", "RescaleDecision"]
+
+
+def _blocks_to_multiple(start: int, sync: int, every: int) -> Optional[int]:
+    """Smallest ``k >= 1`` with ``(start + k * sync) % every == 0``, or
+    ``None`` when no number of ``sync``-step blocks from ``start`` lands
+    on a multiple of ``every``."""
+    g = gcd(sync, every)
+    need = -start % every
+    if need % g:
+        return None
+    m = every // g
+    return need // g * pow(sync // g, -1, m) % m or m
 
 
 class RescaleDecision:
@@ -247,24 +261,35 @@ class CharmApplication:
         hop ends at the last block, the next disk-checkpoint sync point,
         or, with a rescale already pending, the first sync point;
         :meth:`_cut_hop` pulls the end in when a request arrives mid-hop.
+        The full blocks' times are one ``accumulate`` over ``repeat``: the
+        same left-to-right float sums, added in C.
         """
         engine = rts.engine
-        start = done = self._steps
+        start = self._steps
         sync = self.sync_every
-        every = self.disk_checkpoint_every
         full = self.block_seconds(rts, sync)
+        every = self.disk_checkpoint_every
+        full_blocks, last = divmod(self.total_steps - start, sync)
+        # The hop ends after block ``stop``: the first one with a rescale
+        # pending, else the next disk-checkpoint sync point, else the last.
+        stop = full_blocks + 1
+        if self._pending is not None:
+            stop = 1
+        elif every is not None:
+            stop = min(stop, _blocks_to_multiple(start, sync, every) or stop)
+        n = min(stop, full_blocks)
         t = engine.now
-        times = array("d")
-        while True:
-            block = min(sync, self.total_steps - done)
-            dt = full if block == sync else self.block_seconds(rts, block)
+        if full > 0:
+            times = array("d", islice(accumulate(repeat(full, n), initial=t), 1, None))
+            if n:
+                t = times[-1]
+        else:
+            times = array("d", repeat(t, n))
+        if last and stop > full_blocks:
+            dt = self.block_seconds(rts, last)
             if dt > 0:
                 t += dt
             times.append(t)
-            done += block
-            if (done == self.total_steps or self._pending is not None
-                    or (every is not None and done % every == 0)):
-                break
         self._hop_start = start
         self._hop_times = times
         self._hop_end = len(times) - 1

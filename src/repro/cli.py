@@ -35,6 +35,16 @@ from .schedsim import WorkloadSpec, generate_workload
 __all__ = ["main"]
 
 
+def _usage_error(message: str) -> int:
+    """Report bad user input the way ``main`` reports a ReproError."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _bad_gap(gap: float) -> bool:
+    return not (math.isfinite(gap) and gap >= 0)
+
+
 def _cmd_jobs(args) -> int:
     """List the randomly generated job set (generate_jobs.py analog)."""
     spec = WorkloadSpec(num_jobs=args.jobs, submission_gap=args.gap, seed=args.seed)
@@ -54,6 +64,12 @@ def _cmd_run(args) -> int:
     from .experiments.ascii import render_profile
     from .experiments.cluster_run import run_cluster_experiment
 
+    if args.jobs < 1:
+        return _usage_error("--jobs must be >= 1")
+    if _bad_gap(args.gap):
+        return _usage_error("--gap must be a finite number >= 0")
+    if not args.rescale_gap >= 0:  # inf is allowed: it disables rescaling
+        return _usage_error("--rescale-gap must be a number >= 0")
     spec = WorkloadSpec(num_jobs=args.jobs, submission_gap=args.gap, seed=args.seed)
     submissions = generate_workload(spec)
     print(f"running {args.policy} on the 4-node cluster "
@@ -72,6 +88,8 @@ def _cmd_simulate(args) -> int:
     """The artifact A2 simulator run (Table 1 simulation columns)."""
     from .schedsim import compare_policies, format_policy_table
 
+    if args.trials < 1:
+        return _usage_error("--trials must be >= 1")
     policies = None
     if args.policies is not None:
         policies = (
@@ -240,9 +258,8 @@ def _cmd_cloud(args) -> int:
     from .cloud import AUTOSCALER_NAMES, compare_cloud, run_cloud_once
     from .schedsim import format_cost_table
 
-    if not (math.isfinite(args.gap) and args.gap >= 0):
-        print("error: --gap must be a finite number >= 0", file=sys.stderr)
-        return 2
+    if _bad_gap(args.gap):
+        return _usage_error("--gap must be a finite number >= 0")
     scenario = _cloud_scenario(args)
     if args.action == "run":
         result = run_cloud_once(
@@ -263,6 +280,8 @@ def _cmd_cloud(args) -> int:
         return 0
 
     # action == "sweep": the autoscaler x policy grid with cost columns.
+    if args.trials < 1:
+        return _usage_error("--trials must be >= 1")
     policies = (
         tuple(REGISTRY.list_policies()) if args.policies == "all"
         else tuple(args.policies.split(","))
@@ -352,6 +371,8 @@ def _cmd_figure(args) -> int:
     elif name in ("fig7", "fig8"):
         from .experiments.fig78 import render_sweep_figure, run_fig7, run_fig8
 
+        if args.trials < 1:
+            return _usage_error("--trials must be >= 1")
         runner = run_fig7 if name == "fig7" else run_fig8
         result = runner(trials=args.trials, workers=args.workers)
         print(render_sweep_figure(result, f"Figure {name[-1]}"))
@@ -586,8 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for fig in ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table1"):
         p = sub.add_parser(fig, help=f"regenerate {fig}")
-        p.add_argument("--trials", type=int, default=100)
         if fig in ("fig7", "fig8"):
+            p.add_argument("--trials", type=int, default=100)
             p.add_argument("--workers", type=int, default=None,
                            help="process-pool size for the sweep grid")
         p.set_defaults(fn=_cmd_figure)

@@ -23,6 +23,11 @@ Design notes
 * The never-cancelled majority of events (workload arrivals, one-shot
   timeouts) can skip the slot machinery entirely via :meth:`Engine.post`
   / :meth:`Engine.post_at` — no handle, no slot, just the tuple.
+* :meth:`Engine.call_soon` is one of them: it posts a plain entry at the
+  current time and returns ``None``, so it cannot be cancelled.  Process
+  resumptions and event callbacks go through it, and the k8s watch hub
+  posts the same plain entries.  A same-instant event that may have to be
+  taken back needs ``schedule_at(engine.now, ...)`` instead.
 * A live-timer counter makes :meth:`Engine.pending_count` O(1).
 * The engine is single-threaded and re-entrant: callbacks may schedule
   further events, create processes, or stop the simulation.
@@ -223,9 +228,10 @@ class Engine:
         # _live is unchanged: one armed entry replaced another.
         return timer
 
-    def call_soon(self, fn: Callable, *args: Any) -> Timer:
-        """Schedule ``fn(*args)`` at the current time (after pending events)."""
-        return self.schedule_at(self._now, fn, *args)
+    def call_soon(self, fn: Callable, *args: Any) -> None:
+        """Run ``fn(*args)`` at the current time, after the events already
+        pending there.  Non-cancellable: a plain :meth:`post_at` entry."""
+        self.post_at(self._now, fn, *args)
 
     def _cancel_slot(self, slot: int, epoch: int) -> None:
         """Invalidate a slot's pending entry and recycle the slot."""

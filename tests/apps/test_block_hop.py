@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.apps.base import RescaleDecision
+from repro.apps.base import RescaleDecision, _blocks_to_multiple
 from repro.apps.evolving import EfficiencyDecision
 from repro.apps.modeled import ModeledApp, ModeledAppConfig
 from repro.charm import CcsRequest, CcsServer, CharmRuntime
@@ -229,6 +229,39 @@ def test_efficiency_vetoes(seed):
 
     diff(step_time, sync, total, pes=pes, requests=requests,
          decision=decision)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_blocks_that_take_no_time(seed):
+    # block_seconds is 0 for every block: every sync point lands on the
+    # start instant, so the whole run is the dt <= 0 branch.
+    rng = random.Random(6000 + seed)
+    sync, total = random_shape(rng)
+    common = dict(pes=rng.randint(1, 8), requests=[(0.0, rng.randint(1, 8))],
+                  polls=[0.0])
+    if seed % 2:
+        # Disk checkpoints too, each driver with its own store.
+        every = rng.randint(1, 3) * sync
+        out = [drive(app_cls, lambda p: 0.0, sync, total, ckpt_every=every,
+                     store=DiskCheckpointStore(), **common)
+               for app_cls in (ModeledApp, PerBlockModeledApp)]
+        assert out[0] == out[1]
+        out = out[0]
+    else:
+        out = diff(lambda p: 0.0, sync, total, **common)
+    assert out["completed_steps"] == total
+
+
+def test_blocks_to_checkpoint_against_a_count():
+    # The hop's stop block: the first k >= 1 with (start + k * sync) a
+    # multiple of every, within every blocks or never.
+    for start in range(0, 40):
+        for sync in range(1, 13):
+            for every in range(1, 30):
+                hits = [k for k in range(1, every + 1)
+                        if (start + k * sync) % every == 0]
+                assert _blocks_to_multiple(start, sync, every) == (
+                    hits[0] if hits else None)
 
 
 def test_record_iterations_off():

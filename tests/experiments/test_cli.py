@@ -61,6 +61,45 @@ class TestCli:
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
+class TestRunRejectsBadInput:
+    """`repro run` checks its flags before building the cluster."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--gap", "inf"], "--gap must be a finite number >= 0"),
+        (["--gap", "nan"], "--gap must be a finite number >= 0"),
+        (["--gap", "-3"], "--gap must be a finite number >= 0"),
+        (["--jobs", "0"], "--jobs must be >= 1"),
+        (["--jobs", "-2"], "--jobs must be >= 1"),
+        (["--rescale-gap", "-1"], "--rescale-gap must be a number >= 0"),
+        (["--rescale-gap", "nan"], "--rescale-gap must be a number >= 0"),
+    ])
+    def test_bad_flag_is_a_user_error(self, capsys, flags, message):
+        assert main(["run", "elastic", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""  # no run banner
+
+
+class TestTrials:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--trials", "-1"],
+        ["simulate", "--trials", "0"],
+        ["fig7", "--trials", "0"],
+        ["fig8", "--trials", "-1"],
+        ["cloud", "sweep", "--trials", "0", "--jobs", "2"],
+    ])
+    def test_trials_below_one_is_a_user_error(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --trials must be >= 1\n"
+
+    @pytest.mark.parametrize("fig", ["fig4", "fig5", "fig6", "fig9", "table1"])
+    def test_only_the_sweep_figures_take_trials(self, capsys, fig):
+        with pytest.raises(SystemExit) as exit_info:
+            main([fig, "--trials", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --trials" in capsys.readouterr().err
+
+
 class TestPoliciesCli:
     def test_policies_list_shows_registry(self, capsys):
         assert main(["policies", "list"]) == 0

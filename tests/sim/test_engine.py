@@ -54,6 +54,22 @@ def test_call_soon_runs_at_current_time(engine):
     assert seen == [2.0]
 
 
+def test_call_soon_is_a_plain_entry_after_pending_same_time_events(engine):
+    order = []
+
+    def at_two():
+        engine.schedule_at(2.0, order.append, "timer")
+        assert engine.call_soon(order.append, "soon") is None
+        engine.post_at(2.0, order.append, "post")
+
+    engine.schedule(2.0, at_two)
+    engine.run()
+    assert order == ["timer", "soon", "post"]
+    # The inner schedule_at recycles the outer timer's slot; call_soon
+    # takes none, so one slot ever existed.
+    assert len(engine._slot_epoch) == 1
+
+
 def test_negative_delay_rejected(engine):
     with pytest.raises(SimError):
         engine.schedule(-1.0, lambda: None)
