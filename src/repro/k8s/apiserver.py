@@ -200,12 +200,8 @@ class ApiServer:
             raise NotFoundError(f"{kind} {ref[0]}/{ref[1]} not found") from None
 
     def _index_labels(self, kind: str, ref: tuple, labels: Dict[str, str]) -> None:
-        by_label = self._by_label
         for label, value in labels.items():
-            bucket = by_label.get((kind, label, value))
-            if bucket is None:
-                bucket = by_label[(kind, label, value)] = set()
-            bucket.add(ref)
+            self._by_label.setdefault((kind, label, value), set()).add(ref)
         self._indexed_labels[(kind, ref)] = dict(labels)
 
     def _unindex_labels(self, kind: str, ref: tuple) -> None:
