@@ -41,8 +41,17 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _bad_gap(gap: float) -> bool:
-    return not (math.isfinite(gap) and gap >= 0)
+#: The flags several verbs share: (attribute, is it bad, message).
+#: ``main`` checks whichever of them a verb has before the verb runs.
+_SHARED_FLAG_CHECKS = (
+    ("jobs", lambda jobs: jobs < 1, "--jobs must be >= 1"),
+    ("gap", lambda gap: not (math.isfinite(gap) and gap >= 0),
+     "--gap must be a finite number >= 0"),
+    # inf is allowed: it disables rescaling.
+    ("rescale_gap", lambda gap: not gap >= 0,
+     "--rescale-gap must be a number >= 0"),
+    ("trials", lambda trials: trials < 1, "--trials must be >= 1"),
+)
 
 
 def _cmd_jobs(args) -> int:
@@ -64,12 +73,6 @@ def _cmd_run(args) -> int:
     from .experiments.ascii import render_profile
     from .experiments.cluster_run import run_cluster_experiment
 
-    if args.jobs < 1:
-        return _usage_error("--jobs must be >= 1")
-    if _bad_gap(args.gap):
-        return _usage_error("--gap must be a finite number >= 0")
-    if not args.rescale_gap >= 0:  # inf is allowed: it disables rescaling
-        return _usage_error("--rescale-gap must be a number >= 0")
     spec = WorkloadSpec(num_jobs=args.jobs, submission_gap=args.gap, seed=args.seed)
     submissions = generate_workload(spec)
     print(f"running {args.policy} on the 4-node cluster "
@@ -88,8 +91,6 @@ def _cmd_simulate(args) -> int:
     """The artifact A2 simulator run (Table 1 simulation columns)."""
     from .schedsim import compare_policies, format_policy_table
 
-    if args.trials < 1:
-        return _usage_error("--trials must be >= 1")
     policies = None
     if args.policies is not None:
         policies = (
@@ -258,8 +259,6 @@ def _cmd_cloud(args) -> int:
     from .cloud import AUTOSCALER_NAMES, compare_cloud, run_cloud_once
     from .schedsim import format_cost_table
 
-    if _bad_gap(args.gap):
-        return _usage_error("--gap must be a finite number >= 0")
     scenario = _cloud_scenario(args)
     if args.action == "run":
         result = run_cloud_once(
@@ -280,8 +279,6 @@ def _cmd_cloud(args) -> int:
         return 0
 
     # action == "sweep": the autoscaler x policy grid with cost columns.
-    if args.trials < 1:
-        return _usage_error("--trials must be >= 1")
     policies = (
         tuple(REGISTRY.list_policies()) if args.policies == "all"
         else tuple(args.policies.split(","))
@@ -371,8 +368,6 @@ def _cmd_figure(args) -> int:
     elif name in ("fig7", "fig8"):
         from .experiments.fig78 import render_sweep_figure, run_fig7, run_fig8
 
-        if args.trials < 1:
-            return _usage_error("--trials must be >= 1")
         runner = run_fig7 if name == "fig7" else run_fig8
         result = runner(trials=args.trials, workers=args.workers)
         print(render_sweep_figure(result, f"Figure {name[-1]}"))
@@ -617,6 +612,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for attr, bad, message in _SHARED_FLAG_CHECKS:
+        if hasattr(args, attr) and bad(getattr(args, attr)):
+            return _usage_error(message)
     try:
         return args.fn(args)
     except BrokenPipeError:  # e.g. `python -m repro jobs | head`

@@ -3,7 +3,7 @@
 Public surface::
 
     from repro.scheduling import (
-        ElasticPolicyEngine, PolicyConfig, SchedulingPolicy,
+        ElasticPolicyEngine, PolicyConfig,
         StaticPriority, Aging,
         SchedulerRegistry, REGISTRY, resolve, list_policies,
         JobRequest, SchedulerJob, JobState,
@@ -55,7 +55,6 @@ from .policy import (
     PreemptJob,
     RequeueJob,
     ResumeJob,
-    SchedulingPolicy,
     ShrinkJob,
     StartJob,
     StaticPriority,
@@ -64,7 +63,6 @@ from .policy import (
 __all__ = [
     "ElasticPolicyEngine",
     "PolicyConfig",
-    "SchedulingPolicy",
     "StaticPriority",
     "Aging",
     "BackfillRule",

@@ -41,7 +41,11 @@ class ElasticSchedulerController:
         total_slots: Optional[int] = None,
         tracer=None,
     ):
-        if getattr(config, "preempt", False):
+        slots = int(cluster.total_cpus) if total_slots is None else int(total_slots)
+        # The engine refuses a config that is not a PolicyConfig.
+        self.policy = ElasticPolicyEngine(slots, config)
+        config = self.policy.config
+        if config.preempt:
             # The operator can rescale a job but not checkpoint its pods
             # to disk, so a PreemptJob would have nowhere to go.
             raise SchedulingError(
@@ -52,8 +56,6 @@ class ElasticSchedulerController:
         self.cluster = cluster
         self.operator = operator
         self.tracer = tracer
-        slots = int(cluster.total_cpus) if total_slots is None else int(total_slots)
-        self.policy = ElasticPolicyEngine(slots, config or PolicyConfig())
         self.total_slots = slots
         self._charm_jobs: Dict[str, CharmJob] = {}
         self._timelines: Dict[str, ReplicaTimeline] = {}

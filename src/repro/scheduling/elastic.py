@@ -144,7 +144,6 @@ from .policy import (
     ResumeJob,
     ShrinkJob,
     StartJob,
-    StaticPriority,
 )
 
 __all__ = ["ElasticPolicyEngine"]
@@ -161,8 +160,14 @@ class ElasticPolicyEngine:
     def __init__(self, total_slots: int, config: Optional[PolicyConfig] = None):
         if total_slots < 1:
             raise CapacityError("total_slots must be positive")
+        if config is None:
+            config = PolicyConfig()
+        elif not isinstance(config, PolicyConfig):
+            raise SchedulingError(
+                f"config must be a PolicyConfig, got {type(config).__name__}"
+            )
         self.total_slots = int(total_slots)
-        self.config = config or PolicyConfig()
+        self.config = config
         self.running = IndexedJobList()  # decreasing priority order
         self.queue = IndexedJobList()  # decreasing priority order
         self._jobs: Dict[str, SchedulerJob] = {}
@@ -182,31 +187,23 @@ class ElasticPolicyEngine:
         # and applied after the walk (the walk's block pointers must not
         # see structural mutations mid-flight).
         self._pending_starts: Optional[List[SchedulerJob]] = None
-        # The SchedulingPolicy hook stages (the user priority and None on
-        # the paper's four policies, keeping every hot path bytewise
-        # identical).  getattr keeps duck-typed configs without the new
-        # fields working, but a config still naming a removed ordering
-        # stage would lose its order silently, so it is refused.
-        config = self.config
-        for removed in ("priority_rule", "aging"):
-            if hasattr(config, removed):
-                raise SchedulingError(f"policy {config.name!r}: {removed!r} "
-                                      "was replaced by the priority stage")
-        self._priority = getattr(config, "priority", StaticPriority())
+        # The hook stages (the user priority and None on the paper's four
+        # policies, keeping every hot path bytewise identical).
+        self._priority = config.priority
         #: Min-heap of ``(due, tiebreak, job, key)``: when each waiter's
         #: effective priority may next change, and the key it was pushed
         #: under.  Empty under a static priority rule.
         self._steps: List[tuple] = []
         self._step_ties = itertools.count()
-        self._backfill = getattr(config, "backfill", None)
+        self._backfill = config.backfill
         # Optional companion of BackfillRule.allows: told when a job
         # enters the queue ahead of every waiter, so a rule can retire
         # the reservation of the head it displaced.
         self._backfill_overtakes = getattr(self._backfill, "overtakes", None)
-        factory = getattr(config, "capacity_constraint", None)
+        factory = config.capacity_constraint
         #: One fresh constraint per engine: budgets are engine state.
         self._constraint = factory() if factory is not None else None
-        self._preempt = getattr(config, "preempt", False)
+        self._preempt = config.preempt
         #: Names of queued jobs the preemption stage checkpointed to disk;
         #: empty unless ``preempt`` is set.
         self._preempted: set = set()

@@ -3,7 +3,7 @@
 The paper's evaluation stops at its four policies; the ROADMAP's "policy
 diversity" item asks for the classic space next to them.  This module
 ships the first residents, built entirely on the
-:class:`~repro.scheduling.policy.SchedulingPolicy` hook stages:
+:class:`~repro.scheduling.policy.PolicyConfig` hook stages:
 
 * **ewt** — estimated-waiting-time priority rule: jobs with less
   estimated work outrank longer ones at equal user priority
@@ -15,6 +15,10 @@ ships the first residents, built entirely on the
   an arrival may jump the queue only if it provably does not delay the
   *reserved queue head*; ``conservative=True`` protects every waiting
   job, not just the head (backfill-eligibility stage).
+
+``ewt`` and ``prb`` are the elastic algorithm with a fixed priority
+stage, registered by :func:`~repro.scheduling.policies.elastic_variant`;
+``easy-backfill`` keeps a factory of its own for ``conservative``.
 
 Runtime estimates come from the same §4.3.1 performance model the
 simulator integrates (``timesteps × step_time(replicas)``), so for
@@ -31,7 +35,7 @@ import math
 from typing import Dict, List, Tuple
 
 from .job import JobRequest, JobState, SchedulerJob, priority_order_key
-from .policies import DEFAULT_RESCALE_GAP
+from .policies import elastic_variant
 from .policy import PolicyConfig, StaticPriority
 from .registry import REGISTRY
 
@@ -350,40 +354,16 @@ class EasyBackfill:
 # -- registrations -----------------------------------------------------
 
 
-@REGISTRY.register(
+elastic_variant(
     "ewt", tags=("literature", "priority-rule"),
+    priority=StaticPriority(ewt_priority),
     description="estimated-waiting-time ordering: least estimated work first",
 )
-def _ewt(
-    rescale_gap: float = DEFAULT_RESCALE_GAP,
-    launcher_slots: int = 0,
-    shrink_filter=None,
-) -> PolicyConfig:
-    return PolicyConfig(
-        name="ewt",
-        rescale_gap=rescale_gap,
-        launcher_slots=launcher_slots,
-        shrink_filter=shrink_filter,
-        priority=StaticPriority(ewt_priority),
-    )
-
-
-@REGISTRY.register(
+elastic_variant(
     "prb", tags=("literature", "priority-rule"),
+    priority=StaticPriority(prb_priority),
     description="priority-rule-based blend of priority, runtime, and width",
 )
-def _prb(
-    rescale_gap: float = DEFAULT_RESCALE_GAP,
-    launcher_slots: int = 0,
-    shrink_filter=None,
-) -> PolicyConfig:
-    return PolicyConfig(
-        name="prb",
-        rescale_gap=rescale_gap,
-        launcher_slots=launcher_slots,
-        shrink_filter=shrink_filter,
-        priority=StaticPriority(prb_priority),
-    )
 
 
 @REGISTRY.register(

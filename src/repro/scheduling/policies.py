@@ -11,12 +11,15 @@ parameterized exactly as the paper emulates them (§4.3.2):
   for min_replicas and max_replicas" = the job's minimum.
 * **rigid-max** (``max_replicas``) — likewise pinned to the maximum.
 
-Each is a named factory on :data:`repro.scheduling.registry.REGISTRY`
+Since the variants are data, not code, each is one
+:func:`elastic_variant` call naming the :class:`PolicyConfig` fields it
+fixes, registered on :data:`repro.scheduling.registry.REGISTRY`
 (``paper=True``); the golden decision-log suite pins registry-resolved
 configs byte-identical to the frozen reference engine.  The module also
 registers the two §3.2.2 extensions as non-paper policies: ``aging``
-(aging priorities) and ``preemptive`` (checkpoint-to-disk preemption).
-Callers resolve through the registry::
+(aging priorities, with keywords of its own) and ``preemptive``
+(checkpoint-to-disk preemption, one more variant).  Callers resolve
+through the registry::
 
     from repro.scheduling.registry import resolve
     config = resolve("elastic", rescale_gap=90.0)
@@ -24,14 +27,13 @@ Callers resolve through the registry::
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 from .job import JobRequest
 from .policy import Aging, PolicyConfig
 from .registry import REGISTRY
 
-__all__ = ["DEFAULT_RESCALE_GAP"]
+__all__ = ["DEFAULT_RESCALE_GAP", "elastic_variant"]
 
 #: The T_rescale_gap used throughout the paper's experiments.
 DEFAULT_RESCALE_GAP = 180.0
@@ -45,74 +47,48 @@ def _pin_max(request: JobRequest) -> JobRequest:
     return request.with_rigid_replicas(request.max_replicas)
 
 
-@REGISTRY.register(
+def elastic_variant(name: str, *, description: str, tags=(), paper=False,
+                    **fixed):
+    """Register ``name`` as the elastic algorithm with ``fixed`` fields.
+
+    The registered factory takes the shared keywords (``rescale_gap``,
+    ``launcher_slots``, ``shrink_filter``) and returns
+    ``PolicyConfig(name=name, ...)``.  A field in ``fixed`` wins over the
+    keyword of the same name: moldable fixes ``rescale_gap=math.inf``,
+    so the gap it is passed is accepted and ignored.
+    """
+
+    def factory(
+        rescale_gap: float = DEFAULT_RESCALE_GAP,
+        launcher_slots: int = 0,
+        shrink_filter=None,
+    ) -> PolicyConfig:
+        fields = dict(rescale_gap=rescale_gap, launcher_slots=launcher_slots,
+                      shrink_filter=shrink_filter)
+        fields.update(fixed)
+        return PolicyConfig(name=name, **fields)
+
+    factory.__name__ = factory.__qualname__ = f"_{name}"
+    return REGISTRY.register(name, factory, description=description,
+                             tags=tags, paper=paper)
+
+
+elastic_variant(
     "elastic", paper=True, tags=("paper",),
     description="§3.2 priority-based elastic scheduling (the contribution)",
 )
-def _elastic(
-    rescale_gap: float = DEFAULT_RESCALE_GAP,
-    launcher_slots: int = 0,
-    shrink_filter=None,
-) -> PolicyConfig:
-    return PolicyConfig(
-        name="elastic",
-        rescale_gap=rescale_gap,
-        launcher_slots=launcher_slots,
-        shrink_filter=shrink_filter,
-    )
-
-
-@REGISTRY.register(
-    "moldable", paper=True, tags=("paper",),
+elastic_variant(
+    "moldable", paper=True, tags=("paper",), rescale_gap=math.inf,
     description="size chosen at start, never rescaled (T_rescale_gap = inf)",
 )
-def _moldable(
-    rescale_gap: float = DEFAULT_RESCALE_GAP,  # accepted and ignored
-    launcher_slots: int = 0,
-    shrink_filter=None,
-) -> PolicyConfig:
-    return PolicyConfig(
-        name="moldable",
-        rescale_gap=math.inf,
-        launcher_slots=launcher_slots,
-        shrink_filter=shrink_filter,
-    )
-
-
-@REGISTRY.register(
-    "min_replicas", paper=True, tags=("paper", "rigid"),
+elastic_variant(
+    "min_replicas", paper=True, tags=("paper", "rigid"), job_transform=_pin_min,
     description="rigid baseline: every job pinned to its minimum size",
 )
-def _min_replicas(
-    rescale_gap: float = DEFAULT_RESCALE_GAP,
-    launcher_slots: int = 0,
-    shrink_filter=None,
-) -> PolicyConfig:
-    return PolicyConfig(
-        name="min_replicas",
-        rescale_gap=rescale_gap,
-        launcher_slots=launcher_slots,
-        job_transform=_pin_min,
-        shrink_filter=shrink_filter,
-    )
-
-
-@REGISTRY.register(
-    "max_replicas", paper=True, tags=("paper", "rigid"),
+elastic_variant(
+    "max_replicas", paper=True, tags=("paper", "rigid"), job_transform=_pin_max,
     description="rigid baseline: every job pinned to its maximum size",
 )
-def _max_replicas(
-    rescale_gap: float = DEFAULT_RESCALE_GAP,
-    launcher_slots: int = 0,
-    shrink_filter=None,
-) -> PolicyConfig:
-    return PolicyConfig(
-        name="max_replicas",
-        rescale_gap=rescale_gap,
-        launcher_slots=launcher_slots,
-        job_transform=_pin_max,
-        shrink_filter=shrink_filter,
-    )
 
 
 @REGISTRY.register(
@@ -136,15 +112,8 @@ def _aging(
     )
 
 
-@REGISTRY.register(
-    "preemptive", tags=("extension",),
+elastic_variant(
+    "preemptive", tags=("extension",), preempt=True,
     description="§3.2.2 job preemption: lower-priority jobs checkpoint "
                 "to disk to make room for a waiting arrival",
 )
-def _preemptive(
-    rescale_gap: float = DEFAULT_RESCALE_GAP,
-    launcher_slots: int = 0,
-    shrink_filter=None,
-) -> PolicyConfig:
-    config = _elastic(rescale_gap, launcher_slots, shrink_filter)
-    return dataclasses.replace(config, name="preemptive", preempt=True)

@@ -25,7 +25,6 @@ __all__ = [
     "PreemptJob",
     "ResumeJob",
     "PolicyConfig",
-    "SchedulingPolicy",
     "BackfillRule",
     "CapacityConstraint",
     "PriorityRule",
@@ -265,45 +264,25 @@ class Aging:
         return step - _STEP_SLACK * max(1.0, abs(step))
 
 
-@runtime_checkable
-class SchedulingPolicy(Protocol):
-    """The policy surface :class:`~repro.scheduling.elastic.ElasticPolicyEngine`
-    consumes.
-
-    :class:`PolicyConfig` is the canonical implementation; anything with
-    these attributes (e.g. a third-party config registered through
-    :mod:`repro.scheduling.registry`) drives the engine equally.  The
-    four hook stages generalize the paper's fixed algorithm:
-
-    ``priority``
-        priority stage (:class:`PriorityRule`) — queue order: the user
-        priority, a static rule such as EWT or PRB
-        (:class:`StaticPriority`), or :class:`Aging` over one (§3.2.2).
-    ``backfill``
-        backfill-eligibility stage — gates out-of-order starts (EASY).
-    ``capacity_constraint``
-        capacity-constraint stage — factory for a per-engine budget
-        tighter than the slot count (power capping).
-    ``preempt``
-        preemption stage — a last resort after Figure 2 enqueues an
-        arrival: checkpoint lower-priority running jobs to disk (§3.2.2).
-    """
-
-    name: str
-    rescale_gap: float
-    launcher_slots: int
-    job_transform: Callable[[JobRequest], JobRequest]
-    shrink_filter: Optional[Callable[[SchedulerJob, int], bool]]
-    literal_completion_budget: bool
-    priority: PriorityRule
-    backfill: Optional[BackfillRule]
-    capacity_constraint: Optional[Callable[[], CapacityConstraint]]
-    preempt: bool
-
-
 @dataclass
 class PolicyConfig:
     """Tunable parameters of the elastic policy (§3.2.1).
+
+    The only configuration :class:`~repro.scheduling.elastic
+    .ElasticPolicyEngine` runs, and what every registry factory returns.
+    Four hook stages generalize the paper's fixed algorithm:
+
+    ``priority``
+        queue order: the user priority, a static rule such as EWT or
+        PRB (:class:`StaticPriority`), or :class:`Aging` over one (§3.2.2).
+    ``backfill``
+        gates out-of-order starts (EASY).
+    ``capacity_constraint``
+        factory for a per-engine budget tighter than the slot count
+        (power capping).
+    ``preempt``
+        a last resort after Figure 2 enqueues an arrival: checkpoint
+        lower-priority running jobs to disk (§3.2.2).
 
     Parameters
     ----------

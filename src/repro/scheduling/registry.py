@@ -6,18 +6,21 @@ SchedulerRegistry.register`, or ``repro.policies`` entry points from
 third-party packages — and every consumer (CLI, schedsim, cloud sweeps,
 benches) resolves them through one surface::
 
+    from repro.scheduling.policies import elastic_variant
     from repro.scheduling.registry import REGISTRY
 
-    @REGISTRY.register("sjf", description="shortest job first")
-    def _sjf(rescale_gap=180.0, **overrides):
-        return PolicyConfig(name="sjf", priority=StaticPriority(...), ...)
+    elastic_variant("sjf", description="shortest job first",
+                    priority=StaticPriority(...))
 
     config = REGISTRY.resolve("sjf", rescale_gap=60.0)
 
-A *factory* takes keyword overrides and returns a configuration
-satisfying the :class:`~repro.scheduling.policy.SchedulingPolicy`
-protocol (in practice a :class:`~repro.scheduling.policy.PolicyConfig`)
-whose ``name`` matches the registered name.
+A *factory* takes keyword overrides and returns a
+:class:`~repro.scheduling.policy.PolicyConfig` whose ``name`` matches the
+registered name; :meth:`SchedulerRegistry.resolve` refuses anything
+else.  :func:`~repro.scheduling.policies.elastic_variant` registers the
+common case, the elastic algorithm with some fields fixed, and a policy
+with keywords of its own registers its factory with
+:meth:`SchedulerRegistry.register` (directly or as a decorator).
 
 Third-party discovery uses the ``repro.policies`` entry-point group: the
 loaded object is either a module/object exposing
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SchedulingError
-from .policy import SchedulingPolicy
+from .policy import PolicyConfig
 
 __all__ = [
     "PolicySpec",
@@ -77,7 +80,7 @@ class PolicySpec:
     """One registered policy: the factory plus its introspection card."""
 
     name: str
-    factory: Callable[..., SchedulingPolicy]
+    factory: Callable[..., PolicyConfig]
     description: str = ""
     tags: Tuple[str, ...] = ()
     #: True for the four policies of the paper's evaluation (§4.3).
@@ -98,7 +101,7 @@ class SchedulerRegistry:
     def register(
         self,
         name: str,
-        factory: Optional[Callable[..., SchedulingPolicy]] = None,
+        factory: Optional[Callable[..., PolicyConfig]] = None,
         *,
         description: str = "",
         tags: Tuple[str, ...] = (),
@@ -144,29 +147,24 @@ class SchedulerRegistry:
 
     # -- resolution ----------------------------------------------------
 
-    def resolve(self, name: str, **overrides) -> SchedulingPolicy:
+    def resolve(self, name: str, **overrides) -> PolicyConfig:
         """Build the named policy's configuration with ``overrides``.
 
-        The returned configuration must carry the registered name — a
-        factory that labels its output differently would silently
-        corrupt every name-keyed consumer (metrics tables, sweep grids,
-        trial-cache keys).
+        The returned configuration must be a :class:`PolicyConfig`
+        carrying the registered name — a factory that labels its output
+        differently would silently corrupt every name-keyed consumer
+        (metrics tables, sweep grids, trial-cache keys).
         """
-        spec = self._specs.get(name)
-        if spec is None:
-            # A third-party package may provide it: discover lazily.
-            self.load_entry_points()
-            spec = self._specs.get(name)
-        if spec is None:
-            raise UnknownPolicyError(
-                f"unknown policy {name!r}; available: "
-                f"{tuple(self.list_policies())}"
-            )
-        config = spec.factory(**overrides)
-        got = getattr(config, "name", None)
-        if got != name:
+        config = self.describe(name).factory(**overrides)
+        if not isinstance(config, PolicyConfig):
             raise PolicyRegistrationError(
-                f"policy {name!r}: factory returned a config named {got!r}"
+                f"policy {name!r}: factory returned {type(config).__name__}, "
+                f"not a PolicyConfig"
+            )
+        if config.name != name:
+            raise PolicyRegistrationError(
+                f"policy {name!r}: factory returned a config named "
+                f"{config.name!r}"
             )
         return config
 
@@ -189,6 +187,7 @@ class SchedulerRegistry:
     def describe(self, name: str) -> PolicySpec:
         spec = self._specs.get(name)
         if spec is None:
+            # A third-party package may provide it: discover lazily.
             self.load_entry_points()
             spec = self._specs.get(name)
         if spec is None:
@@ -291,7 +290,7 @@ def register(name, factory=None, **kwargs):
     return REGISTRY.register(name, factory, **kwargs)
 
 
-def resolve(name: str, **overrides) -> SchedulingPolicy:
+def resolve(name: str, **overrides) -> PolicyConfig:
     """Resolve against the process-wide :data:`REGISTRY`."""
     return REGISTRY.resolve(name, **overrides)
 

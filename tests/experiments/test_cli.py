@@ -80,6 +80,30 @@ class TestRunRejectsBadInput:
         assert captured.out == ""  # no run banner
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--trials", "1", "--rescale-gap", "-1"],
+     "--rescale-gap must be a number >= 0"),
+    (["workloads", "run", "--jobs", "3", "--rescale-gap", "-1"],
+     "--rescale-gap must be a number >= 0"),
+    (["faults", "replay", "--jobs", "3", "--rescale-gap", "-1"],
+     "--rescale-gap must be a number >= 0"),
+    (["obs", "export-trace", "--jobs", "3", "--rescale-gap", "-1"],
+     "--rescale-gap must be a number >= 0"),
+    (["cloud", "run", "--rescale-gap", "nan", "--jobs", "2"],
+     "--rescale-gap must be a number >= 0"),
+    (["jobs", "--gap", "nan"], "--gap must be a finite number >= 0"),
+    (["jobs", "--jobs", "-1"], "--jobs must be >= 1"),
+    (["simulate", "--trials", "1", "--gap", "-5"],
+     "--gap must be a finite number >= 0"),
+])
+def test_shared_flags_are_checked_on_every_verb(capsys, argv, message):
+    """One check in ``main`` covers every verb with a shared flag."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 class TestTrials:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--trials", "-1"],

@@ -19,7 +19,11 @@ from repro.scheduling import (
 )
 from repro.scheduling.literature import ewt_priority
 from repro.scheduling.power import PowerBudget
-from repro.scheduling.registry import REGISTRY
+from repro.scheduling.registry import (
+    REGISTRY,
+    PolicyRegistrationError,
+    SchedulerRegistry,
+)
 from tests.scheduling.conftest import req
 
 
@@ -124,20 +128,6 @@ class TestAging:
     def test_priority_must_be_a_priority_rule(self, priority):
         with pytest.raises(ValueError, match="'elastic'.*priority"):
             PolicyConfig(priority=priority)
-
-    @pytest.mark.parametrize("removed, stage", [
-        ("priority_rule", ewt_priority), ("aging", Aging()),
-    ])
-    def test_duck_typed_config_with_a_removed_stage_rejected(
-        self, removed, stage
-    ):
-        # A config that only duck-types SchedulingPolicy and still sets a
-        # removed ordering stage must not fall back to user-priority order.
-        fields = vars(PolicyConfig(name="legacy"))
-        del fields["priority"]
-        config = types.SimpleNamespace(**fields, **{removed: stage})
-        with pytest.raises(SchedulingError, match=f"'legacy'.*{removed}"):
-            ElasticPolicyEngine(64, config)
 
     @pytest.mark.parametrize("base", [Aging(), lambda r: r.priority, None])
     def test_aging_base_must_be_static(self, base):
@@ -302,3 +292,29 @@ class TestSimulatorIntegration:
                 for i in range(8)]
         result = sim.run(subs)
         assert len(result.outcomes) == 8
+
+
+@pytest.mark.parametrize("fields", [
+    {},
+    # Each of these fails a PolicyConfig check; together they put
+    # preemption beside a power budget, which do not compose.
+    {"rescale_gap": math.nan, "launcher_slots": 1.5, "preempt": True,
+     "capacity_constraint": PowerBudget},
+])
+def test_config_that_is_not_a_policy_config_rejected(fields):
+    # A look-alike would skip every PolicyConfig check, so neither the
+    # engine nor the registry accepts one.
+    config = types.SimpleNamespace(
+        **{**vars(PolicyConfig(name="legacy")), **fields}
+    )
+    with pytest.raises(SchedulingError, match="PolicyConfig"):
+        ElasticPolicyEngine(64, config)
+    registry = SchedulerRegistry()
+    registry._entry_points_loaded = True
+    registry.register("legacy", lambda: config)
+    with pytest.raises(PolicyRegistrationError,
+                       match="'legacy'.*not a PolicyConfig"):
+        registry.resolve("legacy")
+    if fields:
+        with pytest.raises(ValueError, match="'legacy'"):
+            PolicyConfig(name="legacy", **fields)

@@ -6,12 +6,21 @@ fake ``importlib.metadata`` entry points, and the external-policy cache
 salt — the registry-side half of the TrialCache integrity story.
 """
 
+import inspect
+import math
 import warnings
 
 import pytest
 
 from repro.errors import SchedulingError
-from repro.scheduling import ElasticPolicyEngine, PolicyConfig
+from repro.scheduling import (
+    Aging,
+    ElasticPolicyEngine,
+    PolicyConfig,
+    StaticPriority,
+)
+from repro.scheduling.literature import EasyBackfill, ewt_priority, prb_priority
+from repro.scheduling.power import DEFAULT_BUDGET_WATTS, PowerBudget
 from repro.scheduling.registry import (
     REGISTRY,
     PolicyRegistrationError,
@@ -123,6 +132,85 @@ class TestGlobalRegistry:
         engine = ElasticPolicyEngine(8, REGISTRY.resolve("elastic"))
         decisions = engine.on_submit(request_factory("a", 2, 8), 0.0)
         assert [d.job.name for d in decisions] == ["a"]
+
+
+_SHARED = {"rescale_gap": 180.0, "launcher_slots": 0, "shrink_filter": None}
+
+#: Every built-in: its factory's keywords with defaults, and the stages
+#: of the config it resolves to (None = the plain elastic default).
+#: ``gap`` is the resolved ``rescale_gap`` when 60 s is passed; ``pin``
+#: is what ``job_transform`` pins a 2..8 request to.
+_BUILTINS = {
+    "elastic": dict(keywords=_SHARED, gap=60.0),
+    "moldable": dict(keywords=_SHARED, gap=math.inf),
+    "min_replicas": dict(keywords=_SHARED, gap=60.0, pin=2),
+    "max_replicas": dict(keywords=_SHARED, gap=60.0, pin=8),
+    "aging": dict(
+        keywords={**_SHARED, "aging_interval": 600.0, "max_priority": 10},
+        gap=60.0, priority=Aging(),
+    ),
+    "preemptive": dict(keywords=_SHARED, gap=60.0, preempt=True),
+    "ewt": dict(keywords=_SHARED, gap=60.0,
+                priority=StaticPriority(ewt_priority)),
+    "prb": dict(keywords=_SHARED, gap=60.0,
+                priority=StaticPriority(prb_priority)),
+    "easy-backfill": dict(
+        keywords={**_SHARED, "rescale_gap": math.inf, "conservative": False},
+        gap=math.inf, backfill=True,
+    ),
+    "power-capped": dict(
+        keywords={**_SHARED, "budget_watts": DEFAULT_BUDGET_WATTS,
+                  "watts": None},
+        gap=60.0, power=True,
+    ),
+}
+
+
+def test_every_builtin_is_pinned():
+    assert sorted(REGISTRY.list_policies()) == sorted(_BUILTINS)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTINS))
+def test_builtin_registration_pinned(name):
+    """Each built-in's keyword surface and resolved stages, exactly."""
+    want = _BUILTINS[name]
+    params = inspect.signature(REGISTRY.describe(name).factory).parameters
+    assert {k: p.default for k, p in params.items()} == want["keywords"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+
+    def no_shrink(job, replicas):
+        return False
+
+    config = REGISTRY.resolve(name, rescale_gap=60.0, launcher_slots=1,
+                              shrink_filter=no_shrink)
+    assert type(config) is PolicyConfig and config.name == name
+    assert config.rescale_gap == want["gap"]
+    assert config.launcher_slots == 1
+    assert config.shrink_filter is no_shrink
+    assert not config.literal_completion_budget
+    request = req("j", 2, 8)
+    pinned = config.job_transform(request)
+    if "pin" in want:
+        assert (pinned.min_replicas, pinned.max_replicas) == (want["pin"],) * 2
+    else:
+        assert pinned is request
+    assert config.priority == want.get("priority", StaticPriority())
+    if want.get("backfill"):
+        assert type(config.backfill) is EasyBackfill
+        assert not config.backfill.conservative
+    else:
+        assert config.backfill is None
+    if want.get("power"):
+        budget = config.capacity_constraint()
+        assert type(budget) is PowerBudget
+        assert budget.budget_watts == DEFAULT_BUDGET_WATTS
+    else:
+        assert config.capacity_constraint is None
+    assert config.preempt is want.get("preempt", False)
+    # The shared keywords are optional: the bare resolve keeps the defaults.
+    bare = REGISTRY.resolve(name)
+    assert bare.rescale_gap == (180.0 if want["gap"] == 60.0 else math.inf)
+    assert (bare.launcher_slots, bare.shrink_filter) == (0, None)
 
 
 class _FakeEntryPoint:
