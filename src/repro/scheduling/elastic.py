@@ -70,10 +70,10 @@ jobs and block size ``B``:
   In Figure 3 a constraint only ever lowers what a candidate may take,
   so every block skip stays sound; its ``admit`` caps each start and
   expansion exactly as the literal Figure-3 scan over
-  ``sorted(running + queue)`` does (``tests/scheduling/fig3_oracle.py``
-  keeps it as the walk's oracle).  The scan consults the backfill rule
-  only once it has left a waiter behind, and a ``passed`` flag replays
-  that condition: the queue pointer sets it whenever it
+  ``sorted(running + queue)`` does (the executable spec in
+  ``tests/scheduling/spec.py`` is that scan).  The scan consults the
+  backfill rule only once it has left a waiter behind, and a ``passed``
+  flag replays that condition: the queue pointer sets it whenever it
   leaves a waiter behind — a skipped block or member priced out of the
   budget, a waiter inside its rescale gap, capped below its minimum, or
   denied by the rule.  Each such waiter ranks above the candidate under
@@ -112,12 +112,12 @@ jobs and block size ``B``:
   through Figure 3 as :class:`ResumeJob`; with the stage off that
   costs the default path one test of an empty set.
 
-Decision sequences are **byte-identical** to the preserved pre-
-optimization engine (:mod:`repro.scheduling._reference`); the golden
-decision-log equivalence test
-(``tests/scheduling/test_decision_log_equivalence.py``) enforces the
-contract across randomized workloads for every policy configuration, so
-the documented Figure-2/3 quirks provably survive the refactor.  For
+Decision sequences are **byte-identical** to the executable spec in
+``tests/scheduling/spec.py``, a slow literal transliteration of Figures
+2 and 3 and every stage that shares no code with this module;
+``tests/scheduling/test_spec.py`` diffs the two over randomized streams
+for every registry policy and its variants, so the documented
+Figure-2/3 quirks provably survive every optimization.  For
 streaming substrates, :meth:`ElasticPolicyEngine.retire` and
 :attr:`ElasticPolicyEngine.keep_decision_log` bound the engine's memory
 by the live-job count instead of the workload length.
@@ -212,8 +212,8 @@ class ElasticPolicyEngine:
         self.spans = None
         # Telemetry binds at construction: with the registry disabled
         # ``_obs`` is None and the instrumented branches never run —
-        # decision sequences are identical either way (the golden
-        # decision-log suite runs with a registry attached to prove it).
+        # decision sequences are identical either way (the obs tests
+        # run with a registry attached to prove it).
         registry = active_registry()
         if registry.enabled:
             self._obs = registry
@@ -628,8 +628,8 @@ class ElasticPolicyEngine:
         gap``, with ``oldest_action`` a lower bound on the members'
         ``last_action``).  A skipped running candidate would have emitted
         nothing and consumed no budget, so the emitted decision sequence
-        is exactly the literal scan's over ``jobs_by_priority()`` (kept
-        as a test oracle in ``tests/scheduling/fig3_oracle.py``).
+        is exactly the literal scan's over ``jobs_by_priority()`` (the
+        executable spec's Figure 3 in ``tests/scheduling/spec.py``).
 
         Hooked configs take the same walk: the capacity constraint caps
         each ``add`` (it can only lower it, so no skip is invalidated),
@@ -774,10 +774,9 @@ class ElasticPolicyEngine:
     # outright when a spot instance is reclaimed.  These transitions are
     # *substrate* events, not Figure-2/3 policy decisions — a substrate
     # that never calls them (every fixed-capacity caller) gets a bytewise
-    # unchanged engine, which is what the golden decision-log suite
-    # pins.  Both transitions maintain the O(1) ``free_slots`` counter
-    # and the :class:`IndexedJobList` aggregates through the existing
-    # transition helpers only.
+    # unchanged engine.  Both transitions maintain the O(1)
+    # ``free_slots`` counter and the :class:`IndexedJobList` aggregates
+    # through the existing transition helpers only.
 
     def grow_capacity(self, slots: int, now: float) -> List[Decision]:
         """Add ``slots`` to the cluster and hand them out (Figure 3).

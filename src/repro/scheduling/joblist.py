@@ -51,12 +51,6 @@ whose blocks carry three exact aggregates the scheduling walks consume:
     it whole; a stale bound merely downgrades the block to the
     item-by-item scan, never changes a decision.
 
-The container still behaves like the sorted list it replaces: indexing,
-slicing, iteration, ``len``, ``in``, equality with plain lists, and
-``insert`` (so external ``bisect.insort`` callers keep working) — the
-engine's public ``running``/``queue`` attributes and every test that
-pokes them see the same sequence as before.
-
 Aggregate maintenance contract: when the engine mutates ``replicas``
 and/or ``last_action`` of a job *while the job is in the list* (sort
 keys are immutable, so ordering never changes), it must notify the list
@@ -391,7 +385,7 @@ class IndexedJobList:
             block.newest_action = job.last_action
 
     # ------------------------------------------------------------------
-    # Sequence protocol (list compatibility for tests and extensions)
+    # Sequence protocol
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -408,9 +402,7 @@ class IndexedJobList:
         for block in reversed(self._blocks):
             yield from reversed(block.jobs)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
+    def __getitem__(self, index: int) -> SchedulerJob:
         i = index + self._len if index < 0 else index
         if not 0 <= i < self._len:
             raise IndexError("IndexedJobList index out of range")
@@ -419,56 +411,6 @@ class IndexedJobList:
                 return block.jobs[i]
             i -= len(block.jobs)
         raise IndexError("IndexedJobList index out of range")  # pragma: no cover
-
-    def insert(self, index: int, job: SchedulerJob) -> None:
-        """Sorted insert, ignoring ``index`` — supports ``bisect.insort``.
-
-        External callers insort with the same :func:`priority_order_key`
-        the list is ordered by, so the computed position and ours agree;
-        honouring an arbitrary position would break the sort invariant.
-        """
-        self.add(job)
-
-    def __contains__(self, job) -> bool:
-        if not isinstance(job, SchedulerJob) or not self._blocks:
-            return False
-        key = priority_order_key(job)
-        block = self._blocks[self._block_for_key(key)]
-        i = bisect_left(block.keys, key)
-        return i < len(block.jobs) and block.jobs[i] is job
-
-    def index(self, job: SchedulerJob) -> int:
-        key = priority_order_key(job)
-        offset = 0
-        for block in self._blocks:
-            if block.keys and block.keys[-1] >= key:
-                i = bisect_left(block.keys, key)
-                if i < len(block.jobs) and block.jobs[i] is job:
-                    return offset + i
-                break
-            offset += len(block.jobs)
-        raise ValueError(f"job {job.name!r} not in list")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, IndexedJobList):
-            return list(self) == list(other)
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
-    __hash__ = None  # mutable sequence
-
-    def __add__(self, other):
-        if isinstance(other, IndexedJobList):
-            return list(self) + list(other)
-        if isinstance(other, list):
-            return list(self) + other
-        return NotImplemented
-
-    def __radd__(self, other):
-        if isinstance(other, list):
-            return other + list(self)
-        return NotImplemented
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IndexedJobList({list(self)!r})"

@@ -14,8 +14,9 @@ parameterized exactly as the paper emulates them (§4.3.2):
 Since the variants are data, not code, each is one
 :func:`elastic_variant` call naming the :class:`PolicyConfig` fields it
 fixes, registered on :data:`repro.scheduling.registry.REGISTRY`
-(``paper=True``); the golden decision-log suite pins registry-resolved
-configs byte-identical to the frozen reference engine.  The module also
+(``paper=True``); the spec diff (``tests/scheduling/test_spec.py``)
+pins registry-resolved configs byte-identical to the executable spec.
+The module also
 registers the two §3.2.2 extensions as non-paper policies: ``aging``
 (aging priorities, with keywords of its own) and ``preemptive``
 (checkpoint-to-disk preemption, one more variant).  Callers resolve

@@ -57,7 +57,7 @@ class FixedGapArrivals(ArrivalProcess):
     """The paper's cadence: one job every ``gap`` seconds (Figure 7)."""
 
     def __init__(self, gap: float = 90.0):
-        if gap < 0:
+        if not 0 <= gap < math.inf:
             raise SchedulingError(f"gap must be non-negative, got {gap}")
         self.gap = float(gap)
 
@@ -73,7 +73,7 @@ class PoissonArrivals(ArrivalProcess):
     """Memoryless arrivals at ``rate`` jobs/second (exponential gaps)."""
 
     def __init__(self, rate: float):
-        if rate <= 0:
+        if not 0 < rate < math.inf:
             raise SchedulingError(f"rate must be positive, got {rate}")
         self.rate = float(rate)
 
@@ -107,11 +107,11 @@ class DiurnalArrivals(ArrivalProcess):
 
     def __init__(self, rate: float, amplitude: float = 0.8,
                  period: float = 86_400.0):
-        if rate <= 0:
+        if not 0 < rate < math.inf:
             raise SchedulingError(f"rate must be positive, got {rate}")
         if not 0.0 <= amplitude < 1.0:
             raise SchedulingError("amplitude must be in [0, 1)")
-        if period <= 0:
+        if not 0 < period < math.inf:
             raise SchedulingError("period must be positive")
         self.rate = float(rate)
         self.amplitude = float(amplitude)
@@ -149,7 +149,7 @@ class BurstyArrivals(ArrivalProcess):
                  intra_gap: float = 5.0):
         if burst_size < 1:
             raise SchedulingError("burst_size must be >= 1")
-        if burst_gap <= 0 or intra_gap < 0:
+        if not (0 < burst_gap < math.inf and 0 <= intra_gap < math.inf):
             raise SchedulingError("burst_gap must be > 0 and intra_gap >= 0")
         self.burst_size = int(burst_size)
         self.burst_gap = float(burst_gap)

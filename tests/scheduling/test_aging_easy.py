@@ -1,16 +1,10 @@
-"""Aging under EASY backfilling, against a queue that is re-sorted at
-every event.
+"""Aging under EASY backfilling, by hand and in the simulator.
 
-The shipped engine re-keys only the waiters whose aged priority stepped,
+The engine re-keys only the waiters whose aged priority stepped,
 through its step heap, and tells EASY when a re-key puts a waiter at the
-queue front.  :class:`ResortAgingEngine` is the slow shape of the same
-rule: at every event it recomputes every waiter's key from
-``Aging.get_priority(now, ·)``, rebuilds the queue, and hands out slots
-through the literal Figure-3 scan; its EASY rule is the per-candidate
-rescan of :mod:`tests.scheduling.easy_oracle`.  Both run one randomized
-stream, with ``BLOCK_LOAD`` at 2 and at its default, and must agree on
-every decision while the shipped queue passes ``check_invariants()``
-after every event.
+queue front; ``test_spec.py`` diffs it against the executable spec,
+which re-prices every waiter at every event.  The scenario here pins the
+reservation hand-over at each kind of event.
 
 The simulator runs check EASY's guarantee under the aged order: every
 head that no arrival and no aged waiter overtook starts by its reserved
@@ -23,140 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.scheduling import (
-    Aging,
-    ElasticPolicyEngine,
-    StaticPriority,
-    joblist,
-)
-from repro.scheduling.joblist import IndexedJobList
-from repro.scheduling.literature import ewt_priority
+from repro.scheduling import Aging, ElasticPolicyEngine, JobRequest
 from repro.scheduling.registry import REGISTRY
 from repro.schedsim import ScheduleSimulator, WorkloadSpec, generate_workload
 
-from .fig3_oracle import ScanEngine
-from .test_easy_oracle import (
-    SEEDS,
-    SLOTS,
-    Stream,
-    assert_same_reservations,
-    configs,
-    est,
-    overtaken,
-)
 
-#: The aging rules under test.  EWT is in seconds of estimated
-#: runtime, so its aging steps one second per second.
-AGINGS = {
-    "user-15s": Aging(interval=15.0),
-    "user-60s": Aging(interval=60.0),
-    "user-300s": Aging(interval=300.0),
-    "ewt-1s": Aging(StaticPriority(ewt_priority), interval=1.0,
-                    max_priority=0),
-}
-
-
-class ResortAgingEngine(ScanEngine):
-    """Figure 3 as the literal scan over a queue re-sorted by
-    ``aging.get_priority(now, ·)`` at every event.
-
-    ``aged_past`` collects every waiter some other waiter rose past in a
-    re-sort: the heads whose reservations the shipped rule may retire.
-    """
-
-    def __init__(self, total_slots, config, aging):
-        super().__init__(total_slots, config)
-        self.aging = aging
-        self.aged_past = set()
-
-    def _resort(self, now):
-        before = list(self.queue)
-        for job in before:
-            job.sort_key = (-self.aging.get_priority(now, job),
-                            job.submit_time, job.seq)
-        self.queue = IndexedJobList(before)
-        rank = {job.name: i for i, job in enumerate(self.queue)}
-        # Walking the old order backwards, ``best`` is the best new rank
-        # among the jobs that were behind this one.
-        best = len(before)
-        for job in reversed(before):
-            if best < rank[job.name]:
-                self.aged_past.add(job.name)
-            best = min(best, rank[job.name])
-
-    def on_submit(self, request, now):
-        self._resort(now)
-        return super().on_submit(request, now)
-
-    def on_complete(self, name, now):
-        self._resort(now)
-        return super().on_complete(name, now)
-
-    def shrink_capacity(self, slots, now, *, force=False):
-        self._resort(now)
-        return super().shrink_capacity(slots, now, force=force)
-
-    def rebalance(self, now):
-        self._resort(now)
-        return super().rebalance(now)
-
-
-@pytest.fixture(params=[2, None], ids=["blocks2", "blocks-default"])
-def block_load(request, monkeypatch):
-    if request.param is not None:
-        monkeypatch.setattr(joblist, "BLOCK_LOAD", request.param)
-
-
-def run_pair(aging, seed, conservative=False, launcher_slots=0,
-             preempt=False):
-    aging = AGINGS[aging]
-    new_cfg, old_cfg = configs(conservative, launcher_slots, preempt)
-    new_cfg = dataclasses.replace(new_cfg, priority=aging)
-    shipped = Stream(ElasticPolicyEngine(SLOTS, new_cfg), seed)
-    while not shipped.done:
-        shipped.step()
-        shipped.engine.queue.check_invariants()
-    # The oracle keys jobs by the static base; it ages waiters itself.
-    old_cfg = dataclasses.replace(old_cfg, priority=aging.base)
-    oracle = ResortAgingEngine(SLOTS, old_cfg, aging)
-    return shipped, Stream(oracle, seed).run(), new_cfg, old_cfg
-
-
-@pytest.mark.parametrize("conservative", [False, True],
-                         ids=["aggressive", "conservative"])
-@pytest.mark.parametrize("aging", sorted(AGINGS))
-@pytest.mark.parametrize("seed", SEEDS)
-def test_aged_easy_matches_the_resort_oracle(block_load, aging, seed,
-                                             conservative):
-    shipped, oracle, new_cfg, old_cfg = run_pair(aging, seed, conservative,
-                                                 launcher_slots=seed % 2)
-    assert shipped.log == oracle.log
-    assert shipped.engine.snapshot() == oracle.engine.snapshot()
-    assert [j.name for j in shipped.engine.queue] == [
-        j.name for j in oracle.engine.queue
-    ]
-    assert_same_reservations(
-        new_cfg.backfill, old_cfg.backfill,
-        overtaken(shipped.decisions) | oracle.engine.aged_past,
-    )
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_preemptive_aged_easy_matches_the_resort_oracle(seed):
-    shipped, oracle, _, _ = run_pair("user-15s", seed, preempt=True)
-    assert shipped.log == oracle.log
-    assert shipped.engine.snapshot() == oracle.engine.snapshot()
-
-
-@pytest.mark.parametrize("aging", sorted(AGINGS))
-def test_aging_changes_the_easy_streams(aging):
-    """The diffs above are not vacuous: aging reorders EASY's queue."""
-    changed = 0
-    for seed in SEEDS:
-        shipped, *_ = run_pair(aging, seed)
-        plain = Stream(ElasticPolicyEngine(SLOTS, configs()[0]), seed).run()
-        changed += shipped.log != plain.log
-    assert changed > len(SEEDS) // 2
+def est(name, low, high, runtime, priority=1):
+    return JobRequest(name=name, min_replicas=low, max_replicas=high,
+                      priority=priority, params={"est_runtime": runtime})
 
 
 #: One event of each kind at ``now``: each must re-key due waiters first.

@@ -1,7 +1,7 @@
 """Unit tests for the engine's grow/shrink/rebalance capacity transitions.
 
-These are the only entry points the cloud substrate uses; everything
-else about the engine is pinned by the golden decision-log suite, so
+These are the only entry points the cloud substrate uses; the spec
+diff (``test_spec.py``) pins their decisions on randomized streams, so
 what needs proving here is that the new transitions obey the same
 bookkeeping contract: O(1) ``free_slots`` consistency, IndexedJobList
 aggregate integrity, and the documented drain/evict semantics.

@@ -1,119 +1,22 @@
-"""The indexed Figure-3 walk on hooked configs against the literal scan.
+"""Hooked configs by hand: a backfill rule beside a capacity constraint.
 
-Backfill and capacity-constraint configs hand out freed slots through
-the same indexed two-pointer walk as the paper's policies.  The walk
-tracks whether a waiter was left behind (the scan's ``passed_queued``)
-and caps every start and expansion by the constraint, so its decisions
-must equal the literal scan's (:mod:`tests.scheduling.fig3_oracle`).  Each
-scenario drives the shipped engine and a test-side engine whose walk
-*is* the scan through one randomized stream, and compares the serialized
-decision logs and the backfill rule's reservations.
-
-``BLOCK_LOAD`` drops to 2 so both lists span many blocks and the walk's
-whole-block skips actually fire on these short streams.
+Backfill and capacity-constraint configs share the engine's one
+Figure-2 path and its indexed Figure-3 walk; ``test_spec.py`` diffs
+both against the executable spec over randomized streams.  The
+scenarios here pin, step by step, how EASY and a watt budget compose.
 """
 
 import dataclasses
 import math
 
-import pytest
-
-from repro.obs import metrics as obs_metrics
-from repro.scheduling import ElasticPolicyEngine, JobRequest, joblist
+from repro.scheduling import ElasticPolicyEngine, JobRequest
 from repro.scheduling.policy import ShrinkJob, StartJob
 from repro.scheduling.power import PowerBudget
 from repro.scheduling.registry import REGISTRY
 
-from .fig3_oracle import PreemptiveScanEngine, ScanEngine
-from .test_easy_oracle import SEEDS, SLOTS, Stream
 
-#: 16 replicas at the default 150 W: tighter than the 32 slots, so the
-#: constraint caps starts and expansions on most completions.
-BUDGET_WATTS = 2400.0
-
-
-def _easy(conservative=False, launcher_slots=0):
-    return REGISTRY.resolve("easy-backfill", conservative=conservative,
-                            launcher_slots=launcher_slots)
-
-
-def _easy_power():
-    return dataclasses.replace(
-        _easy(),
-        capacity_constraint=lambda: PowerBudget(budget_watts=BUDGET_WATTS),
-    )
-
-
-#: Config factories: every engine gets a freshly resolved config, since
-#: backfill rules carry reservation state.
-CONFIGS = {
-    "easy": _easy,
-    "easy-launcher": lambda: _easy(launcher_slots=1),
-    "easy-conservative": lambda: _easy(conservative=True),
-    "easy-conservative-launcher": lambda: _easy(True, 1),
-    "power-capped": lambda: REGISTRY.resolve(
-        "power-capped", budget_watts=BUDGET_WATTS
-    ),
-    "easy+power": _easy_power,
-}
-
-#: Scan oracle per engine; ``preemptive`` turns the preemption stage on.
-SCANS = {"elastic": ScanEngine, "preemptive": PreemptiveScanEngine}
-
-
-@pytest.fixture(autouse=True)
-def small_blocks(monkeypatch):
-    monkeypatch.setattr(joblist, "BLOCK_LOAD", 2)
-
-
-def run_pair(engines, config, seed):
-    def build():
-        return dataclasses.replace(CONFIGS[config](),
-                                   preempt=engines == "preemptive")
-
-    walk = Stream(ElasticPolicyEngine(SLOTS, build()), seed).run()
-    scan = Stream(SCANS[engines](SLOTS, build()), seed).run()
-    return walk, scan
-
-
-@pytest.mark.parametrize("config", sorted(CONFIGS))
-@pytest.mark.parametrize("seed", SEEDS)
-def test_walk_matches_the_scan(config, seed):
-    walk, scan = run_pair("elastic", config, seed)
-    assert walk.log == scan.log
-    assert walk.engine.snapshot() == scan.engine.snapshot()
-    rule, oracle = walk.engine.config.backfill, scan.engine.config.backfill
-    if rule is not None:
-        assert rule.last_reservations == oracle.last_reservations
-        assert rule.last_head_reservations == oracle.last_head_reservations
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_preemptive_walk_matches_the_scan(seed):
-    walk, scan = run_pair("preemptive", "easy", seed)
-    assert walk.log == scan.log
-    rule, oracle = walk.engine.config.backfill, scan.engine.config.backfill
-    assert rule.last_reservations == oracle.last_reservations
-    assert rule.last_head_reservations == oracle.last_head_reservations
-
-
-@pytest.mark.parametrize("config", ["easy", "power-capped"])
-def test_block_skips_fire(config):
-    """The shrunken blocks put both whole-block skips on the walk's path,
-    so the comparisons above exercise them."""
-    before = obs_metrics.active_registry()
-    registry = obs_metrics.enable()
-    try:
-        for seed in SEEDS:
-            Stream(ElasticPolicyEngine(SLOTS, CONFIGS[config]()), seed).run()
-        snap = registry.snapshot()
-    finally:
-        if before.enabled:
-            obs_metrics.enable(before)
-        else:
-            obs_metrics.disable()
-    assert snap["engine.fig3.queue_blocks_skipped"] > 0
-    assert snap["engine.fig3.running_blocks_skipped"] > 0
+def _easy():
+    return REGISTRY.resolve("easy-backfill")
 
 
 def job(name, low, high, runtime, priority=1, watts=150.0):

@@ -1,8 +1,8 @@
-"""IndexedJobList: sequence compatibility + aggregate invariants.
+"""IndexedJobList: the sequence protocol + aggregate invariants.
 
-The golden decision-log suite proves the *engine* unchanged; this file
-pins the container itself — the list protocol the tests and extensions
-rely on, and the block aggregates (exact ``shrinkable``/``min_needed``,
+The spec diff (``test_spec.py``) proves the *engine* right; this file
+pins the container itself — iteration, ``len`` and integer indexing,
+and the block aggregates (exact ``shrinkable``/``min_needed``,
 upper-bound ``newest_action``) under randomized churn including in-place
 rescales, which is exactly the traffic the engine throws at it.
 """
@@ -58,44 +58,15 @@ class TestSequenceProtocol:
         assert indexed[0] is expected[0]
         assert indexed[-1] is expected[-1]
         assert indexed[137] is expected[137]
-        assert indexed[5:10] == expected[5:10]
-        assert indexed[1:] == expected[1:]
         assert list(reversed(indexed)) == expected[::-1]
-
-    def test_equality_add_contains_index(self):
-        jobs = make_jobs(50)
-        indexed = IndexedJobList(jobs)
-        expected = sorted(jobs, key=priority_order_key)
-        assert indexed == expected
-        assert indexed != expected[:-1]
-        assert (indexed + []) == expected  # __add__ materializes a list
-        assert ([] + indexed) == expected
-        for job in jobs[:10]:
-            assert job in indexed
-            assert indexed[indexed.index(job)] is job
-        outsider = make_job(999, 3)
-        assert outsider not in indexed
-        with pytest.raises(ValueError):
-            indexed.index(outsider)
 
     def test_empty_and_bool(self):
         indexed = IndexedJobList()
         assert not indexed
         assert len(indexed) == 0
         assert list(indexed) == []
-        assert indexed == []
         with pytest.raises(IndexError):
             indexed[0]
-
-    def test_insert_keeps_sorted_order(self):
-        # bisect.insort calls insert(pos, item); position is recomputed.
-        from bisect import insort
-
-        indexed = IndexedJobList()
-        jobs = make_jobs(40, seed=3)
-        for job in jobs:
-            insort(indexed, job, key=priority_order_key)
-        assert list(indexed) == sorted(jobs, key=priority_order_key)
 
     def test_add_reports_a_new_first_element(self):
         # Enough jobs to span several blocks, so "first" means block 0.

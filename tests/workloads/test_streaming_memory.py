@@ -66,7 +66,7 @@ def test_50k_job_trace_keeps_engine_memory_bounded():
     assert result.metrics.job_count == N_JOBS
     # Every record retired once its outcome was folded.
     assert policy._jobs == {}
-    assert policy.running == [] and policy.queue == []
+    assert not policy.running and not policy.queue
     # The engine never held more than the live set (+1 mid-completion),
     # and the steady-state live set is tiny next to the workload.
     assert policy.max_job_records <= policy.max_live_jobs + 1

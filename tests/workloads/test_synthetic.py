@@ -1,7 +1,10 @@
 """Synthetic generators: determinism, arrival shapes, and mixes."""
 
+import math
+
 import pytest
 
+from repro.cli import main
 from repro.errors import SchedulingError
 from repro.sim.rng import stream
 from repro.workloads import (
@@ -61,6 +64,31 @@ class TestArrivalProcesses:
             DiurnalArrivals(1.0, amplitude=1.5)
         with pytest.raises(SchedulingError):
             BurstyArrivals(burst_size=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("build", [
+        lambda x: FixedGapArrivals(gap=x),
+        lambda x: PoissonArrivals(rate=x),
+        lambda x: DiurnalArrivals(rate=x),
+        lambda x: DiurnalArrivals(1.0, period=x),
+        lambda x: BurstyArrivals(burst_gap=x),
+        lambda x: BurstyArrivals(intra_gap=x),
+    ], ids=["gap", "poisson-rate", "diurnal-rate", "period", "burst-gap",
+            "intra-gap"])
+    def test_nan_and_inf_parameters_are_rejected(self, build, bad):
+        with pytest.raises(SchedulingError):
+            build(bad)
+
+    @pytest.mark.parametrize("source, rate", [("poisson", "nan"),
+                                              ("diurnal", "nan"),
+                                              ("poisson", "inf")])
+    def test_cli_rejects_a_non_finite_rate(self, capsys, source, rate):
+        argv = ["workloads", "run", "--source", source, "--jobs", "3",
+                "--rate", rate]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: rate must be positive, got {rate}\n"
 
 
 class TestMixes:
