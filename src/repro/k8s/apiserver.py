@@ -24,6 +24,14 @@ both, so a label edit must go through ``update`` or ``patch`` to be seen
 by selector lists.  ``list`` results are sorted by ``(namespace, name)``
 and replay by ``(kind, namespace, name)``, exactly as a full scan would
 order them.
+
+Watches are indexed by the hub (:class:`~repro.k8s.watch.WatchHub`): per
+kind, the unselected watches in one list and the node- or label-selected
+ones in buckets keyed by node name or by their selector's first label
+pair.  A publish posts to the unselected watches and to the selected ones
+whose full selector matches the object as it is at that moment, merged in
+subscription order; a pod event reaches its own node's kubelet and its
+job's runner, not every kubelet and runner in the cluster.
 """
 
 from __future__ import annotations
@@ -174,14 +182,20 @@ class ApiServer:
         kind: Optional[str] = None,
         namespace: Optional[str] = None,
         replay: bool = True,
+        node_name: Optional[str] = None,
+        selector: Optional[LabelSelector] = None,
     ):
         """Subscribe to changes.
 
-        With ``replay`` (the default, mirroring list+watch), existing
-        matching objects are delivered as synthetic ``ADDED`` events before
-        any live event.
+        ``node_name`` (the field selector ``spec.nodeName``) and
+        ``selector`` (a label selector) narrow the subscription to the
+        objects bound to that node and carrying those labels.  With
+        ``replay`` (the default, mirroring list+watch), existing matching
+        objects are delivered as synthetic ``ADDED`` events before any live
+        event.
         """
-        watch = self._hub.subscribe(handler, kind=kind, namespace=namespace)
+        watch = self._hub.subscribe(handler, kind=kind, namespace=namespace,
+                                    node_name=node_name, selector=selector)
         if replay:
             kinds = sorted(self._kinds) if kind is None else [kind]
             for store in (self._kinds.get(k, {}) for k in kinds):

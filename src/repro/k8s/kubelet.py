@@ -1,6 +1,7 @@
 """Kubelets: per-node pod lifecycle agents.
 
-A kubelet watches pods bound to its node and drives their phases:
+A kubelet watches the pods bound to its node (a node-name field selector)
+and drives their phases:
 
 * ``Pending`` (bound) → after ``start_latency`` → ``Running``
   (models container image pull + container start, the pod-startup overhead
@@ -46,14 +47,14 @@ class Kubelet:
         self.stop_latency = float(stop_latency)
         self.tracer = tracer
         self._starting: Dict[tuple, object] = {}  # pod key -> Timer
-        api.watch(self._on_event, kind="Pod", namespace=None)
+        # Like a real kubelet's ``fieldSelector=spec.nodeName``: only this
+        # node's pods are delivered.
+        api.watch(self._on_event, kind="Pod", namespace=None, node_name=node.name)
 
     # ------------------------------------------------------------------
 
     def _on_event(self, event: WatchEvent) -> None:
         pod = event.object
-        if pod.node_name != self.node.name:
-            return
         if event.type == EventType.DELETED:
             self._cancel_start(pod)
             return

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional
 from ..charm import CcsClient, CcsServer, CharmRuntime
 from ..charm.commlayer import MPI_LAYER, CommLayer
 from ..charm.pe import HostBinding
-from ..k8s import KubeCluster, Pod, PodPhase
+from ..k8s import EventType, KubeCluster, Pod, PodPhase
 from .launcher import sort_workers, worker_selector
 from .types import CharmJob, JobPhase
 
@@ -63,8 +63,11 @@ class CharmAppRunner:
         self.rts: Optional[CharmRuntime] = None
         self.process = None
         self.failed: Optional[str] = None
+        # Every pod that can host one of this job's PEs is a worker pod of
+        # the job, so the watch selects on the job's worker labels.
         self._pod_watch = cluster.api.watch(
-            self._on_pod_event, kind="Pod", namespace=None, replay=False
+            self._on_pod_event, kind="Pod", namespace=job.namespace,
+            replay=False, selector=worker_selector(job),
         )
 
     # ------------------------------------------------------------------
@@ -86,8 +89,6 @@ class CharmAppRunner:
         if self.rts is None or self.failed is not None or self.job.is_finished:
             return
         pod = event.object
-        from ..k8s import EventType, PodPhase
-
         died = (
             event.type == EventType.DELETED
             or pod.phase == PodPhase.FAILED

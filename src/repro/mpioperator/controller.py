@@ -17,6 +17,7 @@ from .apprunner import CharmAppRunner
 from .launcher import (
     build_launcher_pod,
     build_worker_pod,
+    job_name_selector,
     launcher_pod_name,
     sort_workers,
     worker_index,
@@ -86,7 +87,7 @@ class CharmJobController(Controller):
         _, namespace, name = key
         job: Optional[CharmJob] = self.api.try_get("CharmJob", name, namespace)
         if job is None:
-            self._cleanup_orphans(namespace, name)
+            self._delete_owned_pods(namespace, name)
             return
         if job.status.phase == JobPhase.FAILED and self.restart_failed_jobs:
             self._maybe_restart(job)
@@ -188,17 +189,20 @@ class CharmJobController(Controller):
 
     def _teardown(self, job: CharmJob) -> None:
         """Remove every pod owned by a finished job (keep the job object)."""
-        for pod in self.api.list("Pod", namespace=job.namespace):
-            owner = pod.meta.owner
-            if owner is not None and owner.kind == "CharmJob" and owner.name == job.name:
-                if not pod.terminating:
-                    self.api.delete(pod)
+        self._delete_owned_pods(job.namespace, job.name)
         cm = self.api.try_get("ConfigMap", nodelist_name(job), job.namespace)
         if cm is not None:
             self.api.delete(cm)
 
-    def _cleanup_orphans(self, namespace: str, name: str) -> None:
-        for pod in self.api.list("Pod", namespace=namespace):
+    def _delete_owned_pods(self, namespace: str, name: str) -> None:
+        """Delete the live pods owned by the CharmJob ``name``, which may
+        itself be gone already.
+
+        Every pod the operator creates carries the job-name label, so the
+        label index finds them; the owner reference stays the filter.
+        """
+        for pod in self.api.list("Pod", namespace=namespace,
+                                 selector=job_name_selector(name)):
             owner = pod.meta.owner
             if owner is not None and owner.kind == "CharmJob" and owner.name == name:
                 if not pod.terminating:

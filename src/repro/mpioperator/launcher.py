@@ -28,6 +28,7 @@ __all__ = [
     "build_launcher_pod",
     "build_worker_pod",
     "job_selector",
+    "job_name_selector",
     "worker_selector",
 ]
 
@@ -46,7 +47,12 @@ def worker_index(pod_name: str) -> int:
 
 
 def job_selector(job: CharmJob) -> LabelSelector:
-    return LabelSelector.of(**{"training.kubeflow.org/job-name": job.name})
+    return job_name_selector(job.name)
+
+
+def job_name_selector(name: str) -> LabelSelector:
+    """Every pod of the CharmJob called ``name``: launcher and workers."""
+    return LabelSelector.of(**{"training.kubeflow.org/job-name": name})
 
 
 def worker_selector(job: CharmJob) -> LabelSelector:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import run_cluster_experiment, run_table1
 from repro.experiments.fig9 import FIG9_WORKLOAD
+from repro.k8s.watch import Watch, WatchHub
 from repro.schedsim import ScheduleSimulator, WorkloadSpec, generate_workload
 from repro.scheduling import REGISTRY
 
@@ -77,3 +78,58 @@ class TestActualVsSimulation:
         subs = generate_workload(FIG9_WORKLOAD)
         assert any(s.size.name == "xlarge" for s in subs)
         assert len(subs) == 16
+
+
+class TestTable1Golden:
+    """``repro table1``'s "Actual" columns, as printed, per policy.
+
+    The k8s path has no other golden output: a changed decision anywhere
+    in the operator, the watches or the kubelets shows up here.
+    """
+
+    ACTUAL = {
+        # policy: (Total, Util, Resp, Compl)
+        "min_replicas": (2764.0, "58.99%", 2.51, 565.74),
+        "max_replicas": (2337.0, "83.79%", 193.56, 392.2),
+        "moldable": (2700.0, "69.36%", 81.92, 413.78),
+        "elastic": (2238.0, "86.77%", 49.24, 326.69),
+    }
+
+    def test_actual_columns_are_pinned(self):
+        result = run_table1()
+        actual = {policy: tuple(result.row(policy)[1::2]) for policy in result.actual}
+        assert actual == self.ACTUAL
+
+
+class TestWatchScaling:
+    """A pod event reaches its own node's kubelet and its own job's runner,
+    not every kubelet and runner: deliveries per pod event stay flat as
+    the cluster grows (they grew 8.6, 27.0, 87.5 at 4, 16, 64 nodes when
+    every kubelet and runner watched every pod)."""
+
+    @staticmethod
+    def deliveries_per_pod_event(monkeypatch, node_count):
+        counts = {"deliveries": 0, "pod_events": 0}
+        dispatch, publish = Watch._dispatch, WatchHub.publish
+
+        def counting_dispatch(watch, event):
+            counts["deliveries"] += watch.active
+            dispatch(watch, event)
+
+        def counting_publish(hub, event):
+            counts["pod_events"] += event.object.kind == "Pod"
+            publish(hub, event)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Watch, "_dispatch", counting_dispatch)
+            patch.setattr(WatchHub, "publish", counting_publish)
+            subs = generate_workload(
+                WorkloadSpec(num_jobs=64, submission_gap=5.625, seed=0))
+            run_cluster_experiment("elastic", subs, node_count=node_count)
+        return counts["deliveries"] / counts["pod_events"]
+
+    def test_deliveries_per_pod_event_do_not_grow_with_nodes(self, monkeypatch):
+        ratios = {n: self.deliveries_per_pod_event(monkeypatch, n) for n in (4, 16, 64)}
+        # The scheduler, the operator, one kubelet and at most one runner.
+        assert ratios[4] < 4.0, ratios
+        assert all(ratio <= ratios[4] * 1.05 for ratio in ratios.values()), ratios

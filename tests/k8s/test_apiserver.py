@@ -332,3 +332,129 @@ class TestWatchHub:
             ("all", "Pod", "p-other"),
             ("all-other", "ConfigMap", "c-other"), ("all", "ConfigMap", "c-other"),
         ]
+
+    @staticmethod
+    def bound_pod(name, node, labels=None, namespace="default"):
+        pod = Pod(name, PodSpec(), namespace=namespace, labels=labels)
+        pod.status.node_name = node
+        return pod
+
+    def test_node_selector_receives_its_nodes_pods_only(self, engine, hub):
+        log = []
+        n1 = hub.subscribe(self.recorder(log, "n1"), kind="Pod", node_name="n1")
+        hub.subscribe(self.recorder(log, "n2"), kind="Pod", node_name="n2")
+        hub.publish(WatchEvent(EventType.ADDED, make_pod("unbound")))
+        hub.publish(WatchEvent(EventType.ADDED, self.bound_pod("a", "n1")))
+        hub.publish(WatchEvent(EventType.ADDED, self.bound_pod("b", "n2")))
+        hub.publish(WatchEvent(EventType.ADDED, self.bound_pod("c", "n3")))
+        engine.run()
+        assert log == [("n1", "Pod", "a"), ("n2", "Pod", "b")]
+        assert n1.delivered == 1
+
+    def test_bind_reaches_the_nodes_watch(self, engine, hub):
+        log = []
+        hub.subscribe(self.recorder(log, "n1"), kind="Pod", node_name="n1")
+        hub.subscribe(self.recorder(log, "n2"), kind="Pod", node_name="n2")
+        pod = make_pod("p")
+        hub.publish(WatchEvent(EventType.ADDED, pod))
+        engine.run()
+        assert log == []
+        pod.status.node_name = "n1"  # what KubeScheduler's bind patches
+        hub.publish(WatchEvent(EventType.MODIFIED, pod))
+        hub.publish(WatchEvent(EventType.DELETED, pod))
+        engine.run()
+        assert log == [("n1", "Pod", "p"), ("n1", "Pod", "p")]
+
+    def test_label_selector_needs_every_pair(self, engine, hub):
+        log = []
+        selector = LabelSelector.of(job="a", role="worker")
+        watch = hub.subscribe(self.recorder(log, "sel"), kind="Pod", selector=selector)
+        for name, labels in [("worker-a", {"job": "a", "role": "worker"}),
+                             ("launcher-a", {"job": "a", "role": "launcher"}),
+                             ("worker-b", {"job": "b", "role": "worker"}),
+                             ("no-role", {"job": "a"}),
+                             ("role-only", {"role": "worker"})]:
+            hub.publish(WatchEvent(EventType.ADDED, make_pod(name, labels)))
+        engine.run()
+        assert log == [("sel", "Pod", "worker-a")]
+        assert watch.matches(make_pod("x", {"job": "a", "role": "worker", "extra": "1"}))
+
+    def test_empty_label_selector_takes_everything(self, engine, hub):
+        log = []
+        hub.subscribe(self.recorder(log, "empty"), kind="Pod", selector=LabelSelector())
+        hub.publish(WatchEvent(EventType.ADDED, make_pod("p", {"job": "a"})))
+        engine.run()
+        assert log == [("empty", "Pod", "p")]
+
+    def test_replay_honours_both_selectors(self, engine, api):
+        labels = {"job": "a", "role": "worker"}
+        for name, node, pod_labels in [("a-0", "n1", labels), ("a-1", "n2", labels),
+                                       ("b-0", "n1", {"job": "b", "role": "worker"}),
+                                       ("free", None, labels)]:
+            api.create(self.bound_pod(name, node, pod_labels))
+        engine.run()
+        seen = {"node": [], "label": [], "both": []}
+        selector = LabelSelector.of(**labels)
+        api.watch(lambda e: seen["node"].append(e.object.name), kind="Pod",
+                  node_name="n1")
+        api.watch(lambda e: seen["label"].append(e.object.name), kind="Pod",
+                  selector=selector)
+        api.watch(lambda e: seen["both"].append(e.object.name), kind=None,
+                  node_name="n1", selector=selector)
+        engine.run()
+        assert seen == {"node": ["a-0", "b-0"], "label": ["a-0", "a-1", "free"],
+                        "both": ["a-0"]}
+
+    def test_same_time_deliveries_keep_subscription_order(self, engine, hub):
+        log = []
+        labels = {"job": "a", "role": "worker"}
+        hub.subscribe(self.recorder(log, "sel-1"), kind="Pod",
+                      selector=LabelSelector.of(**labels))
+        hub.subscribe(self.recorder(log, "plain-1"), kind="Pod")
+        hub.subscribe(self.recorder(log, "node-1"), kind="Pod", node_name="n1")
+        hub.subscribe(self.recorder(log, "all-1"))
+        hub.subscribe(self.recorder(log, "other-node"), kind="Pod", node_name="n2")
+        # Warm the Pod cache, then subscribe more: they must join in order.
+        hub.publish(WatchEvent(EventType.ADDED, self.bound_pod("p0", "n1", labels)))
+        hub.subscribe(self.recorder(log, "node-2"), kind="Pod", node_name="n1")
+        hub.subscribe(self.recorder(log, "plain-2"), kind="Pod")
+        hub.subscribe(self.recorder(log, "all-sel"), selector=LabelSelector.of(job="a"))
+        hub.publish(WatchEvent(EventType.MODIFIED, self.bound_pod("p1", "n1", labels)))
+        engine.run()
+        assert [tag for tag, _, name in log if name == "p0"] == [
+            "sel-1", "plain-1", "node-1", "all-1"]
+        assert [tag for tag, _, name in log if name == "p1"] == [
+            "sel-1", "plain-1", "node-1", "all-1", "node-2", "plain-2", "all-sel"]
+        assert [name for _, _, name in log] == ["p0"] * 4 + ["p1"] * 7
+
+    def test_stopping_a_selected_watch_drops_queued_events_and_unindexes_it(
+        self, engine, hub
+    ):
+        log = []
+        watches = {}
+
+        def stopper(event):
+            log.append(("stopper", event.object.name))
+            watches["node"].stop()
+            watches["label"].stop()
+
+        hub.subscribe(stopper, kind="Pod")
+        watches["node"] = hub.subscribe(self.recorder(log, "node"), kind="Pod",
+                                        node_name="n1")
+        watches["label"] = hub.subscribe(self.recorder(log, "label"),
+                                         selector=LabelSelector.of(job="a"))
+        pod = self.bound_pod("p0", "n1", {"job": "a"})
+        hub.publish(WatchEvent(EventType.ADDED, pod))
+        hub.publish(WatchEvent(EventType.ADDED, ConfigMap("c0")))
+        engine.run()
+        # Both dispatches were queued before the handler stopped them.
+        assert log == [("stopper", "p0")]
+        assert watches["node"].delivered == watches["label"].delivered == 0
+        for watch in watches.values():
+            assert watch not in hub._watches
+            assert all(watch not in index for index in hub._by_kind.values())
+        assert all(not index.by_node and not index.by_label
+                   for index in hub._by_kind.values())
+        hub.publish(WatchEvent(EventType.MODIFIED, pod))
+        engine.run()
+        assert log == [("stopper", "p0"), ("stopper", "p0")]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.k8s import PodPhase
 from repro.mpioperator import JobPhase, worker_index
+from repro.mpioperator.launcher import worker_selector
 from tests.mpioperator.conftest import make_job
 
 
@@ -260,3 +261,55 @@ class TestRunnerPodWatch:
         engine.run(until=40.0)
         assert runner.failed is not None
         assert not runner._pod_watch.active
+
+    def test_runner_watch_selects_every_pe_host(self, engine, operator, cluster,
+                                                job_factory):
+        # The runner's watch selects its job's worker labels; every pod that
+        # hosts a PE must carry them, through launch, expand and shrink.
+        job = submit_and_run(engine, operator, job_factory(steps=100000),
+                             until=30.0)
+        other = submit_and_run(engine, operator,
+                               job_factory(name="job-b", steps=100000), until=40.0)
+        runner = operator.runner_for(job)
+        for target in (5, 3):
+            cluster.api.patch(job, lambda j, t=target: setattr(j.spec, "replicas", t))
+            engine.run(until=engine.now + 120.0)
+            hosts = [cluster.api.get("Pod", pe.host.pod_name) for pe in runner.rts.pes]
+            assert len(hosts) == target
+            assert all(runner._pod_watch.matches(pod) for pod in hosts)
+        assert runner._pod_watch.selector == worker_selector(job)
+        others = [p for p in cluster.pods() if p.meta.owner.name == other.name]
+        assert others and not any(runner._pod_watch.matches(p) for p in others)
+
+
+class TestPodLabels:
+    def test_every_pod_the_operator_creates_carries_the_job_name_label(
+        self, engine, operator, cluster, job_factory
+    ):
+        # Teardown and orphan cleanup find a job's pods through this label.
+        created = []
+        create = cluster.api.create
+
+        def recording_create(obj):
+            if obj.kind == "Pod":
+                created.append(obj)
+            return create(obj)
+
+        cluster.api.create = recording_create
+        job = submit_and_run(engine, operator, job_factory(replicas=2, steps=100000),
+                             until=30.0)
+        cluster.api.patch(job, lambda j: setattr(j.spec, "replicas", 5))
+        engine.run(until=150.0)
+        cluster.api.patch(job, lambda j: setattr(j.spec, "replicas", 3))
+        engine.run(until=270.0)
+        submit_and_run(engine, operator, job_factory(name="job-b", steps=5),
+                       until=500.0)
+        cluster.api.delete(job)
+        engine.run(until=600.0)
+        roles = {p.spec.role for p in created}
+        assert roles == {"launcher", "worker"}
+        assert len(created) == 2 + 5 + 2  # both launchers, job-a's 5 workers, job-b's 2
+        for pod in created:
+            label = pod.meta.labels["training.kubeflow.org/job-name"]
+            assert label == pod.meta.owner.name
+        assert cluster.pods() == []
