@@ -16,11 +16,12 @@ Indexes
 The store is per kind: ``kind -> {(namespace, name): object}``.  ``get``
 is two dict lookups, and ``list``, watch replay and ``object_count`` touch
 only the requested kind.  A second index maps ``(kind, label, value)`` to
-the keys of the objects carrying that label; a selector ``list`` starts
-from its smallest bucket and then applies the full selector and the
-namespace filter to the stored objects.  ``create``, ``update``/``patch``
-(re-indexing when the labels changed) and ``finalize_delete`` maintain
-both, so a label edit must go through ``update`` or ``patch`` to be seen
+the keys of the objects carrying that label; a selector ``list``
+intersects the buckets of its label pairs, filters the result by
+namespace and sorts it, without reading any object's labels.  ``create``,
+``update``/``patch`` (re-indexing when the labels changed) and
+``finalize_delete`` maintain both, which makes the label index exact; a
+label edit must therefore go through ``update`` or ``patch`` to be seen
 by selector lists.  ``list`` results are sorted by ``(namespace, name)``
 and replay by ``(kind, namespace, name)``, exactly as a full scan would
 order them.
@@ -114,13 +115,16 @@ class ApiServer:
             refs = store if namespace is None else [r for r in store if r[0] == namespace]
             return [store[ref] for ref in sorted(refs)]
         by_label = self._by_label
-        buckets = [by_label.get((kind, label, value), ())
-                   for label, value in selector.match_labels]
-        refs = [ref for ref in min(buckets, key=len)
-                if namespace is None or ref[0] == namespace]
-        matches = selector.matches
-        return [o for o in (store[ref] for ref in sorted(refs))
-                if matches(o.meta.labels)]
+        buckets = []
+        for label, value in selector.match_labels:
+            bucket = by_label.get((kind, label, value))
+            if bucket is None:
+                return []
+            buckets.append(bucket)
+        refs = set.intersection(*buckets) if len(buckets) > 1 else buckets[0]
+        if namespace is not None:
+            refs = [ref for ref in refs if ref[0] == namespace]
+        return [store[ref] for ref in sorted(refs)]
 
     def update(self, obj: ApiObject) -> ApiObject:
         """Record a mutation of a stored object; publishes ``MODIFIED``."""

@@ -2,17 +2,37 @@
 
 The paper's testbed is four AWS ``c6g.4xlarge`` instances (16 vCPUs each) in
 one subnet and cluster placement group; :func:`make_eks_nodes` builds that
-topology.  Nodes track which pods are bound to them and expose free
-capacity for the scheduler's fit predicate.
+topology.
+
+Nodes track which pods are bound to them and keep the state the
+kube-scheduler reads on every cycle up to date as pods bind and release,
+so a scheduling cycle costs one pass of cheap comparisons per node:
+
+* ``free`` is recomputed as ``allocatable - allocated`` in ``bind`` and
+  ``release`` (the same float a fresh subtraction gives), and ``can_fit``
+  reads it;
+* a count of bound pods per ``(label, value)`` pair answers the affinity
+  score's one-pair selectors (:meth:`Node.count_matching`); any other
+  selector scans the bound pods' labels.
+
+The counts equal a count of the node's co-located pods in the API store
+under two conditions that hold in this codebase:
+
+* pod labels are set at creation and never edited (a node keeps each
+  pod's labels as they were when it bound);
+* a pod bound to a node is always in the API store, because the kubelet
+  releases a pod (``KubeScheduler.release``) before it finalizes the
+  deletion (``ApiServer.finalize_delete``), and callers delete only pods
+  that are not yet terminating (``ApiServer.delete`` removes a
+  terminating pod at once).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, KeysView, Optional
 
 from ..errors import InvalidObjectError, KubeError
-from .meta import ApiObject, ObjectMeta
+from .meta import ApiObject, LabelSelector, ObjectMeta
 from .quantity import Resources
 
 __all__ = ["Node", "make_eks_nodes", "C6G_4XLARGE"]
@@ -54,8 +74,12 @@ class Node(ApiObject):
         self.placement_group = placement_group
         #: Cordoned nodes accept no new pods (failure injection / drain).
         self.unschedulable = False
-        self._bound_pods: Set[tuple] = set()  # pod keys
+        #: Bound pod key -> the pod's labels at bind time.
+        self._bound_pods: Dict[tuple, Dict[str, str]] = {}
         self._allocated = Resources()
+        self._free = self.allocatable
+        #: ``(label, value) -> number of bound pods carrying it``.
+        self._label_counts: Dict[tuple, int] = {}
 
     # ------------------------------------------------------------------
     # Accounting (driven by the scheduler / kubelet)
@@ -68,15 +92,31 @@ class Node(ApiObject):
 
     @property
     def free(self) -> Resources:
-        """Allocatable minus allocated."""
-        return self.allocatable - self._allocated
+        """Allocatable minus allocated, kept up to date by bind/release."""
+        return self._free
 
     @property
-    def pod_keys(self) -> Set[tuple]:
-        return set(self._bound_pods)
+    def pod_keys(self) -> KeysView:
+        """The bound pods' keys: a live view, not a copy, so copy it before
+        binding or releasing pods while iterating it."""
+        return self._bound_pods.keys()
 
     def can_fit(self, request: Resources) -> bool:
-        return request.fits_within(self.free)
+        return request.fits_within(self._free)
+
+    def count_matching(self, selector: LabelSelector) -> int:
+        """Number of bound pods whose labels match ``selector``.
+
+        A one-pair selector (the operator's job affinity) is answered from
+        the per-label counts; any other selector scans the bound pods'
+        labels.  Exact under the conditions in the module docstring.
+        """
+        pairs = selector.match_labels
+        if len(pairs) == 1:
+            ((label, value),) = pairs
+            return self._label_counts.get((label, value), 0)
+        matches = selector.matches
+        return sum(1 for labels in self._bound_pods.values() if matches(labels))
 
     def bind(self, pod) -> None:
         """Reserve resources for ``pod``.  Raises if it does not fit."""
@@ -87,15 +127,28 @@ class Node(ApiObject):
                 f"pod {pod.name} ({pod.request.describe()}) does not fit on "
                 f"node {self.name} (free {self.free.describe()})"
             )
-        self._bound_pods.add(pod.key)
+        labels = dict(pod.meta.labels)
+        self._bound_pods[pod.key] = labels
         self._allocated = self._allocated + pod.request
+        self._free = self.allocatable - self._allocated
+        counts = self._label_counts
+        for pair in labels.items():
+            counts[pair] = counts.get(pair, 0) + 1
 
     def release(self, pod) -> None:
         """Release resources held by ``pod``."""
-        if pod.key not in self._bound_pods:
+        labels = self._bound_pods.pop(pod.key, None)
+        if labels is None:
             raise KubeError(f"pod {pod.name} is not bound to node {self.name}")
-        self._bound_pods.remove(pod.key)
         self._allocated = self._allocated - pod.request
+        self._free = self.allocatable - self._allocated
+        counts = self._label_counts
+        for pair in labels.items():
+            left = counts[pair] - 1
+            if left:
+                counts[pair] = left
+            else:
+                del counts[pair]
 
     def cpu_utilization(self) -> float:
         """Fraction of allocatable CPU currently requested."""

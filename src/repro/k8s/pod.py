@@ -12,11 +12,15 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..errors import InvalidObjectError
 from .meta import ApiObject, LabelSelector, ObjectMeta
 from .quantity import Resources
 from .volume import EmptyDirVolume, shm_capacity_bytes
 
-__all__ = ["Pod", "PodSpec", "PodPhase", "PodAffinityTerm"]
+__all__ = ["Pod", "PodSpec", "PodPhase", "PodAffinityTerm", "HOSTNAME_TOPOLOGY"]
+
+#: The per-node topology domain, the only one the scheduler scores.
+HOSTNAME_TOPOLOGY = "kubernetes.io/hostname"
 
 
 class PodPhase(str, enum.Enum):
@@ -32,13 +36,15 @@ class PodPhase(str, enum.Enum):
 class PodAffinityTerm:
     """Soft (preferred) pod-affinity term.
 
-    Nodes hosting pods matched by ``selector`` within the same
-    ``topology_key`` domain get ``weight`` added per matching pod during
-    scoring.  This models the operator's locality-aware placement (§3.1).
+    Nodes hosting pods matched by ``selector`` get ``weight`` added per
+    matching pod during scoring.  This models the operator's
+    locality-aware placement (§3.1).  The scheduler counts matching pods
+    per node, so the only supported ``topology_key`` is the per-node
+    :data:`HOSTNAME_TOPOLOGY`; pod validation rejects any other.
     """
 
     selector: LabelSelector
-    topology_key: str = "kubernetes.io/hostname"
+    topology_key: str = HOSTNAME_TOPOLOGY
     weight: int = 100
 
 
@@ -77,6 +83,15 @@ class Pod(ApiObject):
         self.spec = spec
         self.status = PodStatus()
 
+    def validate(self) -> None:
+        super().validate()
+        term = self.spec.affinity
+        if term is not None and term.topology_key != HOSTNAME_TOPOLOGY:
+            raise InvalidObjectError(
+                f"pod {self.name}: unsupported affinity topology key "
+                f"{term.topology_key!r} (only {HOSTNAME_TOPOLOGY!r})"
+            )
+
     # Convenience accessors ------------------------------------------------
 
     @property
@@ -106,6 +121,3 @@ class Pod(ApiObject):
     def shm_bytes(self) -> int:
         """Effective /dev/shm capacity (see :mod:`repro.k8s.volume`)."""
         return shm_capacity_bytes(self.spec.volumes)
-
-    def matches_selector(self, selector: LabelSelector) -> bool:
-        return selector.matches(self.meta.labels)

@@ -7,13 +7,16 @@ implementation reproduces that pipeline:
 1. **Filter** — resource fit, node selector, terminating nodes excluded.
 2. **Score** — least-allocated spreading (the default scheduler's
    ``LeastAllocated`` strategy) plus soft pod-affinity weight per matching
-   co-located pod.
+   co-located pod.  Both read node state that :class:`~repro.k8s.node.Node`
+   keeps incrementally as pods bind and release (its free capacity and its
+   bound pods' label counts), so scoring reads no pod through the API.
 3. **Bind** — reserve node resources and record ``status.node_name``.
 
-Pods that fit nowhere stay ``Pending`` and are retried whenever capacity
-may have changed (any pod deletion or binding) — this is load-bearing for
-the elastic scheduler: worker pods created before a shrink completes simply
-wait and bind once slots free up.
+One filter-and-score pass over the nodes picks the highest score, with
+ties broken by node name.  Pods that fit nowhere stay ``Pending`` and are
+retried whenever capacity may have changed (any pod deletion or binding) —
+this is load-bearing for the elastic scheduler: worker pods created before
+a shrink completes simply wait and bind once slots free up.
 """
 
 from __future__ import annotations
@@ -34,12 +37,20 @@ class KubeScheduler:
 
     Parameters
     ----------
+    engine, api:
+        The simulation engine and the API server whose pods it places.
+    nodes:
+        The schedulable nodes; the scheduler binds and releases pods on
+        them.
     bind_latency:
         Virtual seconds between dequeuing a pod and completing its binding
         (models scheduling-cycle latency).
-    affinity_weight_scale:
-        Multiplier applied to pod-affinity weights during scoring, relative
-        to the least-allocated score (which is normalised to 0..100).
+    tracer:
+        Optional :class:`~repro.sim.Tracer`; each binding emits a
+        ``k8s.scheduler.bind`` record.
+
+    A node's score is the least-allocated score (normalised to 0..100) plus
+    the pod's affinity weight per matching pod already bound there.
     """
 
     def __init__(
@@ -104,13 +115,13 @@ class KubeScheduler:
             self._kick()  # a binding may have changed affinity scores
 
     def _select_node(self, pod: Pod) -> Optional[Node]:
-        feasible = [n for n in self.nodes.values() if self._feasible(pod, n)]
-        if not feasible:
-            return None
-        scored = sorted(
-            feasible, key=lambda n: (-self._score(pod, n), n.name)
+        # Highest score, ties to the lowest name; the key is unique
+        # because node names are.
+        return min(
+            (n for n in self.nodes.values() if self._feasible(pod, n)),
+            key=lambda n: (-self._score(pod, n), n.name),
+            default=None,
         )
-        return scored[0]
 
     def _feasible(self, pod: Pod, node: Node) -> bool:
         if node.unschedulable:
@@ -132,12 +143,7 @@ class KubeScheduler:
         # Soft pod affinity: bonus per matching pod co-located on the node.
         term = pod.spec.affinity
         if term is not None:
-            matching = 0
-            for key in node.pod_keys:
-                other = self.api.try_get("Pod", key[2], namespace=key[1])
-                if other is not None and other.matches_selector(term.selector):
-                    matching += 1
-            score += term.weight * matching
+            score += term.weight * node.count_matching(term.selector)
         return score
 
     def _bind(self, pod: Pod, node: Node) -> None:

@@ -4,6 +4,9 @@ import pytest
 
 from repro.experiments import run_cluster_experiment, run_table1
 from repro.experiments.fig9 import FIG9_WORKLOAD
+from repro.k8s.apiserver import ApiServer
+from repro.k8s.node import Node
+from repro.k8s.quantity import Resources
 from repro.k8s.watch import Watch, WatchHub
 from repro.schedsim import ScheduleSimulator, WorkloadSpec, generate_workload
 from repro.scheduling import REGISTRY
@@ -133,3 +136,49 @@ class TestWatchScaling:
         # The scheduler, the operator, one kubelet and at most one runner.
         assert ratios[4] < 4.0, ratios
         assert all(ratio <= ratios[4] * 1.05 for ratio in ratios.values()), ratios
+
+
+class TestSchedulerScaling:
+    """A scheduling cycle reads node state the nodes keep: free capacity
+    and per-label pod counts.  ``Resources.__sub__`` and
+    ``ApiServer.try_get`` calls per bind stay flat as the cluster grows
+    (subtractions grew 16.7, 52.6, 102.3 at 4, 16, 64 nodes when every
+    cycle recomputed free capacity and read each co-located pod through
+    the API)."""
+
+    @staticmethod
+    def per_bind(monkeypatch, node_count):
+        counts = {"sub": 0, "try_get": 0, "bind": 0}
+        sub, try_get, bind = Resources.__sub__, ApiServer.try_get, Node.bind
+
+        def counting_sub(a, b):
+            counts["sub"] += 1
+            return sub(a, b)
+
+        def counting_try_get(api, *args, **kwargs):
+            counts["try_get"] += 1
+            return try_get(api, *args, **kwargs)
+
+        def counting_bind(node, pod):
+            counts["bind"] += 1
+            bind(node, pod)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Resources, "__sub__", counting_sub)
+            patch.setattr(ApiServer, "try_get", counting_try_get)
+            patch.setattr(Node, "bind", counting_bind)
+            subs = generate_workload(
+                WorkloadSpec(num_jobs=64, submission_gap=5.625, seed=0))
+            run_cluster_experiment("elastic", subs, node_count=node_count)
+        return counts["sub"] / counts["bind"], counts["try_get"] / counts["bind"]
+
+    def test_subtractions_and_api_reads_per_bind_do_not_grow_with_nodes(
+            self, monkeypatch):
+        ratios = {n: self.per_bind(monkeypatch, n) for n in (4, 16, 64)}
+        subs = {n: r[0] for n, r in ratios.items()}
+        reads = {n: r[1] for n, r in ratios.items()}
+        # One subtraction per bind, two per release.
+        assert subs[4] <= 3.5, subs
+        assert reads[4] < 2.0, reads
+        assert all(value <= subs[4] * 1.05 for value in subs.values()), subs
+        assert all(value <= reads[4] * 1.05 for value in reads.values()), reads

@@ -4,10 +4,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import AlreadyExistsError, NotFoundError
 from repro.k8s import ApiServer, ConfigMap, LabelSelector, Pod, PodSpec
 from repro.k8s.watch import EventType, WatchEvent, WatchHub
+from repro.sim import Engine
 
 
 @pytest.fixture
@@ -184,6 +186,79 @@ class TestIndexesAgainstAFullScan:
         assert api.object_count("Pod") == 0
         with pytest.raises(NotFoundError):
             api.finalize_delete(pod)
+
+
+#: Every selector class a selector list can take: empty, each one-pair and
+#: two-pair selector over the label universe, and two that match nothing
+#: (an unknown value, and a known pair with one no pod carries).
+PROPERTY_SELECTORS = (
+    LabelSelector(),
+    *(LabelSelector.of(**{key: value})
+      for key, values in sorted(LABEL_VALUES.items()) for value in values),
+    *(LabelSelector.of(app=app, role=role)
+      for app in LABEL_VALUES["app"] for role in LABEL_VALUES["role"]),
+    LabelSelector.of(app="none"),
+    LabelSelector.of(role="worker", missing="label"),
+)
+
+label_sets = st.builds(
+    lambda app, role, tier: {key: value for key, value in
+                             (("app", app), ("role", role), ("tier", tier))
+                             if value is not None},
+    st.sampled_from((None, *LABEL_VALUES["app"])),
+    st.sampled_from((None, *LABEL_VALUES["role"])),
+    st.sampled_from((None, *LABEL_VALUES["tier"])),
+)
+
+api_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("create"), st.sampled_from(("default", "other")),
+                  st.integers(0, 5), label_sets, st.booleans()),
+        st.tuples(st.just("relabel"), st.integers(0, 63), label_sets),
+        st.tuples(st.just("delete"), st.integers(0, 63)),
+    ),
+    max_size=30,
+)
+
+
+class TestSelectorListProperty:
+    """A selector ``list`` answers from the label index alone; it must
+    equal a full scan that runs ``selector.matches`` over every stored
+    object, whatever sequence of creates, label edits and deletes built
+    the store."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(api_ops)
+    def test_selector_list_equals_a_full_scan(self, ops):
+        api = ApiServer(Engine())
+        stored = {}  # key -> object, the test's own record of the store
+        for op, *args in ops:
+            if op == "create":
+                namespace, index, labels, bound = args
+                pod = Pod(f"p{index}", PodSpec(), namespace=namespace,
+                          labels=labels)
+                if pod.key in stored:
+                    continue
+                if bound:
+                    pod.status.node_name = "node-0"  # graceful delete
+                stored[pod.key] = api.create(pod)
+            elif not stored:
+                continue
+            else:
+                pod = sorted(stored.values(), key=lambda o: o.key)[
+                    args[0] % len(stored)]
+                if op == "relabel":
+                    pod.meta.labels = dict(args[1])
+                    api.update(pod)
+                else:
+                    was_terminating = pod.terminating
+                    api.delete(pod)
+                    if was_terminating or not pod.terminating:
+                        del stored[pod.key]
+            for namespace in ("default", "other", None):
+                for selector in PROPERTY_SELECTORS:
+                    assert (api.list("Pod", namespace=namespace, selector=selector)
+                            == brute_force_list(stored, "Pod", namespace, selector))
 
 
 class TestWatch:

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.errors import InvalidObjectError, KubeError
 from repro.k8s import (
     LabelSelector,
+    Node,
     Pod,
     PodAffinityTerm,
     PodPhase,
@@ -46,6 +48,19 @@ class TestScheduling:
         cluster.api.create(second)
         engine.run(until=10.0)
         assert second.node_name == first.node_name
+
+    def test_affinity_topology_other_than_hostname_is_rejected(self, engine, cluster):
+        # Scoring counts matching pods per node; a zone-wide term would be
+        # scored as if it were per node, so validation refuses it.
+        term = PodAffinityTerm(selector=LabelSelector.of(job="j1"),
+                               topology_key="topology.kubernetes.io/zone")
+        pod = Pod("w0", PodSpec(affinity=term), labels={"job": "j1"})
+        with pytest.raises(InvalidObjectError, match="topology key"):
+            cluster.api.create(pod)
+        assert not cluster.api.exists("Pod", "w0")
+        hostname = PodAffinityTerm(selector=LabelSelector.of(job="j1"),
+                                   topology_key="kubernetes.io/hostname")
+        cluster.api.create(Pod("w1", PodSpec(affinity=hostname)))
 
     def test_node_selector_restricts_placement(self, engine, cluster):
         pod = make_pod("p", node_selector={"kubernetes.io/hostname": "node-2"})
@@ -154,3 +169,78 @@ class TestKubelet:
         cluster.api.create(make_pod("p", cpu="16"))
         engine.run(until=10.0)
         assert cluster.cpu_utilization() == pytest.approx(16 / 64)
+
+
+class TestKeptNodeState:
+    """``Node`` keeps its free capacity and per-label pod counts as pods
+    bind and release; both must equal a fresh recount."""
+
+    @staticmethod
+    def node():
+        return Node("n", Resources.parse(cpu="8", memory="8Gi"),
+                    system_reserved=Resources.parse(cpu="1"))
+
+    @staticmethod
+    def pod(name, cpu="1", **labels):
+        return Pod(name, PodSpec(request=Resources.parse(cpu=cpu, memory="1Gi")),
+                   labels=labels)
+
+    def test_free_is_kept_through_bind_and_release(self):
+        node = self.node()
+        assert node.free == node.allocatable == Resources.parse(cpu="7", memory="8Gi")
+        a, b = self.pod("a", cpu="2.5"), self.pod("b", cpu="0.5")
+        node.bind(a)
+        node.bind(b)
+        assert node.free == node.allocatable - (a.request + b.request)
+        assert node.can_fit(Resources.parse(cpu="4", memory="6Gi"))
+        assert not node.can_fit(Resources.parse(cpu="4.5"))
+        node.release(a)
+        assert node.free == node.allocatable - b.request
+        node.release(b)
+        assert node.free == node.allocatable
+
+    def test_count_matching_one_pair_two_pair_and_empty(self):
+        node = self.node()
+        pods = [self.pod("l", job="x", role="launcher"),
+                self.pod("w0", job="x", role="worker"),
+                self.pod("w1", job="x", role="worker"),
+                self.pod("v0", job="y", role="worker")]
+        for pod in pods:
+            node.bind(pod)
+        assert node.count_matching(LabelSelector.of(job="x")) == 3
+        assert node.count_matching(LabelSelector.of(role="worker")) == 3
+        assert node.count_matching(LabelSelector.of(job="x", role="worker")) == 2
+        assert node.count_matching(LabelSelector.of(job="z")) == 0
+        assert node.count_matching(LabelSelector()) == 4
+        node.release(pods[1])
+        node.release(pods[3])
+        assert node.count_matching(LabelSelector.of(job="x")) == 2
+        assert node.count_matching(LabelSelector.of(job="y")) == 0
+        assert node.count_matching(LabelSelector.of(job="x", role="worker")) == 1
+        assert node.count_matching(LabelSelector()) == 2
+        assert node.pod_keys == {pods[0].key, pods[2].key}
+
+    def test_release_undoes_the_labels_counted_at_bind(self):
+        # Labels are never edited in this codebase; if one were, release
+        # must still undo exactly what bind counted.
+        node = self.node()
+        a = self.pod("a", job="x")
+        node.bind(a)
+        a.meta.labels["job"] = "y"
+        assert node.count_matching(LabelSelector.of(job="x")) == 1
+        node.release(a)
+        assert node.count_matching(LabelSelector.of(job="x")) == 0
+        assert node.count_matching(LabelSelector.of(job="y")) == 0
+
+    def test_double_bind_and_foreign_release_leave_state_alone(self):
+        node = self.node()
+        a = self.pod("a", job="x")
+        node.bind(a)
+        with pytest.raises(KubeError, match="already bound"):
+            node.bind(a)
+        with pytest.raises(KubeError, match="not bound"):
+            node.release(self.pod("b", job="x"))
+        with pytest.raises(KubeError, match="does not fit"):
+            node.bind(self.pod("big", cpu="7"))
+        assert node.count_matching(LabelSelector.of(job="x")) == 1
+        assert node.free == node.allocatable - a.request

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.k8s import make_eks_cluster
+from repro.k8s import LabelSelector, Resources, make_eks_cluster
 from repro.mpioperator import CharmJobController, JobPhase
 from repro.scheduling import PolicyConfig, REGISTRY
 from repro.scheduling.controller import ElasticSchedulerController
@@ -122,3 +122,65 @@ class TestEndToEnd:
         assert 0.0 < m.utilization <= 1.0
         assert m.total_time > 0
         assert m.weighted_mean_completion >= m.weighted_mean_response
+
+
+def assert_node_state_kept(cluster):
+    """Each node's kept free capacity and label counts equal a recount
+    from the API store: the pods there bound to the node and unfinished."""
+    pods = cluster.api.list("Pod", namespace=None)
+    selectors = {LabelSelector()}
+    for pod in pods:
+        selectors.add(LabelSelector.from_dict(pod.meta.labels))
+        selectors.update(LabelSelector.of(**{label: value})
+                         for label, value in pod.meta.labels.items())
+    selectors.add(LabelSelector.of(app="charmjob", missing="label"))
+    for node in cluster.nodes.values():
+        bound = [p for p in pods if p.node_name == node.name and not p.is_finished]
+        assert node.pod_keys == {p.key for p in bound}
+        requested = sum((p.request for p in bound), Resources())
+        assert node.free.memory == node.allocatable.memory - requested.memory
+        assert node.free.cpu == pytest.approx(
+            node.allocatable.cpu - requested.cpu, abs=1e-9)
+        for selector in selectors:
+            recount = sum(1 for p in bound if selector.matches(p.meta.labels))
+            assert node.count_matching(selector) == recount, (node.name, selector)
+
+
+class TestNodeStateUnderChurn:
+    def test_kept_node_state_matches_a_recount_throughout(self, engine, stack):
+        """Binds, completions, an elastic shrink and expand, a node failure
+        and its uncordon: after every 5 s of virtual time the nodes' kept
+        state equals a recount over the API store."""
+        cluster, operator, scheduler = stack
+        plan = [
+            (0.0, make_job(name="anchor", min_replicas=2, max_replicas=2,
+                           priority=5, steps=1500)),
+            (10.0, make_job(name="low", min_replicas=8, max_replicas=30,
+                            priority=1, steps=1500)),
+            (20.0, make_job(name="low2", min_replicas=8, max_replicas=24,
+                            priority=1, steps=1500)),
+            (45.0, make_job(name="high", min_replicas=24, max_replicas=24,
+                            priority=4, steps=300)),
+            (130.0, make_job(name="late", min_replicas=4, max_replicas=40,
+                             priority=3, steps=100)),
+        ]
+        for at, job in plan:
+            engine.schedule_at(at, scheduler.submit, job)
+        killed = []
+        engine.schedule_at(110.0, lambda: killed.append(cluster.fail_node("node-1")))
+        engine.schedule_at(125.0, cluster.uncordon_node, "node-1")
+        busiest = 0
+        late_on_node_1 = False
+        while not scheduler.all_done and engine.now < 3000.0:
+            engine.run(until=engine.now + 5.0)
+            assert_node_state_kept(cluster)
+            busiest = max(busiest, sum(len(n.pod_keys) for n in cluster.nodes.values()))
+            late_on_node_1 |= any(p.node_name == "node-1" for p in cluster.pods()
+                                  if p.name.startswith("late-"))
+        assert scheduler.all_done
+        assert busiest == 64  # the cluster was full at some check
+        assert operator.rescaler.shrink_count > 0
+        assert operator.rescaler.expand_count > 0
+        assert killed and killed[0] > 0
+        assert late_on_node_1  # the uncordoned node took new pods
+        assert all(len(n.pod_keys) == 0 for n in cluster.nodes.values())
