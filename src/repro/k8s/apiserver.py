@@ -148,8 +148,9 @@ class ApiServer:
         """Delete an object.
 
         Bound, unfinished pods are deleted *gracefully*: the object is marked
-        terminating and stays in the store until the kubelet finalizes it.
-        Everything else is removed immediately.
+        terminating and stays in the store until the kubelet finalizes it,
+        so deleting it again does nothing.  Everything else is removed
+        immediately.
         """
         self._stored(obj.kind, (obj.namespace, obj.name))
         graceful = (
@@ -157,11 +158,12 @@ class ApiServer:
             and getattr(obj, "is_bound", False)
             and not getattr(obj, "is_finished", False)
         )
-        if graceful and not obj.terminating:
-            obj.meta.deletion_timestamp = self.engine.now
-            self._bump(obj)
-            self._trace("terminate", obj)
-            self._hub.publish(WatchEvent(EventType.MODIFIED, obj))
+        if graceful:
+            if not obj.terminating:
+                obj.meta.deletion_timestamp = self.engine.now
+                self._bump(obj)
+                self._trace("terminate", obj)
+                self._hub.publish(WatchEvent(EventType.MODIFIED, obj))
             return
         self.finalize_delete(obj)
 

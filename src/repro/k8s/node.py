@@ -22,9 +22,9 @@ under two conditions that hold in this codebase:
   pod's labels as they were when it bound);
 * a pod bound to a node is always in the API store, because the kubelet
   releases a pod (``KubeScheduler.release``) before it finalizes the
-  deletion (``ApiServer.finalize_delete``), and callers delete only pods
-  that are not yet terminating (``ApiServer.delete`` removes a
-  terminating pod at once).
+  deletion (``ApiServer.finalize_delete``), and deleting a terminating
+  bound pod again leaves it to the kubelet (``ApiServer.delete`` does
+  nothing then).
 """
 
 from __future__ import annotations

@@ -52,6 +52,13 @@ class ElasticSchedulerController:
                 f"policy {config.name!r} preempts jobs, which the "
                 "Kubernetes path cannot checkpoint to disk"
             )
+        if operator.restart_failed_jobs:
+            # The policy retires a failed job and hands its slots out; a
+            # relaunch would run it again on slots the policy gave away.
+            raise SchedulingError(
+                "the operator relaunches failed jobs, which the policy "
+                "cannot follow"
+            )
         self.engine = engine
         self.cluster = cluster
         self.operator = operator
@@ -103,18 +110,15 @@ class ElasticSchedulerController:
         if observed != self._observed_replicas[name]:
             self._observed_replicas[name] = observed
             self._timelines[name].record(self.engine.now, observed)
-        # Completion: run Figure 3 once.
-        if job.status.phase == JobPhase.COMPLETED and name not in self._completed:
+        # Completion or failure: run Figure 3 once and apply it.  Only a
+        # completed job has an outcome to record.
+        if job.is_finished and name not in self._completed:
             self._completed.add(name)
             self._timelines[name].record(self.engine.now, 0)
             decisions = self.policy.on_complete(name, self.engine.now)
-            self._record_outcome(job)
+            if job.status.phase == JobPhase.COMPLETED:
+                self._record_outcome(job)
             self._apply(decisions)
-            return
-        if job.status.phase == JobPhase.FAILED and name not in self._completed:
-            self._completed.add(name)
-            self._timelines[name].record(self.engine.now, 0)
-            self.policy.on_complete(name, self.engine.now)
             return
         # Failed-rescale reconciliation: the operator reverted the spec.
         self._maybe_resync(job)

@@ -32,36 +32,29 @@ Per-event complexity (the PR-3 hot-path contract)
 
 ``running`` and ``queue`` are :class:`~repro.scheduling.joblist
 .IndexedJobList` instances — blocked sorted lists ordered by
-:func:`priority_order_key` whose blocks carry shrink-victim aggregates
-(sum of reclaimable slots, a rescale-gap-eligibility time bound, and the
-cheapest member's ``min_replicas``).  With ``n`` live (running + queued)
-jobs and block size ``B``:
+:func:`priority_order_key` whose blocks carry their cheapest member's
+``min_replicas``.  With ``n`` live (running + queued) jobs, ``r`` of
+them running (never more than the cluster's slots) and block size
+``B``:
 
 * ``free_slots`` is O(1) — a counter maintained by every transition
   (start/shrink/expand/complete/preempt/rescale-failed), never a re-sum;
 * insert/remove cost O(log(n/B) + B) — a block bisect plus a small
   C-level memmove, replacing the flat list's O(n) shift;
-* the Figure-2 dry-run is an aggregate query: whole running blocks are
-  credited with their ``shrinkable`` sum in O(1) when their time bound
-  proves every member rescale-gap-eligible, so feasibility costs
-  O(running/B) instead of O(running); the real pass skips blocks with no
-  victims and touches only actual victims (plus at most one boundary
-  block scanned item-by-item).  Under a capacity constraint the dry run
-  scans members instead of crediting blocks, because the credit needs
-  each victim's weight and block aggregates know nothing of weights;
+* the Figure-2 dry run and real pass walk running members, O(r), and
+  stop at the first eligible one that outranks the arrival;
 * completion walks Figure 3's ``allJobs`` as a two-pointer merge in
   which whole *queue* blocks whose cheapest member cannot start within
   the remaining slot budget are skipped in O(1) — the budget only
   shrinks during a walk, so a skipped block can never become startable
   again.  This removes the O(queue) scan behind the 100k-job throughput
-  cliff: a completion whose budget starts nobody costs O(queue/B), not
-  O(queue);
-* the *running* side of the same merge (PR 5) skips whole blocks with
-  no expandable member: ``expandable == 0`` (every member at its
-  maximum) or ``now - oldest_action < gap`` (``oldest_action`` is a
-  lower bound on the members' ``last_action``, so no member can be
-  rescale-gap-eligible).  Skipped runners would have emitted nothing
-  and consumed no budget, so the decision sequence is untouched;
+  cliff: a completion whose budget starts nobody costs O(queue/B + r),
+  not O(queue);
+* the *running* side of the same merge steps past each member inside
+  its rescale gap or already at its maximum, and skips every member at
+  an infinite gap (a running job's ``last_action`` is finite).  Skipped
+  runners would have emitted nothing and consumed no budget, so the
+  decision sequence is untouched;
 * hooked configs (a backfill rule, a capacity constraint or both) share
   both walks.  In Figure 2 the constraint's ``admit`` caps the start,
   the dry run and the real pass chase a constraint-unit deficit beside
@@ -80,9 +73,9 @@ jobs and block size ``B``:
   test, and the scan would have left it behind too (the budget only
   shrinks), so the flag equals the scan's at every queued start; passing
   a runner never sets it.  Under ``easy-backfill`` (``rescale_gap =
-  inf``) every running block is skipped in O(1), so a completion costs
-  the rule's test on each waiter that fits the budget, not a merge over
-  the whole backlog;
+  inf``) the running side is skipped whole, so a completion costs the
+  rule's test on each waiter that fits the budget, not a merge over the
+  whole backlog;
 * the priority stage (``PolicyConfig.priority``) keys each job at
   submission.  A static rule (the user priority, EWT, PRB) never
   changes a key, and its step heap stays empty.  Under aging (§3.2.2)
@@ -95,10 +88,6 @@ jobs and block size ``B``:
   reserves for the head of the aged order.  A re-key that puts a
   waiter at the queue front calls the backfill rule's ``overtakes``,
   which retires the reservation of the head it displaced;
-* the Figure-2 dry run short-circuits to *infeasible* when the blocks'
-  total ``shrinkable`` sum cannot cover the requested slots — priority
-  stops and gap ineligibility only ever reduce what the walk frees, so
-  the aggregate total is a sound upper bound;
 * the same transitions bump ``transitions``, one int add each, so a
   hook stage can price one engine state once: EASY backfilling builds
   its release profile once per state, not once per Figure-3 candidate;
@@ -221,9 +210,6 @@ class ElasticPolicyEngine:
             self._obs_shrink_passes = registry.counter("engine.shrink_pass_calls")
             self._obs_queue_skips = registry.counter(
                 "engine.fig3.queue_blocks_skipped"
-            )
-            self._obs_running_skips = registry.counter(
-                "engine.fig3.running_blocks_skipped"
             )
         else:
             self._obs = None
@@ -373,18 +359,17 @@ class ElasticPolicyEngine:
         return cap
 
     # ------------------------------------------------------------------
-    # Figure 2's shrink-victim walk, indexed
+    # Figure 2's shrink-victim walk
     # ------------------------------------------------------------------
     #
     # The literal walk visits running jobs from lowest priority upward
     # (positions len-1 .. 1; the index-0 job is protected), skipping
     # candidates inside their T_rescale_gap, and stops at the first
-    # *eligible* candidate that outranks the arrival.  Because the list
-    # is sorted, that stop is equivalent to "no further victims exist" —
-    # which is what lets whole blocks be credited or skipped from their
-    # aggregates without changing a single decision.  Under a capacity
-    # constraint the walk owes constraint units as well as slots; a
-    # victim's freed replicas pay both, at its ``weight`` per replica.
+    # *eligible* candidate that outranks the arrival.  There are never
+    # more running jobs than slots, so both passes visit members.  Under
+    # a capacity constraint the walk owes constraint units as well as
+    # slots; a victim's freed replicas pay both, at its ``weight`` per
+    # replica.
 
     def _shrink_feasible(
         self, priority: float, now: float, slot_deficit: int,
@@ -392,53 +377,19 @@ class ElasticPolicyEngine:
     ) -> bool:
         """Figure 2's dry run: could shrinking cover both deficits?
 
-        Pure query — no state is touched.  Blocks whose time bound proves
-        every member rescale-gap-eligible are resolved in O(1): credited
-        with their ``shrinkable`` sum when the whole block ranks at or
-        below the arrival, or terminating the walk when even their
-        lowest-priority member outranks it.  Mixed or possibly-ineligible
-        blocks fall back to the literal item scan, and so does every
-        block under a constraint: block aggregates know nothing of
-        weights.  ``unit_deficit`` is 0 without a constraint.
+        Pure query — no state is touched.  ``unit_deficit`` is 0 without
+        a constraint.
         """
         if slot_deficit <= 0 and unit_deficit <= 0:
             return True
-        # Upper-bound early out: the walk can never free more than the
-        # list's total shrinkable sum (priority stops and rescale-gap
-        # ineligibility only reduce it further), so an arrival needing
-        # more is infeasible without visiting a single candidate.
-        if self.running.shrinkable_total < slot_deficit:
-            return False
         gap = self.config.rescale_gap
         cons = self._constraint
         blocks = self.running.blocks
-        for b in range(len(blocks) - 1, -1, -1):
-            block = blocks[b]
-            jobs = block.jobs
-            lo = 1 if b == 0 else 0  # the index-0 job is never a victim
-            if lo >= len(jobs):
-                continue  # only the protected job in here
-            if now - block.newest_action >= gap:
-                if jobs[-1].priority > priority:
-                    # First candidate visited is eligible and outranks the
-                    # arrival: the literal walk breaks here.
-                    return False
-                if cons is None and jobs[lo].priority <= priority:
-                    # Every visitable member ranks at or below the arrival:
-                    # credit the whole block (minus the protected job's
-                    # share in block 0) without touching its members.
-                    credit = block.shrinkable
-                    if lo:
-                        head = jobs[0]
-                        extra = head.replicas - head.request.min_replicas
-                        if extra > 0:
-                            credit -= extra
-                    slot_deficit -= credit
-                    if slot_deficit <= 0:
-                        return True
-                    continue
-            for i in range(len(jobs) - 1, lo - 1, -1):
-                candidate = jobs[i]
+        head = blocks[0].jobs[0] if blocks else None
+        for block in reversed(blocks):
+            for candidate in reversed(block.jobs):
+                if candidate is head:
+                    return False  # the index-0 job is never a victim
                 if now - candidate.last_action < gap:
                     continue
                 if candidate.priority > priority:
@@ -467,11 +418,7 @@ class ElasticPolicyEngine:
         gap.  Each victim gives up enough replicas for the larger of the
         two remaining targets (``ceil(unit_target / weight)`` for the
         units; ``unit_target`` is 0 without a constraint), down to its
-        minimum.  Whole blocks that provably contain neither a victim
-        (``shrinkable == 0``) nor the walk's stop condition (no member
-        outranks the arrival) are skipped; weights never make a block
-        without shrinkable replicas yield one, so the skips hold under a
-        constraint too.
+        minimum.
 
         :meth:`on_submit` calls it with the arrival's priority and the
         configured rescale gap.  Capacity shrinks
@@ -485,23 +432,13 @@ class ElasticPolicyEngine:
             self._obs_shrink_passes.inc()
         cons = self._constraint
         blocks = self.running.blocks
-        for b in range(len(blocks) - 1, -1, -1):
-            if slot_target <= 0 and unit_target <= 0:
-                return
-            block = blocks[b]
-            jobs = block.jobs
-            lo = 1 if b == 0 else 0
-            if lo < len(jobs):
-                if now - block.newest_action >= gap and (
-                    jobs[-1].priority > priority
-                ):
-                    return  # the literal walk breaks immediately
-                if block.shrinkable == 0 and jobs[lo].priority <= priority:
-                    continue  # no victims and no stop condition in here
-            for i in range(len(jobs) - 1, lo - 1, -1):
+        head = blocks[0].jobs[0] if blocks else None
+        for block in reversed(blocks):
+            for candidate in reversed(block.jobs):
                 if slot_target <= 0 and unit_target <= 0:
                     return
-                candidate = jobs[i]
+                if candidate is head:
+                    return  # the index-0 job is never a victim
                 if now - candidate.last_action < gap:
                     continue
                 if candidate.priority > priority:
@@ -621,15 +558,14 @@ class ElasticPolicyEngine:
         On the queue side, whole blocks whose cheapest member needs more
         than the remaining start budget are skipped in O(1) — the budget
         only shrinks during a walk, so a skipped queued candidate can
-        never become startable later.  On the running side (PR 5), whole
-        blocks with nothing to hand out are skipped from their
-        aggregates: every member at ``max_replicas`` (``expandable ==
-        0``), or no member past the rescale gap (``now - oldest_action <
-        gap``, with ``oldest_action`` a lower bound on the members'
-        ``last_action``).  A skipped running candidate would have emitted
-        nothing and consumed no budget, so the emitted decision sequence
-        is exactly the literal scan's over ``jobs_by_priority()`` (the
-        executable spec's Figure 3 in ``tests/scheduling/spec.py``).
+        never become startable later.  The running side steps past each
+        member inside its rescale gap or already at ``max_replicas``, and
+        past every member at an infinite gap (a running job's
+        ``last_action`` is finite).  A skipped runner would have emitted
+        nothing and consumed no budget, and passing a runner never sets
+        ``passed``, so the emitted decision sequence is exactly the
+        literal scan's over ``jobs_by_priority()`` (the executable spec's
+        Figure 3 in ``tests/scheduling/spec.py``).
 
         Hooked configs take the same walk: the capacity constraint caps
         each ``add`` (it can only lower it, so no skip is invalidated),
@@ -646,16 +582,23 @@ class ElasticPolicyEngine:
         backfill = self._backfill
         passed = False  # a queued job was left waiting upstream
         qblocks = self.queue.blocks
-        rblocks = self.running.blocks
         nq = len(qblocks)
-        nr = len(rblocks)  # stable: the walk defers structural mutations
         qb = qi = 0
-        rb = ri = rn = 0
-        # O(1)-skipped block tallies (local ints; flushed to the metrics
+        # O(1)-skipped block tally (a local int; flushed to the metrics
         # registry after the walk — skips are O(blocks), not O(events)).
-        qskips = rskips = 0
-        rjobs = None  # member run of the running block being walked
-        runner = None  # cached next possibly-expandable runner (+ its key)
+        qskips = 0
+        # Runners that can take slots: past their rescale gap and below
+        # their maximum.  Only the walk's own expansion changes a runner,
+        # once it is consumed, so the filter can run up front; at an
+        # infinite gap it passes nobody (a runner's last_action is finite).
+        runners = [
+            job for block in self.running.blocks for job in block.jobs
+            if job.replicas < job.request.max_replicas
+            and now - job.last_action >= gap
+        ] if gap < math.inf else []
+        nr = len(runners)
+        ri = 0
+        runner = None  # cached next runner (+ its key)
         runner_key = None
         queued = None  # cached next startable queued candidate (+ its key)
         queued_key = None
@@ -689,49 +632,28 @@ class ElasticPolicyEngine:
                 if queued is None:
                     qb += 1
                     qi = 0
-            # Next running candidate, skipping whole blocks that provably
-            # cannot take slots (every member at max, or none past the
-            # rescale gap).  Expansions only touch aggregates of already-
-            # visited members (never block structure), so the cached
-            # member run stays valid for the whole walk.  Members of a
-            # block always carry a computed ``sort_key`` (add() built it).
-            if runner is None:
-                while True:
-                    if rjobs is not None and ri < rn:
-                        runner = rjobs[ri]
-                        runner_key = runner.sort_key
-                        ri += 1
-                        break
-                    rjobs = None
-                    if rb >= nr:
-                        break
-                    block = rblocks[rb]
-                    rb += 1
-                    if block.expandable == 0 or now - block.oldest_action < gap:
-                        rskips += 1
-                        continue
-                    rjobs = block.jobs
-                    rn = len(rjobs)
-                    ri = 0
+            # Next running candidate.  Listed members always carry a
+            # computed ``sort_key``.
+            if runner is None and ri < nr:
+                runner = runners[ri]
+                runner_key = runner.sort_key
+                ri += 1
             if runner is None and queued is None:
                 break
             if queued is None or (runner is not None and runner_key < queued_key):
                 candidate = runner
                 runner = None
-                if now - candidate.last_action >= gap:
-                    replicas = candidate.replicas
-                    room = candidate.request.max_replicas - replicas
-                    if room > 0:
-                        add = room if room < num_workers else num_workers
-                        if cons is not None:
-                            room = cons.admit(candidate.request)
-                            if room < add:
-                                add = room
-                        if add > 0 and replicas + add >= candidate.request.min_replicas:
-                            decisions.append(
-                                self._expand(candidate, replicas + add, now)
-                            )
-                            num_workers -= add
+                replicas = candidate.replicas
+                add = candidate.request.max_replicas - replicas
+                if add > num_workers:
+                    add = num_workers
+                if cons is not None:
+                    room = cons.admit(candidate.request)
+                    if room < add:
+                        add = room
+                if add > 0 and replicas + add >= candidate.request.min_replicas:
+                    decisions.append(self._expand(candidate, replicas + add, now))
+                    num_workers -= add
             else:
                 candidate = queued
                 queued = None
@@ -758,11 +680,8 @@ class ElasticPolicyEngine:
                         num_workers -= add + reserve
                     else:
                         passed = True
-        if self._obs is not None:
-            if qskips:
-                self._obs_queue_skips.inc(qskips)
-            if rskips:
-                self._obs_running_skips.inc(rskips)
+        if self._obs is not None and qskips:
+            self._obs_queue_skips.inc(qskips)
 
     # ------------------------------------------------------------------
     # Elastic cluster capacity (the repro.cloud substrate)
@@ -775,8 +694,8 @@ class ElasticPolicyEngine:
     # *substrate* events, not Figure-2/3 policy decisions — a substrate
     # that never calls them (every fixed-capacity caller) gets a bytewise
     # unchanged engine.  Both transitions maintain the O(1)
-    # ``free_slots`` counter and the :class:`IndexedJobList` aggregates
-    # through the existing transition helpers only.
+    # ``free_slots`` counter through the existing transition helpers
+    # only.
 
     def grow_capacity(self, slots: int, now: float) -> List[Decision]:
         """Add ``slots`` to the cluster and hand them out (Figure 3).
@@ -802,8 +721,8 @@ class ElasticPolicyEngine:
         request, the engine *drains*: the Figure-2 shrink-victim walk
         runs with a rank above every job (``priority = +inf``), so every
         running elastic job except the protected index-0 one gives up
-        replicas down to its minimum, newest-priority first — the same
-        machinery, aggregates, and skip logic an arriving job would use.
+        replicas down to its minimum, lowest priority first — the same
+        victim walk an arriving job would use.
 
         ``force=False`` (autoscaler scale-down) is cooperative: the walk
         respects ``T_rescale_gap`` and the removal is *partial* — only
@@ -933,7 +852,6 @@ class ElasticPolicyEngine:
         if self._constraint is not None and actual != old:
             self._constraint.charge(job.request, actual - old)
         job.replicas = actual
-        self.running.adjust_replicas(job, old)
         if self.free_slots < 0:  # pragma: no cover - defensive
             raise CapacityError("rescale failure reconciliation over-committed")
 
@@ -989,12 +907,8 @@ class ElasticPolicyEngine:
     def _start_queued(self, job: SchedulerJob, replicas: int, now: float) -> Decision:
         if self._pending_starts is not None:
             # Mid-walk in on_complete: defer the queue→running move so the
-            # walk's block pointers never see a structural mutation.  The
-            # queue's aggregates still track the in-place activation so
-            # the deferred remove() stays exact.
-            before = job.replicas
+            # walk's block pointers never see a structural mutation.
             start = self._activate(job, replicas, now)
-            self.queue.rescaled(job, before)
             self._pending_starts.append(job)
         else:
             self._unpark(job)
@@ -1044,7 +958,6 @@ class ElasticPolicyEngine:
         self.transitions += 1
         if self._constraint is not None:
             self._constraint.charge(job.request, new_replicas - old)
-        self.running.rescaled(job, old)
         return ShrinkJob(job=job, from_replicas=old, to_replicas=new_replicas)
 
     def _expand(self, job: SchedulerJob, new_replicas: int, now: float) -> ExpandJob:
@@ -1057,7 +970,6 @@ class ElasticPolicyEngine:
         self.transitions += 1
         if self._constraint is not None:
             self._constraint.charge(job.request, new_replicas - old)
-        self.running.rescaled(job, old)
         return ExpandJob(job=job, from_replicas=old, to_replicas=new_replicas)
 
     def _validate_capacity(self, extra_slots: int) -> None:

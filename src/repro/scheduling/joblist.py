@@ -1,63 +1,39 @@
-"""A blocked sorted job list with shrink-victim aggregates.
+"""A blocked sorted job list whose blocks know their cheapest member.
 
 The PR-2 engine kept ``running``/``queue`` as flat Python lists ordered
 by :func:`~repro.scheduling.job.priority_order_key`.  That makes every
 insert/remove an O(n) memmove — tolerable — but, much worse, it gives
-the Figure-2/3 walks nothing to *skip with*: the Figure-3 redistribution
-loop touches every queued candidate even when the freed budget cannot
-start any of them, which is the superlinear term behind the 100k-job
+the Figure-3 walk nothing to *skip with*: the redistribution loop
+touches every queued candidate even when the freed budget cannot start
+any of them, which is the superlinear term behind the 100k-job
 throughput cliff (the engine churn benchmark ran 56k events/s at 10k
 jobs vs 6.6k at 100k).
 
 :class:`IndexedJobList` replaces the flat list with a *blocked* sorted
 list (the ``sortedcontainers`` layout: a list of small sorted blocks)
-whose blocks carry three exact aggregates the scheduling walks consume:
+whose blocks carry one exact aggregate:
 
-``shrinkable``
-    Sum of ``max(0, replicas - min_replicas)`` over the block — the
-    slots Figure 2 could reclaim from the block's members.  The dry-run
-    pass adds whole blocks in O(1) instead of visiting every running
-    job, and the real pass skips blocks with no victims.
-``newest_action``
-    Upper bound on the members' ``last_action``.  It is raised on every
-    add/rescale but never lowered by :meth:`remove` — only the full
-    rebuild on block split/merge tightens it — so it may stay stale-high
-    arbitrarily long.  A block whose bound is older than ``now -
-    T_rescale_gap`` is provably *wholly* rescale-gap-eligible, enabling
-    the aggregate fast paths; a stale bound merely downgrades a block to
-    the item-by-item scan, never changes a decision.  Nothing may assume
-    the bound is tight.
 ``min_needed``
     Minimum ``min_replicas`` over the block.  The Figure-3 walk skips
     whole queue blocks whose cheapest member cannot start within the
     remaining slot budget — the budget only shrinks during a walk, so a
     skipped block can never become startable again.  (``_min_count``
     tracks how many members hold the minimum so a removal only rescans
-    the block when the *last* holder departs.)
-``expandable``
-    Sum of ``max(0, max_replicas - replicas)`` over the block — the
-    slots Figure 3 could still hand to the block's members.  The
-    running side of the redistribution walk skips whole blocks whose
-    members are all at their maximum (``expandable == 0``) in O(1);
-    the sum is exact, maintained by the same delta discipline as
-    ``shrinkable``.
-``oldest_action``
-    Lower bound on the members' ``last_action`` — the mirror image of
-    ``newest_action``.  It is lowered on every add but never raised by
-    rescales or removals (only the full rebuild on split/merge tightens
-    it), so it may stay stale-low arbitrarily long.  A block whose bound
-    satisfies ``now - oldest_action < T_rescale_gap`` provably contains
-    *no* rescale-gap-eligible member, so the Figure-3 running walk skips
-    it whole; a stale bound merely downgrades the block to the
-    item-by-item scan, never changes a decision.
+    the block when the *last* holder departs.)  It pays: with the queue
+    skip removed, the 100k-job churn run of
+    ``tests/scheduling/test_churn_flatness.py`` fell from about 55k to
+    30–41k events/s, and its 10k/100k throughput ratio rose from
+    1.03–1.12 to 1.55–1.65 (2 shared cores, CPython 3.11).
 
-Aggregate maintenance contract: when the engine mutates ``replicas``
-and/or ``last_action`` of a job *while the job is in the list* (sort
-keys are immutable, so ordering never changes), it must notify the list
-— :meth:`rescaled` for the usual both-fields shrink/expand transition
-(one block locate), or :meth:`adjust_replicas` / :meth:`touch` when only
-one field moved.  :meth:`add` / :meth:`remove` fold members in and out
-exactly.
+The list also keeps ``min_replicas_total``, the queue's slot demand for
+the cloud autoscaler.  Both aggregates read only ``min_replicas``, which
+never changes while a job is listed, so the engine may change a member's
+``replicas`` and ``last_action`` in place without telling the list.
+:meth:`add` / :meth:`remove` fold members in and out exactly.
+
+Running jobs need no aggregate: there are never more of them than the
+cluster has slots, so the Figure-2 victim walks and Figure 3's running
+side visit them member by member.
 """
 
 from __future__ import annotations
@@ -76,25 +52,13 @@ __all__ = ["IndexedJobList", "BLOCK_LOAD"]
 BLOCK_LOAD = 64
 
 
-def _surplus(job: SchedulerJob) -> int:
-    """The slots Figure 2 could reclaim from ``job`` (never negative)."""
-    extra = job.replicas - job.request.min_replicas
-    return extra if extra > 0 else 0
-
-
-def _headroom(job: SchedulerJob) -> int:
-    """The slots Figure 3 could still hand to ``job`` (never negative)."""
-    extra = job.request.max_replicas - job.replicas
-    return extra if extra > 0 else 0
-
-
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise SchedulingError(message)
 
 
 class _Block:
-    """One run of the sorted sequence plus its walk aggregates.
+    """One run of the sorted sequence plus its cheapest member's need.
 
     ``keys`` mirrors ``jobs`` with each member's (immutable)
     :func:`priority_order_key`, so the bisects inside :meth:`IndexedJobList
@@ -102,16 +66,7 @@ class _Block:
     function once per comparison probe.
     """
 
-    __slots__ = (
-        "jobs",
-        "keys",
-        "shrinkable",
-        "expandable",
-        "newest_action",
-        "oldest_action",
-        "min_needed",
-        "_min_count",
-    )
+    __slots__ = ("jobs", "keys", "min_needed", "_min_count")
 
     def __init__(self, jobs: List[SchedulerJob], keys: Optional[List[tuple]] = None):
         self.jobs = jobs
@@ -119,50 +74,24 @@ class _Block:
         self.recompute()
 
     def recompute(self) -> None:
-        """Rebuild every aggregate in one pass (split/merge only)."""
-        shrinkable = 0
-        expandable = 0
-        newest = float("-inf")
-        oldest = float("inf")
+        """Rebuild ``min_needed`` and its holder count in one pass."""
         cheapest = None
-        cheapest_count = 0
+        count = 0
         for j in self.jobs:
             needed = j.request.min_replicas
-            replicas = j.replicas
-            extra = replicas - needed
-            if extra > 0:
-                shrinkable += extra
-            room = j.request.max_replicas - replicas
-            if room > 0:
-                expandable += room
-            action = j.last_action
-            if action > newest:
-                newest = action
-            if action < oldest:
-                oldest = action
             if cheapest is None or needed < cheapest:
                 cheapest = needed
-                cheapest_count = 1
+                count = 1
             elif needed == cheapest:
-                cheapest_count += 1
-        self.shrinkable = shrinkable
-        self.expandable = expandable
-        self.newest_action = newest
-        self.oldest_action = oldest
+                count += 1
         self.min_needed = cheapest
-        self._min_count = cheapest_count
+        self._min_count = count
 
 
 class IndexedJobList:
     """Sorted-by-:func:`priority_order_key` job sequence with aggregates."""
 
-    __slots__ = (
-        "_blocks",
-        "_maxkeys",
-        "_len",
-        "min_replicas_total",
-        "shrinkable_total",
-    )
+    __slots__ = ("_blocks", "_maxkeys", "_len", "min_replicas_total")
 
     def __init__(self, jobs: Optional[Iterable[SchedulerJob]] = None):
         self._blocks: List[_Block] = []
@@ -172,9 +101,6 @@ class IndexedJobList:
         #: slot demand, read O(1) per autoscaler evaluation instead of a
         #: per-event O(queue) sum.
         self.min_replicas_total = 0
-        #: Exact sum of the blocks' ``shrinkable`` sums — the Figure-2
-        #: dry run's O(1) infeasibility ceiling.
-        self.shrinkable_total = 0
         if jobs:
             for job in sorted(jobs, key=priority_order_key):
                 self.add(job)
@@ -183,23 +109,14 @@ class IndexedJobList:
     # Structure
     # ------------------------------------------------------------------
 
-    def _block_for_key(self, key: tuple) -> int:
-        """Index of the block that should hold ``key`` (clamped to last)."""
-        index = bisect_left(self._maxkeys, key)
-        last = len(self._blocks) - 1
-        return index if index < last else last
-
     def add(self, job: SchedulerJob) -> bool:
         """Insert keeping sorted order; O(log blocks + block size).
 
         Returns whether ``job`` became the first element.
         """
         key = priority_order_key(job)
-        request = job.request
-        self.min_replicas_total += request.min_replicas
-        surplus = job.replicas - request.min_replicas
-        if surplus > 0:
-            self.shrinkable_total += surplus
+        needed = job.request.min_replicas
+        self.min_replicas_total += needed
         if not self._blocks:
             self._blocks.append(_Block([job], [key]))
             self._maxkeys.append(key)
@@ -215,17 +132,6 @@ class IndexedJobList:
         i = bisect_left(keys, key)
         keys.insert(i, key)
         block.jobs.insert(i, job)
-        if surplus > 0:
-            block.shrinkable += surplus
-        room = request.max_replicas - job.replicas
-        if room > 0:
-            block.expandable += room
-        action = job.last_action
-        if action > block.newest_action:
-            block.newest_action = action
-        if action < block.oldest_action:
-            block.oldest_action = action
-        needed = request.min_replicas
         if needed < block.min_needed:
             block.min_needed = needed
             block._min_count = 1
@@ -266,41 +172,18 @@ class IndexedJobList:
         del jobs[i]
         del block.keys[i]
         self._len -= 1
-        self.min_replicas_total -= job.request.min_replicas
-        departing = job.replicas - job.request.min_replicas
-        if departing > 0:
-            self.shrinkable_total -= departing
+        needed = job.request.min_replicas
+        self.min_replicas_total -= needed
         if not jobs:
             del self._blocks[b]
             del self._maxkeys[b]
             return
-        # Aggregate maintenance without an O(block) rebuild: the sums take
-        # exact deltas; the min is re-derived only when the *last* member
-        # holding it departs; the time bounds are left possibly stale
-        # (high for newest, low for oldest) — they are one-sided bounds
-        # by contract, and a stale bound merely downgrades a block to the
-        # item-by-item scan, never changes a decision.
-        request = job.request
-        if departing > 0:
-            block.shrinkable -= departing
-        room = request.max_replicas - job.replicas
-        if room > 0:
-            block.expandable -= room
-        if request.min_replicas == block.min_needed:
+        # The minimum is re-derived only when its *last* holder departs.
+        if needed == block.min_needed:
             if block._min_count > 1:
                 block._min_count -= 1
             else:
-                cheapest = None
-                count = 0
-                for j in jobs:
-                    needed = j.request.min_replicas
-                    if cheapest is None or needed < cheapest:
-                        cheapest = needed
-                        count = 1
-                    elif needed == cheapest:
-                        count += 1
-                block.min_needed = cheapest
-                block._min_count = count
+                block.recompute()
         self._maxkeys[b] = block.keys[-1]
         if len(jobs) < BLOCK_LOAD // 2:
             self._merge(b)
@@ -327,62 +210,6 @@ class IndexedJobList:
         self._maxkeys[left] = block.keys[-1]
         if len(block.jobs) > 2 * BLOCK_LOAD:
             self._split(left)
-
-    # ------------------------------------------------------------------
-    # Aggregate notifications (the engine's mutation hooks)
-    # ------------------------------------------------------------------
-
-    def adjust_replicas(self, job: SchedulerJob, old_replicas: int) -> None:
-        """Reconcile the replica sums after ``job.replicas`` changed in place."""
-        request = job.request
-        old = old_replicas - request.min_replicas
-        delta = _surplus(job) - (old if old > 0 else 0)
-        old_room = request.max_replicas - old_replicas
-        room_delta = _headroom(job) - (old_room if old_room > 0 else 0)
-        if delta or room_delta:
-            block = self._blocks[self._block_for_key(priority_order_key(job))]
-            block.shrinkable += delta
-            block.expandable += room_delta
-            self.shrinkable_total += delta
-
-    def touch(self, job: SchedulerJob) -> None:
-        """Raise the containing block's ``newest_action`` bound.
-
-        The engine's own transitions always change ``replicas`` and
-        ``last_action`` together and use :meth:`rescaled`; this single-
-        field hook exists for subclasses/external mutators only.
-        """
-        block = self._blocks[self._block_for_key(priority_order_key(job))]
-        if job.last_action > block.newest_action:
-            block.newest_action = job.last_action
-
-    def rescaled(self, job: SchedulerJob, old_replicas: int) -> None:
-        """One-locate combination of :meth:`adjust_replicas` + :meth:`touch`
-        for the shrink/expand hot path (both fields changed together).
-
-        ``oldest_action`` stays put: a rescale only *raises* the job's
-        ``last_action``, which can never lower the block's minimum — the
-        stored value just becomes (safely) stale-low.
-        """
-        key = job.sort_key or priority_order_key(job)
-        blocks = self._blocks
-        b = bisect_left(self._maxkeys, key)
-        last = len(blocks) - 1
-        block = blocks[b if b < last else last]
-        request = job.request
-        replicas = job.replicas
-        old = old_replicas - request.min_replicas
-        new = replicas - request.min_replicas
-        delta = (new if new > 0 else 0) - (old if old > 0 else 0)
-        block.shrinkable += delta
-        self.shrinkable_total += delta
-        old_room = request.max_replicas - old_replicas
-        new_room = request.max_replicas - replicas
-        block.expandable += (new_room if new_room > 0 else 0) - (
-            old_room if old_room > 0 else 0
-        )
-        if job.last_action > block.newest_action:
-            block.newest_action = job.last_action
 
     # ------------------------------------------------------------------
     # Sequence protocol
@@ -421,11 +248,11 @@ class IndexedJobList:
 
     @property
     def blocks(self) -> List[_Block]:
-        """The block run, exposed read-only for the engine's indexed walks."""
+        """The block run, exposed read-only for the Figure-3 queue walk."""
         return self._blocks
 
     def check_invariants(self) -> None:
-        """Validate ordering, length, and aggregate bounds.
+        """Validate ordering, length, and the exact aggregates.
 
         Raises :class:`~repro.errors.SchedulingError` naming the first
         broken invariant; unlike an ``assert`` it still checks under
@@ -436,25 +263,12 @@ class IndexedJobList:
         _require(self.min_replicas_total == sum(
             j.request.min_replicas for block in self._blocks for j in block.jobs
         ), "min_replicas_total drifted")
-        _require(self.shrinkable_total == sum(
-            _surplus(j) for block in self._blocks for j in block.jobs
-        ), "shrinkable_total drifted")
         for b, block in enumerate(self._blocks):
             _require(bool(block.jobs), "empty block retained")
             _require(len(block.jobs) <= 2 * BLOCK_LOAD, "oversized block")
             _require(block.keys == [
                 priority_order_key(j) for j in block.jobs
             ], "keys mirror drifted")
-            exact_shrinkable = sum(_surplus(j) for j in block.jobs)
-            _require(block.shrinkable == exact_shrinkable, "shrinkable drifted")
-            exact_expandable = sum(_headroom(j) for j in block.jobs)
-            _require(block.expandable == exact_expandable, "expandable drifted")
-            _require(block.newest_action >= max(
-                j.last_action for j in block.jobs
-            ), "newest_action is not an upper bound")
-            _require(block.oldest_action <= min(
-                j.last_action for j in block.jobs
-            ), "oldest_action is not a lower bound")
             exact_min = min(j.request.min_replicas for j in block.jobs)
             _require(block.min_needed == exact_min, "min_needed drifted")
             _require(block._min_count == sum(

@@ -147,11 +147,11 @@ class TestIndexesAgainstAFullScan:
                                               o.meta.labels.update(labels)))
             elif op == "delete":
                 obj = rng.choice(sorted(stored.values(), key=lambda o: o.key))
-                # A bound pod is only marked terminating the first time;
-                # deleting it again (or anything else) removes it.
-                was_terminating = obj.terminating
+                # A bound pod is only marked terminating, and stays stored
+                # until finalized however often it is deleted; anything
+                # else is removed.
                 api.delete(obj)
-                if was_terminating or not obj.terminating:
+                if not obj.terminating:
                     del stored[obj.key]
             else:
                 terminating = [p for p in pods if p.terminating]
@@ -251,9 +251,8 @@ class TestSelectorListProperty:
                     pod.meta.labels = dict(args[1])
                     api.update(pod)
                 else:
-                    was_terminating = pod.terminating
-                    api.delete(pod)
-                    if was_terminating or not pod.terminating:
+                    api.delete(pod)  # a bound pod stays until finalized
+                    if not pod.terminating:
                         del stored[pod.key]
             for namespace in ("default", "other", None):
                 for selector in PROPERTY_SELECTORS:

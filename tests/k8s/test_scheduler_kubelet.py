@@ -134,6 +134,17 @@ class TestKubelet:
         assert cluster.allocated_cpus == 0.0
         assert not cluster.api.exists("Pod", "p")
 
+    def test_repeated_delete_leaves_finalizing_to_the_kubelet(self, engine, cluster):
+        pod = cluster.api.create(make_pod("p", cpu="4"))
+        engine.run(until=10.0)
+        cluster.api.delete(pod)
+        cluster.api.delete(pod)  # already terminating: a no-op
+        assert cluster.api.exists("Pod", "p")
+        engine.run(until=30.0)
+        assert not cluster.api.exists("Pod", "p")
+        assert cluster.allocated_cpus == 0.0
+        assert all(not node.pod_keys for node in cluster.nodes.values())
+
     def test_delete_before_start_cancels_start(self, engine, cluster):
         pod = cluster.api.create(make_pod("p"))
         engine.run(until=0.5)  # bound but not started

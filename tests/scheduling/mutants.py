@@ -35,17 +35,14 @@ MUTANTS = [
      "            self._constraint.charge(job.request,"
      " new_replicas - old + 1)"),
     ("elastic.py",  # the real pass may shrink the index-0 job
-     "lo = 1 if b == 0 else 0\n            if lo < len(jobs):",
-     "lo = 0\n            if lo < len(jobs):"),
+     "if candidate is head:\n                    return  #",
+     "if False:\n                    return  #"),
     ("elastic.py",  # the real pass stops at equal priority
      "if candidate.priority > priority:\n                    return\n",
      "if candidate.priority >= priority:\n                    return\n"),
     ("elastic.py",  # the dry run stops at equal priority
      "if candidate.priority > priority:\n                    return False",
      "if candidate.priority >= priority:\n                    return False"),
-    ("elastic.py",  # the dry run credits the protected head's surplus
-     "if extra > 0:\n                            credit -= extra",
-     "if extra > 0:\n                            pass"),
     ("elastic.py",  # an arrival past a one-job queue skips the backfill rule
      "if self._backfill is not None and len(self.queue):",
      "if self._backfill is not None and len(self.queue) > 1:"),
@@ -66,10 +63,17 @@ MUTANTS = [
      "if block.min_needed > budget:",
      "if block.min_needed >= budget:"),
     ("elastic.py",  # expansions ignore the constraint
-     "if cons is not None:\n                            room = cons.admit("
+     "if cons is not None:\n                    room = cons.admit("
      "candidate.request)",
-     "if False:\n                            room = cons.admit("
+     "if False:\n                    room = cons.admit("
      "candidate.request)"),
+    ("elastic.py",  # the running side is skipped at finite gaps, not at inf
+     "] if gap < math.inf else []",
+     "] if gap >= math.inf else []"),
+    ("elastic.py",  # a runner inside its rescale gap may expand
+     "if job.replicas < job.request.max_replicas\n"
+     "            and now - job.last_action >= gap\n",
+     "if job.replicas < job.request.max_replicas\n"),
     ("elastic.py",  # a checkpointed job restarts without its ResumeJob
      "self._preempted.discard(job.name)\n"
      "            return ResumeJob(job=job, replicas=replicas)",
@@ -88,24 +92,12 @@ MUTANTS = [
      "self._constraint.charge(job.request, actual - old)",
      "self._constraint.charge(job.request, old - actual)"),
     # -- joblist.py -------------------------------------------------------
-    ("joblist.py",  # an add leaves the block's newest_action stale-low
-     "if action > block.newest_action:\n"
-     "            block.newest_action = action\n"
-     "        if action < block.oldest_action:",
-     "if action < block.oldest_action:"),
     ("joblist.py",  # min_needed stays high when a cheaper job joins
      "if needed < block.min_needed:",
      "if needed < block.min_needed - 1:"),
-    ("joblist.py",  # a rescale leaves the block's expandable sum alone
-     "block.expandable += (new_room if new_room > 0 else 0) - (\n"
-     "            old_room if old_room > 0 else 0\n        )",
-     "block.expandable += 0"),
     ("joblist.py",  # a merged block keeps the left block's aggregates
      "del self._maxkeys[left + 1]\n        block.recompute()",
      "del self._maxkeys[left + 1]"),
-    ("joblist.py",  # a failed rescale leaves the block's shrinkable sum
-     "block.shrinkable += delta\n            block.expandable += room_delta",
-     "block.expandable += room_delta"),
     ("joblist.py",  # the front of any block counts as the queue front
      "return i == 0 and b == 0",
      "return i == 0"),

@@ -4,6 +4,7 @@ import pytest
 
 from repro.k8s import LabelSelector, Resources, make_eks_cluster
 from repro.mpioperator import CharmJobController, JobPhase
+from repro.errors import SchedulingError
 from repro.scheduling import PolicyConfig, REGISTRY
 from repro.scheduling.controller import ElasticSchedulerController
 from tests.mpioperator.conftest import BlockApp, make_job
@@ -104,6 +105,46 @@ class TestEndToEnd:
         # its max: 22 + min(41, 60-22) = 60.
         assert scheduler.policy.job("stay").replicas == 60
         assert operator.runner_for(stay).rts.num_pes == 60
+
+    def test_failed_job_hands_its_slots_out(self, engine, stack):
+        """A job that fails with its node runs Figure 3 like a completion,
+        and the expansions that decides reach the CharmJobs."""
+        cluster, operator, scheduler = stack
+        plan = [
+            (0.0, make_job(name="anchor", min_replicas=2, max_replicas=2,
+                           priority=5, steps=50000)),
+            (10.0, make_job(name="low", min_replicas=8, max_replicas=30,
+                            priority=1, steps=20000)),
+            (20.0, make_job(name="low2", min_replicas=8, max_replicas=24,
+                            priority=1, steps=20000)),
+            (60.0, make_job(name="high", min_replicas=24, max_replicas=24,
+                            priority=4, steps=40000)),
+        ]
+        for at, job in plan:
+            engine.schedule_at(at, scheduler.submit, job)
+        engine.schedule_at(90.0, cluster.fail_node, "node-1")
+        # The policy's books keep all 64 slots, so the node must come back
+        # for an expansion to find pods (the operator aborts it otherwise).
+        engine.schedule_at(100.0, cluster.uncordon_node, "node-1")
+        engine.run(until=150.0)
+        failed = [job for _, job in plan if job.status.phase == JobPhase.FAILED]
+        assert failed
+        running = [job for _, job in plan
+                   if scheduler.policy.job(job.name).state.value == "Running"]
+        assert running
+        for job in running:
+            assert scheduler.policy.job(job.name).replicas == job.spec.replicas
+        assert operator.rescaler.expand_count > 0
+        # A failure frees slots but is not an outcome.
+        assert {o.name for o in scheduler.outcomes}.isdisjoint(
+            job.name for job in failed)
+
+    def test_refuses_an_operator_that_relaunches_failed_jobs(self, engine):
+        cluster = make_eks_cluster(engine)
+        operator = CharmJobController(engine, cluster, app_factory=BlockApp,
+                                      restart_failed_jobs=True)
+        with pytest.raises(SchedulingError, match="relaunches failed jobs"):
+            ElasticSchedulerController(engine, cluster, operator)
 
     def test_metrics_from_real_run(self, engine, stack):
         cluster, operator, scheduler = stack

@@ -2,9 +2,9 @@
 
 The spec diff (``test_spec.py``) proves the *engine* right; this file
 pins the container itself — iteration, ``len`` and integer indexing,
-and the block aggregates (exact ``shrinkable``/``min_needed``,
-upper-bound ``newest_action``) under randomized churn including in-place
-rescales, which is exactly the traffic the engine throws at it.
+and the exact ``min_needed`` and ``min_replicas_total`` aggregates under
+randomized churn, including the in-place rescales the engine makes
+without telling the list.
 """
 
 import os
@@ -91,11 +91,10 @@ class TestAggregates:
                 job = alive.pop(rng.randrange(len(alive)))
                 indexed.remove(job)
             else:
+                # An in-place rescale: the aggregates read neither field.
                 job = rng.choice(alive)
-                old = job.replicas
                 job.replicas = rng.randint(0, job.max_replicas)
                 job.last_action = job.last_action + rng.uniform(0, 100)
-                indexed.rescaled(job, old)
             if step % 250 == 0:
                 indexed.check_invariants()
         indexed.check_invariants()
@@ -114,54 +113,6 @@ class TestAggregates:
         remaining = jobs[9 * BLOCK_LOAD + BLOCK_LOAD // 2:]
         assert list(indexed) == sorted(remaining, key=priority_order_key)
 
-    def test_adjust_and_touch_update_single_block(self):
-        jobs = make_jobs(5, seed=1)
-        indexed = IndexedJobList(jobs)
-        job = jobs[2]
-        old = job.replicas
-        job.replicas = job.max_replicas
-        indexed.adjust_replicas(job, old)
-        indexed.check_invariants()
-        job.last_action = 1e9
-        indexed.touch(job)
-        assert indexed.blocks[0].newest_action == 1e9
-        indexed.check_invariants()
-
-    def test_expandable_tracks_headroom(self):
-        """The PR-5 running-side aggregate: exact sum of max - replicas."""
-        jobs = make_jobs(30, seed=11)
-        indexed = IndexedJobList(jobs)
-        expected = sum(
-            max(0, j.request.max_replicas - j.replicas) for j in jobs
-        )
-        assert sum(b.expandable for b in indexed.blocks) == expected
-        # Expanding a member to its max drains its share of the sum.
-        job = jobs[4]
-        old = job.replicas
-        job.replicas = job.request.max_replicas
-        job.last_action += 1.0
-        indexed.rescaled(job, old)
-        assert sum(b.expandable for b in indexed.blocks) == expected - (
-            job.request.max_replicas - old
-        )
-        indexed.check_invariants()
-
-    def test_oldest_action_is_a_lower_bound_only(self):
-        """Rescales raise last_action; the stored minimum may go stale-low
-        but must never exceed the true minimum (the skip-safety contract)."""
-        jobs = make_jobs(8, seed=2)
-        indexed = IndexedJobList(jobs)
-        block = indexed.blocks[0]
-        true_min = min(j.last_action for j in block.jobs)
-        assert block.oldest_action <= true_min
-        job = min(block.jobs, key=lambda j: j.last_action)
-        old = job.replicas
-        job.last_action += 5000.0
-        indexed.rescaled(job, old)
-        # Bound untouched (stale-low) — still a valid lower bound.
-        assert block.oldest_action <= min(j.last_action for j in block.jobs)
-        indexed.check_invariants()
-
     def test_min_replicas_total_is_o1_queue_demand(self):
         indexed = IndexedJobList()
         assert indexed.min_replicas_total == 0
@@ -178,9 +129,8 @@ class TestAggregates:
         )
 
     @pytest.mark.parametrize("field, message", [
-        ("shrinkable", "shrinkable drifted"),
-        ("expandable", "expandable drifted"),
         ("min_needed", "min_needed drifted"),
+        ("_min_count", "min_needed holder count drifted"),
     ])
     def test_corrupted_aggregate_raises(self, field, message):
         indexed = IndexedJobList(make_jobs(3 * BLOCK_LOAD, seed=5))
@@ -196,7 +146,7 @@ class TestAggregates:
             "from repro.scheduling import JobRequest, SchedulerJob\n"
             "from repro.scheduling.joblist import IndexedJobList\n"
             "jobs = IndexedJobList([SchedulerJob(JobRequest('a', 1, 4))])\n"
-            "jobs.blocks[0].expandable += 1\n"
+            "jobs.blocks[0].min_needed += 1\n"
             "jobs.check_invariants()\n"
         )
         src = pathlib.Path(repro.__file__).resolve().parent.parent
@@ -205,7 +155,7 @@ class TestAggregates:
                                 capture_output=True, text=True, env=env,
                                 timeout=60)
         assert result.returncode != 0
-        assert "SchedulingError: expandable drifted" in result.stderr
+        assert "SchedulingError: min_needed drifted" in result.stderr
 
     def test_min_needed_exact_with_duplicate_holders(self):
         """Removing one of several min-holders must not rescan wrongly."""
