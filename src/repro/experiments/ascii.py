@@ -1,7 +1,8 @@
 """Terminal rendering: aligned tables and ASCII line charts.
 
-The benches print the same rows/series the paper plots; these helpers keep
-that output readable without any plotting dependency.
+The ``repro`` figure and table verbs print the same rows/series the paper
+plots; these helpers keep that output readable without any plotting
+dependency.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The paper's conclusions depend on qualitative relationships, not absolute
 seconds.  :func:`verify_shape_claims` asserts every relationship the
-evaluation relies on; the test suite and the benches both run it, so any
-re-tuning of constants that would break a shape claim fails loudly.
+evaluation relies on; the test suite runs it, so any re-tuning of
+constants that would break a shape claim fails loudly.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Two consumers:
 
-* the **Figure 4/5/6** benches use the analytic models directly;
+* the **Figure 4/5/6** drivers use the analytic models directly;
 * the **scheduler experiments** (Figures 7–9, Table 1) use the §4.3.1 job
   size table — four problem classes with min/max replicas and timestep
   counts taken verbatim from the paper — with per-class piecewise-linear

@@ -85,9 +85,11 @@ them running (never more than the cluster's slots) and block size
   step has come (O(log n) each).  The queue is then sorted by
   effective priority while running jobs keep their submission keys, so
   the walk's merge is the aged ``sorted(running + queue)``, and EASY
-  reserves for the head of the aged order.  A re-key that puts a
-  waiter at the queue front calls the backfill rule's ``overtakes``,
-  which retires the reservation of the head it displaced;
+  reserves for the head of the aged order.  A head that no longer
+  leads the queue once an event's re-keys are all done was overtaken:
+  the backfill rule's ``overtaken`` retires its reservation (a riser
+  that passes the head and falls behind it again within the event
+  does not count);
 * the same transitions bump ``transitions``, one int add each, so a
   hook stage can price one engine state once: EASY backfilling builds
   its release profile once per state, not once per Figure-3 candidate;
@@ -185,10 +187,9 @@ class ElasticPolicyEngine:
         self._steps: List[tuple] = []
         self._step_ties = itertools.count()
         self._backfill = config.backfill
-        # Optional companion of BackfillRule.allows: told when a job
-        # enters the queue ahead of every waiter, so a rule can retire
-        # the reservation of the head it displaced.
-        self._backfill_overtakes = getattr(self._backfill, "overtakes", None)
+        # Optional companion of BackfillRule.allows: told when the queue
+        # head is displaced, so a rule can retire its reservation.
+        self._backfill_overtaken = getattr(self._backfill, "overtaken", None)
         factory = config.capacity_constraint
         #: One fresh constraint per engine: budgets are engine state.
         self._constraint = factory() if factory is not None else None
@@ -317,7 +318,7 @@ class ElasticPolicyEngine:
         if victims:
             for victim in victims:
                 self._preempted.add(victim.name)
-                released = self._release(victim, now)
+                released = self._release(victim)
                 decisions.append(PreemptJob(job=victim, released_replicas=released))
             self._unpark(job)
             replicas = min(self.free_slots - self.config.launcher_slots,
@@ -529,26 +530,27 @@ class ElasticPolicyEngine:
         (see the module docstring).  Changes are pushed slightly early,
         and the priority is recomputed at ``now``, so a step that has not
         yet arrived in float terms is pushed again just after ``now``.  A
-        waiter re-keyed to the queue front overtakes the head there.
+        head that no longer leads once every re-key is done was overtaken.
         """
         steps, rule, queue = self._steps, self._priority, self.queue
-        overtakes = self._backfill_overtakes
+        head = queue[0] if queue else None
         while steps and steps[0][0] <= now:
             _, _, job, key = heapq.heappop(steps)
             if job.sort_key is not key:
                 continue  # left the queue, or re-keyed since the push
             priority = rule.get_priority(now, job)
             if priority != -key[0]:
-                was_front = queue[0] is job
                 queue.remove(job)
                 key = job.sort_key = (-priority, job.submit_time, job.seq)
-                if queue.add(job) and not was_front and overtakes is not None:
-                    overtakes(self, job)
+                queue.add(job)
             due = rule.next_change(now, job)
             if due <= now:
                 due = math.nextafter(now, math.inf)
             if due < math.inf:
                 heapq.heappush(steps, (due, next(self._step_ties), job, key))
+        overtaken = self._backfill_overtaken
+        if overtaken is not None and head is not None and queue[0] is not head:
+            overtaken(head)
 
     def _redistribute(
         self, num_workers: int, now: float, decisions: List[Decision]
@@ -754,11 +756,13 @@ class ElasticPolicyEngine:
             deficit = slots - self.free_slots
         if deficit > 0 and force:
             # Evict whole jobs, lowest priority first; the snapshot is
-            # taken up front because _requeue mutates the running list.
+            # taken up front because _release mutates the running list.
             for candidate in list(reversed(self.running)):
                 if self.free_slots >= slots:
                     break
-                decisions.append(self._requeue(candidate, now))
+                released = self._release(candidate)
+                decisions.append(RequeueJob(job=candidate,
+                                            released_replicas=released))
         removed = min(slots, self.free_slots)
         self.total_slots -= removed
         self.transitions += 1
@@ -802,24 +806,17 @@ class ElasticPolicyEngine:
             return []
         return self._hand_out(budget, now, "rebalance")
 
-    def _requeue(self, job: SchedulerJob, now: float) -> RequeueJob:
-        """Evict a running job to the queue (forced capacity loss only).
+    def _release(self, job: SchedulerJob) -> int:
+        """Move a running job back to the queue, freeing all its slots
+        (an eviction or a preemption); returns the replicas it held.
 
         ``last_action`` resets to ``-inf``, the value a never-started
         submission carries: the job is starting over, and it must be
-        immediately restartable when capacity returns — under the
-        moldable policy (``T_rescale_gap = ∞``) any finite timestamp
-        would gate its restart forever, deadlocking the workload on the
-        first interruption.  Eviction is the cloud's doing, not one of
-        the job's §3.2.1 scheduling events, so no rescale-gap penalty
-        applies.
+        restartable as soon as slots free up.  The rescale gap governs
+        rescales, not restarts: under an infinite gap (moldable, EASY)
+        any finite timestamp would gate the restart forever and strand
+        the job on an idle cluster.
         """
-        released = self._release(job, -math.inf)
-        return RequeueJob(job=job, released_replicas=released)
-
-    def _release(self, job: SchedulerJob, last_action: float) -> int:
-        """Move a running job back to the queue, freeing all its slots
-        (an eviction or a preemption); returns the replicas it held."""
         self.running.remove(job)
         released = job.replicas
         self._used_slots -= released + self.config.launcher_slots
@@ -827,7 +824,7 @@ class ElasticPolicyEngine:
         if self._constraint is not None:
             self._constraint.charge(job.request, -released)
         job.replicas = 0
-        job.last_action = last_action
+        job.last_action = -math.inf
         self._park(job)
         return released
 
@@ -927,8 +924,10 @@ class ElasticPolicyEngine:
     def _park(self, job: SchedulerJob) -> None:
         """Put ``job`` in the queue (enqueue, eviction or preemption)."""
         job.state = JobState.QUEUED
-        if self.queue.add(job) and self._backfill_overtakes is not None:
-            self._backfill_overtakes(self, job)
+        queue = self.queue
+        if (queue.add(job) and self._backfill_overtaken is not None
+                and len(queue) > 1):
+            self._backfill_overtaken(queue[1])
         # It enters under its submission key, so it is due at its first
         # change since submission: at once for an evicted or preempted
         # job whose priority has changed since.

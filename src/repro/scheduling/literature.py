@@ -148,8 +148,9 @@ class EasyBackfill:
     so ``last_head_reservations`` tracks the head entries alone, and the
     property suite asserts heads actually start by their reserved times.
     A head that a higher-ranked job overtakes while it still waits (the
-    newcomer enters the queue ahead of it, or starts ahead of every
-    waiter) loses both entries: its reservation guarded it against
+    newcomer enters the queue ahead of it, starts ahead of every waiter,
+    or an aging re-key leaves another waiter ahead of it at the end of
+    an event) loses both entries: its reservation guarded it against
     backfills, not against higher priorities.
     """
 
@@ -207,7 +208,14 @@ class EasyBackfill:
                 if not self.conservative:
                     break
         if not ahead:
-            self.overtakes(engine, job)  # never a backfill
+            # Never a backfill: ``job`` starts ahead of every waiter, and
+            # the head it passes (the first waiter other than ``job``;
+            # starts deferred mid-walk do not wait) is overtaken.
+            if self.last_head_reservations:
+                for q in engine.queue:
+                    if q is not job and q.state == JobState.QUEUED:
+                        self.overtaken(q)
+                        break
             return True
         launcher = engine.config.launcher_slots
         if (engine is not self._engine or now != self._now
@@ -237,18 +245,11 @@ class EasyBackfill:
         self.last_head_reservations[head] = trial[head]
         return True
 
-    def overtakes(self, engine, job: SchedulerJob) -> None:
-        """``job`` goes ahead of every waiter: it entered ``engine``'s
-        queue at the front, or starts past the queue without being a
-        backfill.  The head it passes loses its reservation."""
-        if not self.last_head_reservations:
-            return
-        for q in engine.queue:
-            # Skip the job itself and starts deferred mid-walk.
-            if q is not job and q.state == JobState.QUEUED:
-                self.last_reservations.pop(q.name, None)
-                self.last_head_reservations.pop(q.name, None)
-                return
+    def overtaken(self, head: SchedulerJob) -> None:
+        """Another job went ahead of ``head``, which led the queue: it
+        loses its reservation."""
+        self.last_reservations.pop(head.name, None)
+        self.last_head_reservations.pop(head.name, None)
 
     # -- the shadow-profile projection ---------------------------------
 

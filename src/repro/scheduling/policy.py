@@ -118,10 +118,11 @@ class BackfillRule(Protocol):
     backfilling lives here: ``allows`` returns ``False`` when the start
     would push back the reserved queue head.
 
-    A rule may also define ``overtakes(engine, job)``, which the engine
-    calls whenever a job enters its queue ahead of every waiter (an
-    arrival that must wait, an eviction, a preemption).  EASY uses it to
-    retire the reservation of the head that job displaced.  The engine's
+    A rule may also define ``overtaken(head)``, which the engine calls
+    whenever the queue head is displaced: a job enters the queue ahead of
+    every waiter (an arrival that must wait, an eviction, a preemption),
+    or the head no longer leads once an event's aging re-keys are done.
+    EASY uses it to retire that head's reservation.  The engine's
     ``transitions`` counter changes with every slot-accounting
     transition, so a rule may cache what it priced per
     ``(engine, engine.transitions, now)``.
@@ -311,7 +312,7 @@ class PolicyConfig:
         (``False``) uses the accumulated free slots as the budget —
         deadlock-free and faithful to the stated intent ("the freed CPUs
         are reassigned ... to start new jobs").  Set ``True`` to study the
-        literal pseudocode (see the ablation bench).  Must be a bool.
+        literal pseudocode.  Must be a bool.
     priority:
         Priority stage (:class:`PriorityRule`): a job's *effective*
         priority (any real number; bigger schedules sooner), computed

@@ -4,7 +4,7 @@ The paper evaluates exactly four policies; this module opens that space.
 Policies register by name — via decorator, programmatic :meth:`
 SchedulerRegistry.register`, or ``repro.policies`` entry points from
 third-party packages — and every consumer (CLI, schedsim, cloud sweeps,
-benches) resolves them through one surface::
+perfbench) resolves them through one surface::
 
     from repro.scheduling.policies import elastic_variant
     from repro.scheduling.registry import REGISTRY

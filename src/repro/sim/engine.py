@@ -36,7 +36,7 @@ Design notes
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, List, Optional
 
 from ..errors import SimError, StopSimulation
 from ..obs.metrics import active_registry
@@ -423,12 +423,3 @@ class Engine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Engine now={self._now:.6g} pending={self.pending_count()}>"
-
-
-def run_all(engine: Engine, processes: Iterable) -> float:
-    """Convenience: run the engine until all given processes complete."""
-    engine.run()
-    for proc in processes:
-        if not proc.triggered:
-            raise SimError(f"process {proc!r} did not complete")
-    return engine.now

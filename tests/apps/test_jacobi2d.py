@@ -108,6 +108,18 @@ class TestJacobiCorrectness:
         durations = app.block_durations()
         assert durations[-1][1] > durations[0][1] * 1.5
 
+    def test_solve_strong_scales_on_the_runtime(self):
+        # Fig 4's shape on real compute: a 128x128 grid in 64 chares
+        # finishes sooner in virtual time on more PEs.
+        def solve_time(pes):
+            engine = Engine()
+            config = JacobiConfig(n=128, blocks=8, steps=10,
+                                  compute_per_point=2e-6)
+            run_app(engine, CharmRuntime(engine, num_pes=pes), Jacobi2D(config))
+            return engine.now
+
+        assert solve_time(1) > solve_time(4) > solve_time(8)
+
     def test_indivisible_grid_rejected(self):
         with pytest.raises(ValueError):
             JacobiConfig(n=30, blocks=4)

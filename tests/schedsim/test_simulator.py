@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.perfmodel import size_class
-from repro.scheduling import JobRequest, REGISTRY, SchedulerJob, policy
+from repro.scheduling import JobRequest, PolicyConfig, REGISTRY, SchedulerJob, policy
 from repro.schedsim import (
     ScheduleSimulator,
     Submission,
@@ -200,3 +200,33 @@ class TestPaperOrderings:
         assert stats["elastic"].weighted_mean_completion == min(
             s.weighted_mean_completion for s in stats.values()
         )
+
+
+class TestAblations:
+    """Design choices of the engine, ablated over seeded draws at the
+    paper's operating point (submission gap 90 s, T_rescale_gap 180 s)."""
+
+    @staticmethod
+    def run(seed, **fields):
+        config = PolicyConfig(name="elastic", rescale_gap=180.0, **fields)
+        subs = generate_workload(WorkloadSpec(submission_gap=90.0, seed=seed))
+        return ScheduleSimulator(config).run(subs).metrics
+
+    def test_default_completion_budget_never_strands_a_workload(self):
+        stranded = []
+        for seed in range(60):
+            try:
+                self.run(seed)
+            except SchedulingError as error:
+                assert "unfinished jobs" in str(error)
+                stranded.append(seed)
+        assert stranded == []
+
+    def test_launcher_slot_lowers_worker_utilization(self):
+        # Fig 2's ``freeSlots - 1``: a slot held per launcher runs no
+        # worker, so the worker-visible utilization drops.
+        def mean_utilization(launcher_slots):
+            return sum(self.run(seed, launcher_slots=launcher_slots).utilization
+                       for seed in range(20)) / 20
+
+        assert mean_utilization(1) < mean_utilization(0)

@@ -49,6 +49,10 @@ MUTANTS = [
     ("elastic.py",  # preemption may take a victim of equal priority
      "if needed <= 0 or candidate.priority >= job.priority:",
      "if needed <= 0 or candidate.priority > job.priority:"),
+    ("elastic.py",  # a preempted job waits out a rescale gap
+     "released = self._release(victim)\n",
+     "released = self._release(victim)\n"
+     "                victim.last_action = now\n"),
     # -- elastic.py: Figure 3 -------------------------------------------
     ("elastic.py",  # a queued start does not pay for its launcher slot
      "num_workers -= add + reserve",
@@ -56,9 +60,6 @@ MUTANTS = [
     ("elastic.py",  # literal_completion_budget is ignored
      "num_workers = freed",
      "num_workers = self.free_slots"),
-    ("elastic.py",  # a waiter inside its rescale gap is not left behind
-     "if now - candidate.last_action < gap:\n                    passed = True",
-     "if now - candidate.last_action < gap:\n                    pass"),
     ("elastic.py",  # a queue block whose cheapest member just fits is skipped
      "if block.min_needed > budget:",
      "if block.min_needed >= budget:"),
@@ -82,12 +83,22 @@ MUTANTS = [
     ("elastic.py",  # a re-keyed waiter loses its submission-order tie-break
      "key = job.sort_key = (-priority, job.submit_time, job.seq)",
      "key = job.sort_key = (-priority, job.submit_time, -job.seq)"),
+    ("elastic.py",  # a head passed in flight loses its reservation
+     "                queue.add(job)\n            due = ",
+     "                if queue.add(job) and len(queue) > 1 and (\n"
+     "                        self._backfill_overtaken is not None):\n"
+     "                    self._backfill_overtaken(queue[1])\n"
+     "            due = "),
     ("elastic.py",  # a forced shrink honours the rescale gap
      'gap = float("-inf") if force else self.config.rescale_gap',
      "gap = self.config.rescale_gap"),
+    ("elastic.py",  # a released job keeps its last start or rescale time
+     "job.last_action = -math.inf\n        self._park(job)",
+     "self._park(job)"),
     ("elastic.py",  # an evicted job waits out a rescale gap
-     "released = self._release(job, -math.inf)",
-     "released = self._release(job, now)"),
+     "released = self._release(candidate)\n",
+     "released = self._release(candidate)\n"
+     "                candidate.last_action = now\n"),
     ("elastic.py",  # a failed rescale is charged backwards
      "self._constraint.charge(job.request, actual - old)",
      "self._constraint.charge(job.request, old - actual)"),
@@ -115,8 +126,8 @@ MUTANTS = [
      "out[head.name] = at\n            free -= need",
      "out[head.name] = at"),
     ("literature.py",  # an overtaken head keeps its reservation
-     "self.last_head_reservations.pop(q.name, None)\n                return",
-     "return"),
+     "self.last_head_reservations.pop(head.name, None)",
+     "pass"),
     ("literature.py",  # an overdue job releases in the past
      "releases.append((done if done > now else now,",
      "releases.append((done,"),

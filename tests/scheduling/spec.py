@@ -29,7 +29,9 @@ The definitions, in the engine's own terms:
   maximum and start with what is then free.  An arrival past a non-empty
   queue under a backfill rule is a backfill: it must fit as is and pass
   the rule.  An arrival that cannot start waits, and under preemption
-  (§3.2.2) checkpoints lower-priority jobs if that lets it start.
+  (§3.2.2) checkpoints lower-priority jobs if that lets it start.  A
+  checkpointed or evicted job waits as a never-started one does: the
+  rescale gap governs rescales, not its restart.
 * **Figure 3** (completion). Hand the budget (this completion's slots
   under ``literal_completion_budget``, else everything free) to
   ``sorted(running + queue)`` in order: a waiter starts with up to its
@@ -39,7 +41,8 @@ The definitions, in the engine's own terms:
 * **EASY** (Lifka). A backfill may not delay the earliest start of the
   queue head (conservative: of any waiter ahead of it), projected from
   runtime estimates.  A head that another job goes ahead of loses its
-  reservation.
+  reservation; under aging, only a head that no longer leads once the
+  event's re-pricing is done.
 * **Capacity.** Growth hands the new slots out like a completion; a
   shrink surrenders free slots, then runs the victim walk above every
   priority (forced: ignoring the rescale gap, then evicting whole jobs
@@ -163,10 +166,6 @@ class Spec:
         self.seq = itertools.count()
         #: EASY's head reservations: job name -> reserved start time.
         self.head_reservations = {}
-        #: Heads at a re-pricing in which some waiter rose: the engine
-        #: re-keys risers one at a time, so it may retire their
-        #: reservations although they end up ahead again.
-        self.repriced_heads = set()
 
     # -- accounting ----------------------------------------------------
 
@@ -216,11 +215,8 @@ class Spec:
         if self.aging is None or not self.queue:
             return
         head = self.queue[0]
-        keys = [job.key for job in self.queue]
         for job in self.queue:
             job.key = (-self.aged(job, now), job.submit_time, job.seq)
-        if keys != [job.key for job in self.queue]:
-            self.repriced_heads.add(head.name)
         self.queue.sort(key=rank)
         if self.queue[0] is not head:
             self.head_reservations.pop(head.name, None)
@@ -315,7 +311,7 @@ class Spec:
         for victim in victims:
             self.preempted.add(victim.name)
             out.append(PreemptJob(job=victim,
-                                  released_replicas=self.release(victim, now)))
+                                  released_replicas=self.release(victim)))
         if victims:
             self.queue.remove(job)
             last = self.start(job, min(self.free_slots - self.launcher,
@@ -462,13 +458,15 @@ class Spec:
         if self.queue[0] is job:
             self.pass_head(job)
 
-    def release(self, job, last_action):
+    def release(self, job):
         """Back to the queue with all slots freed (preemption, eviction);
-        the job keeps its running rank until the next re-pricing."""
+        the job keeps its running rank until the next re-pricing.  It
+        starts over as a never-started job does, so the rescale gap does
+        not hold back its restart."""
         released = job.replicas
         self.running.remove(job)
         self.set_replicas(job, 0)
-        job.last_action = last_action
+        job.last_action = -math.inf
         self.park(job)
         return released
 
@@ -502,7 +500,7 @@ class Spec:
                 if self.free_slots >= slots:
                     break
                 out.append(RequeueJob(
-                    job=job, released_replicas=self.release(job, -math.inf)))
+                    job=job, released_replicas=self.release(job)))
         removed = min(slots, self.free_slots)
         self.total_slots -= removed
         return removed, out

@@ -55,7 +55,8 @@ class Stream:
         self.prefix = prefix
         self.n_jobs = n_jobs
         self.submit_share = submit_share
-        self.floor = engine.total_slots // 2
+        self.slots = engine.total_slots
+        self.floor = self.slots // 2
         self.submitted = 0
         self.now = 0.0
         self.log = []
@@ -118,3 +119,20 @@ class Stream:
             self.step()
         return self
 
+    def settle(self):
+        """Run the stream, then restore the starting cluster and, a minute
+        apart, hand out the free slots and complete every running job,
+        until no job is left or a hand-out leaves nobody running."""
+        engine = self.run().engine
+        while engine.queue or engine.running:
+            self.now += 60.0
+            if engine.total_slots < self.slots:
+                self.record(engine.grow_capacity(
+                    self.slots - engine.total_slots, self.now))
+            else:
+                self.record(engine.rebalance(self.now))
+            if not engine.running:
+                break
+            for job in list(engine.running):
+                self.record(engine.on_complete(job.name, self.now))
+        return self

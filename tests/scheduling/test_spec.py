@@ -16,6 +16,7 @@ import ast
 import dataclasses
 import inspect
 import itertools
+import math
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from repro.scheduling import (
     joblist,
 )
 from repro.scheduling.literature import ewt_priority
-from repro.scheduling.policy import ShrinkJob
+from repro.scheduling.policy import PreemptJob, ResumeJob, ShrinkJob
 from repro.scheduling.power import PowerBudget
 
 from . import spec
@@ -138,11 +139,7 @@ def assert_same_state(engine, model):
         assert engine._constraint.used == model.used
     rule = engine.config.backfill
     if rule is not None:
-        mine, theirs = rule.last_head_reservations, model.head_reservations
-        # Whatever the engine holds, the spec holds alike; the spec keeps
-        # more only for heads an aging re-key may have passed in flight.
-        assert mine == {name: theirs[name] for name in mine}
-        assert set(theirs) - set(mine) <= model.repriced_heads
+        assert rule.last_head_reservations == model.head_reservations
 
 
 def run_pair(config, seed, slots=SLOTS, times=None, audit=False):
@@ -174,6 +171,31 @@ def test_engine_matches_the_spec(block_load, config, seed):
 @pytest.mark.parametrize("seed", SEEDS[:12])
 def test_preemptive_engine_matches_the_spec(block_load, config, seed):
     run_pair(lambda: build(config, preempt=True), seed)
+
+
+@pytest.mark.parametrize("gap", [180.0, math.inf])
+@pytest.mark.parametrize("config", PREEMPTIBLE)
+def test_preempted_jobs_resume_and_complete_once(config, gap):
+    """The rescale gap governs rescales, not restarts: at any gap every
+    preempted job resumes, and every job completes (the engine refuses
+    to complete a job twice)."""
+    preempted = 0
+    for seed in SEEDS[:12]:
+        engine = ElasticPolicyEngine(
+            SLOTS, _with(build(config, preempt=True), rescale_gap=gap))
+        stream = Stream(engine, seed).settle()
+        waiting = set()
+        for decision in stream.decisions:
+            if isinstance(decision, PreemptJob):
+                assert decision.job.name not in waiting
+                waiting.add(decision.job.name)
+                preempted += 1
+            elif isinstance(decision, ResumeJob):
+                waiting.remove(decision.job.name)
+        assert not waiting, f"seed {seed}: never resumed {sorted(waiting)}"
+        assert engine.snapshot() == {
+            f"j{i}": ("Completed", 0) for i in range(stream.n_jobs)}
+    assert preempted > 0
 
 
 @pytest.mark.parametrize("aging", sorted(AGINGS))
