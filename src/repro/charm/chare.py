@@ -50,6 +50,10 @@ class Chare:
         self._array_id = array_id
         self._charged = 0.0
 
+    def _unbind(self) -> None:
+        self._rts = None
+        self._array_id = None
+
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
         for field in _RUNTIME_FIELDS:

@@ -72,6 +72,10 @@ class ReductionManager:
         state.ops.clear()
         state.contributed_round.clear()
 
+    def clear(self) -> None:
+        """Forget every array (the runtime closed)."""
+        self._arrays.clear()
+
     # ------------------------------------------------------------------
 
     def contribute(

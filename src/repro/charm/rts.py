@@ -14,6 +14,16 @@ Virtual time model
 
 Real state, modelled time: chare data is genuine Python/numpy state and
 migrations/checkpoints serialize it for real — only *time* is simulated.
+
+Lifecycle
+---------
+A runtime boots its PEs on construction, restarts them in place on every
+rescale (:meth:`CharmRuntime.replace_pes`), and ends in one of two ways:
+:meth:`CharmRuntime.shutdown` kills the PE loops and keeps the state
+readable (a crashed or aborted application), while
+:meth:`CharmRuntime.close` also unbinds the chares and drops the PEs,
+arrays, locations and reductions, so a completed application's runtime is
+freed by reference counting.
 """
 
 from __future__ import annotations
@@ -91,10 +101,12 @@ class CharmRuntime:
             pe = PE(self.engine, pe_id, host=host)
             pe._process = self.engine.process(self._pe_loop(pe), name=f"pe-{pe_id}")
             self._pes[pe_id] = pe
+        self._num_pes = num_pes
 
     @property
     def num_pes(self) -> int:
-        return len(self._pes)
+        """The PE count; after :meth:`close`, the final one."""
+        return self._num_pes
 
     @property
     def pes(self) -> List[PE]:
@@ -414,6 +426,24 @@ class CharmRuntime:
         """Stop all PE loops (end of application)."""
         for pe in self._pes.values():
             pe.kill()
+
+    def close(self) -> None:
+        """Stop all PE loops and free the runtime (application completed).
+
+        Each chare's ``_rts`` is the only edge back to the runtime, so
+        unbinding the chares and dropping the PEs, arrays, locations and
+        reductions lets reference counting free them without the cyclic
+        collector.  :attr:`num_pes` keeps reporting the final width.
+        """
+        for pe in self._pes.values():
+            pe.kill()
+            for chare in pe.chares.values():
+                chare._unbind()
+        self._pes.clear()
+        self._arrays.clear()
+        self._loc.clear()
+        self._loads.clear()
+        self._reductions.clear()
 
     # ------------------------------------------------------------------
 

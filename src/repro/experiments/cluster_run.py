@@ -131,6 +131,10 @@ def run_cluster_experiment(
             f"jobs: {unfinished}"
         )
     metrics = scheduler.metrics(policy_name)
+    # Stopping every watch frees the run by reference counting.
+    scheduler.stop()
+    operator.stop()
+    cluster.close()
     return ClusterRunResult(
         policy=policy_name,
         metrics=metrics,

@@ -57,6 +57,18 @@ class KubeCluster:
             for node in nodes
         }
 
+    def close(self) -> None:
+        """Stop the kube-scheduler's and the kubelets' watches.
+
+        The watch handlers are the edges from the API server back to the
+        cluster's controllers; once they are gone (and every other
+        subscriber stopped its watches), reference counting frees a
+        finished run without the cyclic collector.
+        """
+        self.scheduler.stop()
+        for kubelet in self.kubelets.values():
+            kubelet.stop()
+
     # ------------------------------------------------------------------
     # Capacity
     # ------------------------------------------------------------------

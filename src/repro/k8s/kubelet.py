@@ -49,7 +49,8 @@ class Kubelet:
         self._starting: Dict[tuple, object] = {}  # pod key -> Timer
         # Like a real kubelet's ``fieldSelector=spec.nodeName``: only this
         # node's pods are delivered.
-        api.watch(self._on_event, kind="Pod", namespace=None, node_name=node.name)
+        self._watch = api.watch(self._on_event, kind="Pod", namespace=None,
+                                node_name=node.name)
 
     # ------------------------------------------------------------------
 
@@ -118,3 +119,7 @@ class Kubelet:
             (p for p in pods if p is not None and p.is_running),
             key=lambda p: p.meta.uid,
         )
+
+    def stop(self) -> None:
+        """Stop watching this node's pods."""
+        self._watch.stop()

@@ -58,6 +58,8 @@ class PodSpec:
     volumes: List[EmptyDirVolume] = field(default_factory=list)
     # Free-form role marker used by the operator ("launcher" / "worker").
     role: str = "worker"
+    # The operator's replica index of a worker pod (None for other pods).
+    replica_index: Optional[int] = None
 
 
 @dataclass

@@ -69,7 +69,7 @@ class KubeScheduler:
         self._pending: Dict[tuple, Pod] = {}
         self._sweep_scheduled = False
         self.bind_count = 0
-        api.watch(self._on_event, kind="Pod", namespace=None)
+        self._watch = api.watch(self._on_event, kind="Pod", namespace=None)
 
     # ------------------------------------------------------------------
     # Watch plumbing
@@ -179,3 +179,7 @@ class KubeScheduler:
         if node is not None and pod.key in node.pod_keys:
             node.release(pod)
             self._kick()
+
+    def stop(self) -> None:
+        """Stop watching pods; nothing new is placed."""
+        self._watch.stop()

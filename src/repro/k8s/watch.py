@@ -16,7 +16,8 @@ Order contract: a publish posts one dispatch per matching active watch (a
 plain ``post_at`` entry at the current time), in subscription order, i.e.
 by ``Watch.id``: ``kind=None`` watches and selected watches merge in where
 they were subscribed.  A watch sees only events published after it
-subscribed, and ``stop()`` drops the deliveries already queued for it.
+subscribed, and ``stop()`` drops the deliveries already queued for it,
+and its handler, so a stopped watch keeps no subscriber alive.
 The hub caches, per kind, the unselected watches in one list and the
 selected ones in buckets keyed by node name or by their selector's first
 label pair, so a publish visits only the watches of its object's kind and
@@ -123,8 +124,12 @@ class Watch:
         self.handler(event)
 
     def stop(self) -> None:
-        """Cancel the subscription; queued events are dropped."""
+        """Cancel the subscription; queued events are dropped.
+
+        The handler goes too, so a stopped watch keeps no subscriber alive.
+        """
         self.active = False
+        self.handler = None
         if self._hub is not None:
             self._hub._remove(self)
             self._hub = None

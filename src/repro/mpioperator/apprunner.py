@@ -3,8 +3,10 @@
 Models what ``mpirun`` inside the launcher pod does: wait until every
 worker replica is running, boot a Charm++ runtime with one PE per worker
 pod, attach the CCS endpoint, and drive the application to completion.
-Completion flips the job's phase to ``Completed``; the controller then
-tears the pods down.
+Completion closes the runtime (:meth:`CharmRuntime.close` frees its PEs
+and chares; ``runner.app`` and ``runner.rts.num_pes`` stay readable) and
+flips the job's phase to ``Completed``; the controller then tears the pods
+down.  A crashed or aborted application only shuts its runtime down.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ class CharmAppRunner:
         finally:
             # A completed, crashed or aborted app depends on no pod.
             self._pod_watch.stop()
-        self.rts.shutdown()
+        self.rts.close()
         self._set_phase(JobPhase.COMPLETED)
         if self.tracer is not None:
             self.tracer.emit(

@@ -20,7 +20,6 @@ from .launcher import (
     job_name_selector,
     launcher_pod_name,
     sort_workers,
-    worker_index,
     worker_selector,
 )
 from .nodelist import nodelist_name, update_nodelist
@@ -101,7 +100,7 @@ class CharmJobController(Controller):
         desired = job.spec.desired_replicas
         self._ensure_launcher(job)
         workers = self._worker_pods(job)
-        existing = {worker_index(p.name) for p in workers}
+        existing = {p.spec.replica_index for p in workers}
         runner = self.runners.get(job.key)
         app_running = runner is not None and runner.rts is not None
 
@@ -118,10 +117,10 @@ class CharmJobController(Controller):
         if not app_running:
             # Before the application starts, pods can be resized freely.
             for pod in workers:
-                if worker_index(pod.name) >= desired:
+                if pod.spec.replica_index >= desired:
                     self.api.delete(pod)
             current = sort_workers(
-                [p for p in self._worker_pods(job) if worker_index(p.name) < desired]
+                [p for p in self._worker_pods(job) if p.spec.replica_index < desired]
             )
             update_nodelist(self.api, job, current)
         if runner is None:
@@ -144,7 +143,7 @@ class CharmJobController(Controller):
             else:
                 # Converged; reap surplus pods left by an aborted expansion.
                 for pod in workers:
-                    if worker_index(pod.name) >= desired:
+                    if pod.spec.replica_index >= desired:
                         self.api.delete(pod)
 
     # ------------------------------------------------------------------

@@ -4,7 +4,10 @@ Mirrors the Kubeflow MPI operator layout (§2.3): the launcher pod runs
 ``mpirun`` (modelled by :class:`~repro.mpioperator.apprunner.CharmAppRunner`)
 and worker pods each run one PE.  Worker pods carry the §3.1 additions:
 a memory-backed emptyDir mounted at /dev/shm and pod affinity to the job's
-other pods for locality-aware placement.
+other pods for locality-aware placement.  Each worker pod also carries its
+replica index, as Kubeflow's ``training.kubeflow.org/replica-index`` label
+and as the int ``spec.replica_index`` the operator reads, so nothing
+parses pod names.
 """
 
 from __future__ import annotations
@@ -98,13 +101,16 @@ def build_worker_pod(job: CharmJob, index: int) -> Pod:
         affinity=_affinity(job),
         volumes=[shm],
         role="worker",
+        replica_index=index,
     )
+    labels = _labels(job, "worker")
+    labels["training.kubeflow.org/replica-index"] = str(index)
     pod = Pod(worker_pod_name(job, index), spec, namespace=job.namespace,
-              labels=_labels(job, "worker"))
+              labels=labels)
     pod.owned_by(job)
     return pod
 
 
 def sort_workers(pods: List[Pod]) -> List[Pod]:
     """Workers ordered by replica index (stable PE numbering)."""
-    return sorted(pods, key=lambda p: worker_index(p.name))
+    return sorted(pods, key=lambda p: p.spec.replica_index)

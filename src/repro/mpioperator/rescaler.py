@@ -19,7 +19,7 @@ from typing import Optional
 from ..errors import CcsError
 from ..k8s import KubeCluster
 from .apprunner import CharmAppRunner, host_binding_for
-from .launcher import sort_workers, worker_index, worker_selector
+from .launcher import sort_workers, worker_selector
 from .nodelist import update_nodelist
 from .types import CharmJob
 
@@ -70,8 +70,8 @@ class RescaleCoordinator:
 
     def _shrink(self, job: CharmJob, runner: CharmAppRunner, desired: int, on_done):
         workers = self._workers(job)
-        survivors = [p for p in workers if worker_index(p.name) < desired]
-        victims = [p for p in workers if worker_index(p.name) >= desired]
+        survivors = [p for p in workers if p.spec.replica_index < desired]
+        victims = [p for p in workers if p.spec.replica_index >= desired]
         hosts = [host_binding_for(p) for p in survivors]
         try:
             reply = yield runner.ccs_client().request(

@@ -123,7 +123,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import CapacityError, JobStateError, SchedulingError
 from ..obs.metrics import active_registry
-from .job import JobRequest, JobState, SchedulerJob, priority_order_key
+from .job import JobRequest, JobState, SchedulerJob
 from .joblist import IndexedJobList
 from .policy import (
     Decision,
@@ -235,16 +235,6 @@ class ElasticPolicyEngine:
             return self._jobs[name]
         except KeyError:
             raise JobStateError(f"unknown job {name!r}") from None
-
-    def jobs_by_priority(self) -> List[SchedulerJob]:
-        """Running and queued jobs in decreasing priority (Fig 3's allJobs).
-
-        Both lists stay sorted by :func:`priority_order_key` with unique
-        keys, so merging them reproduces ``sorted(running + queue)``.
-        Waiters rank by their effective priority as of the last event;
-        running jobs by their priority at submission.
-        """
-        return list(heapq.merge(self.running, self.queue, key=priority_order_key))
 
     # ------------------------------------------------------------------
     # Event: new job submitted (Figure 2)
@@ -566,8 +556,9 @@ class ElasticPolicyEngine:
         ``last_action`` is finite).  A skipped runner would have emitted
         nothing and consumed no budget, and passing a runner never sets
         ``passed``, so the emitted decision sequence is exactly the
-        literal scan's over ``jobs_by_priority()`` (the executable spec's
-        Figure 3 in ``tests/scheduling/spec.py``).
+        literal scan's over Figure 3's ``allJobs``, ``sorted(running +
+        queue)`` (the executable spec's Figure 3 in
+        ``tests/scheduling/spec.py``).
 
         Hooked configs take the same walk: the capacity constraint caps
         each ``add`` (it can only lower it, so no skip is invalidated),

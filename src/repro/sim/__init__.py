@@ -2,14 +2,14 @@
 
 Public surface::
 
-    from repro.sim import Engine, Event, AnyOf, AllOf, Process, Queue, Resource
+    from repro.sim import Engine, Event, AnyOf, AllOf, Process, Queue
     from repro.sim import Tracer, RngRegistry, stream
 """
 
 from .engine import Engine, Timer
 from .events import AllOf, AnyOf, Event
 from .process import Process
-from .queues import Queue, Resource, consume
+from .queues import Queue
 from .rng import RngRegistry, stream
 from .trace import NullTracer, TraceRecord, Tracer
 
@@ -21,8 +21,6 @@ __all__ = [
     "AllOf",
     "Process",
     "Queue",
-    "Resource",
-    "consume",
     "RngRegistry",
     "stream",
     "Tracer",

@@ -29,6 +29,9 @@ Design notes
   posts the same plain entries.  A same-instant event that may have to be
   taken back needs ``schedule_at(engine.now, ...)`` instead.
 * A live-timer counter makes :meth:`Engine.pending_count` O(1).
+* The engine keeps no registry of processes: only its heap entries and
+  the events a process waits on reference it, so a finished (or killed)
+  process is freed by reference counting, not by the cyclic collector.
 * The engine is single-threaded and re-entrant: callbacks may schedule
   further events, create processes, or stop the simulation.
 """
@@ -117,7 +120,6 @@ class Engine:
         self._live = 0
         self._running = False
         self._stopped = False
-        self._processes: List[Any] = []  # live Process objects (debugging aid)
         #: Total events executed over the engine's lifetime (all runs);
         #: the benchmark harness divides this by wall time for events/sec.
         self.events_executed: int = 0
@@ -253,9 +255,7 @@ class Engine:
         """
         from .process import Process
 
-        proc = Process(self, generator, name=name)
-        self._processes.append(proc)
-        return proc
+        return Process(self, generator, name=name)
 
     def event(self):
         """Create a fresh one-shot :class:`~repro.sim.events.Event`."""

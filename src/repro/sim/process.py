@@ -94,7 +94,10 @@ class Process(Event):
             return
         except ProcessKilled:
             # Process chose not to handle its interruption: treat as a
-            # clean cancellation rather than an error.
+            # clean cancellation rather than an error.  The re-raised
+            # exception's traceback holds this frame, whose ``exc`` holds
+            # the exception: drop it, so reference counting frees both.
+            exc = None
             self.succeed(None)
             return
         except BaseException as err:  # noqa: BLE001 - deliberate catch-all

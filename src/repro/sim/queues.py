@@ -1,23 +1,18 @@
-"""Blocking queues and counting resources for simulation processes.
+"""A blocking queue for simulation processes.
 
-These mirror the classic simpy primitives but are intentionally small:
-
-* :class:`Queue` — unbounded FIFO; ``get()`` returns an event a process can
-  yield on.  Used for PE message queues and controller workqueues.
-* :class:`Resource` — counting semaphore; used for slot accounting tests.
-* :class:`Store` — like :class:`Queue` but supports ``peek`` and filtering,
-  used by watch streams.
+:class:`Queue` mirrors the classic simpy store but is intentionally small:
+an unbounded FIFO whose ``get()`` returns an event a process can yield on.
+PE message queues and reduction results use it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Deque, Optional
 
-from ..errors import SimError
 from .events import Event
 
-__all__ = ["Queue", "Resource"]
+__all__ = ["Queue"]
 
 
 class Queue:
@@ -57,12 +52,6 @@ class Queue:
             self._getters.append(ev)
         return ev
 
-    def get_nowait(self) -> Any:
-        """Pop the next item immediately; raises :class:`SimError` if empty."""
-        if not self._items:
-            raise SimError(f"queue {self.name!r} is empty")
-        return self._items.popleft()
-
     def clear(self) -> int:
         """Discard all queued items; returns how many were dropped."""
         count = len(self._items)
@@ -74,83 +63,3 @@ class Queue:
         items = list(self._items)
         self._items.clear()
         return items
-
-
-class Resource:
-    """A counting resource (semaphore) with FIFO acquisition order.
-
-    Used by tests and by the cluster substrate to assert slot conservation:
-    the number of acquired units can never exceed ``capacity``.
-    """
-
-    def __init__(self, engine, capacity: int, name: Optional[str] = None):
-        if capacity < 0:
-            raise SimError(f"capacity must be non-negative, got {capacity}")
-        self.engine = engine
-        self.capacity = int(capacity)
-        self.name = name or "resource"
-        self._available = int(capacity)
-        self._waiters: Deque[tuple] = deque()  # (amount, event)
-
-    @property
-    def available(self) -> int:
-        """Units currently free."""
-        return self._available
-
-    @property
-    def in_use(self) -> int:
-        """Units currently held."""
-        return self.capacity - self._available
-
-    def acquire(self, amount: int = 1) -> Event:
-        """Return an event that fires once ``amount`` units are granted."""
-        if amount < 0:
-            raise SimError("cannot acquire a negative amount")
-        if amount > self.capacity:
-            raise SimError(
-                f"acquire({amount}) exceeds total capacity {self.capacity} "
-                f"of resource {self.name!r}"
-            )
-        ev = Event(self.engine, name=f"{self.name}.acquire({amount})")
-        self._waiters.append((amount, ev))
-        self._grant()
-        return ev
-
-    def try_acquire(self, amount: int = 1) -> bool:
-        """Non-blocking acquire; returns True on success."""
-        if amount < 0:
-            raise SimError("cannot acquire a negative amount")
-        if self._waiters or amount > self._available:
-            return False
-        self._available -= amount
-        return True
-
-    def release(self, amount: int = 1) -> None:
-        """Return ``amount`` units; wakes FIFO waiters that now fit."""
-        if amount < 0:
-            raise SimError("cannot release a negative amount")
-        self._available += amount
-        if self._available > self.capacity:
-            raise SimError(
-                f"resource {self.name!r} over-released: "
-                f"{self._available}/{self.capacity}"
-            )
-        self._grant()
-
-    def _grant(self) -> None:
-        while self._waiters and self._waiters[0][0] <= self._available:
-            amount, ev = self._waiters.popleft()
-            self._available -= amount
-            ev.succeed(amount)
-
-
-def consume(queue: Queue, handler: Callable[[Any], Any]):
-    """Generator: forever pop items from ``queue`` and call ``handler``.
-
-    Convenience for controller loops::
-
-        engine.process(consume(workqueue, reconcile))
-    """
-    while True:
-        item = yield queue.get()
-        handler(item)

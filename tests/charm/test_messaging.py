@@ -1,5 +1,7 @@
 """Tests for chare arrays, proxies, messaging, and quiescence."""
 
+import gc
+
 import pytest
 
 from repro.charm import CharmRuntime, Chare, payload_bytes, ENVELOPE_HEADER_BYTES
@@ -143,6 +145,29 @@ class TestQuiescence:
         total = sum(c.count for c in rts.elements(proxy.array_id))
         assert total == 4
         assert rts.quiescent
+
+
+class TestClose:
+    def test_close_frees_the_runtime_and_keeps_its_width(self, engine, rts):
+        proxy = rts.create_array(Counter, range(8))
+        proxy.broadcast("ping")
+        settle(engine, rts)
+        chares = rts.elements(proxy.array_id)
+        loops = [pe._process for pe in rts.pes]
+        gc.collect()
+        gc.disable()
+        try:
+            rts.close()
+            engine.run()
+            assert rts.num_pes == 4 and rts.pes == []
+            assert all(loop.triggered for loop in loops)
+            assert all(c._rts is None and c.count == 1 for c in chares)
+            with pytest.raises(CharmError):
+                rts.array(proxy.array_id)
+            del chares, loops
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPayloadBytes:

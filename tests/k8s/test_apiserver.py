@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -313,6 +314,18 @@ class TestWatch:
         api.create(make_pod("p"))
         engine.run()
         assert seen == []
+
+    def test_stopped_watch_drops_its_handler(self, engine, api):
+        class Subscriber:
+            def on_event(self, event):
+                pass
+
+        subscriber = Subscriber()
+        alive = weakref.ref(subscriber)
+        watch = api.watch(subscriber.on_event, kind="Pod")
+        watch.stop()
+        del subscriber
+        assert watch.handler is None and alive() is None
 
     def test_namespace_filter(self, engine, api):
         events = []

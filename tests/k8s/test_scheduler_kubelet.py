@@ -118,6 +118,24 @@ class TestScheduling:
 
 
 class TestKubelet:
+    def test_cluster_close_stops_the_scheduler_and_kubelet_watches(
+            self, engine, cluster):
+        watches = [cluster.scheduler._watch,
+                   *(k._watch for k in cluster.kubelets.values())]
+        assert all(w.active for w in watches)
+        cluster.close()
+        assert not any(w.active for w in watches)
+        pod = cluster.api.create(make_pod("p"))
+        engine.run(until=10.0)
+        assert not pod.is_bound
+
+    def test_stopped_kubelets_start_no_pod(self, engine, cluster):
+        for kubelet in cluster.kubelets.values():
+            kubelet.stop()
+        pod = cluster.api.create(make_pod("p"))
+        engine.run(until=10.0)
+        assert pod.is_bound and pod.phase == PodPhase.PENDING
+
     def test_start_latency_applied(self, engine, cluster):
         pod = cluster.api.create(make_pod("p"))
         engine.run(until=10.0)

@@ -20,6 +20,7 @@ from repro.mpioperator import (
     worker_index,
     worker_pod_name,
 )
+from repro.mpioperator.launcher import sort_workers
 from tests.mpioperator.conftest import make_job
 
 
@@ -83,6 +84,21 @@ class TestPodTemplates:
         assert pod.spec.role == "worker"
         # §3.1: memory-backed emptyDir lifts the 64Mi default.
         assert pod.shm_bytes() == 1024**3
+
+    def test_worker_pod_carries_its_replica_index(self):
+        job = make_job()
+        worker = build_worker_pod(job, 3)
+        assert worker.spec.replica_index == 3
+        assert worker.meta.labels["training.kubeflow.org/replica-index"] == "3"
+        launcher = build_launcher_pod(job)
+        assert launcher.spec.replica_index is None
+        assert "training.kubeflow.org/replica-index" not in launcher.meta.labels
+
+    def test_sort_workers_orders_by_index_not_name(self):
+        # By name "job-a-worker-10" would sort before "job-a-worker-2".
+        job = make_job()
+        pods = [build_worker_pod(job, i) for i in (10, 2, 0, 1)]
+        assert [p.spec.replica_index for p in sort_workers(pods)] == [0, 1, 2, 10]
 
     def test_worker_affinity_targets_job(self):
         job = make_job()

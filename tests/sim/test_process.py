@@ -1,5 +1,8 @@
 """Unit tests for generator-based processes."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import ProcessKilled, SimError
@@ -232,3 +235,43 @@ def test_two_processes_interleave_deterministically(engine):
         ("a", 6.0),
         ("b", 9.0),
     ]
+
+
+def test_interrupted_process_leaves_no_cyclic_garbage():
+    # The killed generator's re-raised ProcessKilled holds a traceback
+    # whose frames must not hold the exception back: reference counting
+    # frees the process, its exception and its frames.
+    def sleeper():
+        yield 10.0
+
+    gc.collect()
+    gc.disable()
+    try:
+        eng = Engine()
+        proc = eng.process(sleeper())
+        eng.run(until=1.0)
+        proc.interrupt()
+        eng.run()
+        assert proc.triggered
+        del proc, eng
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_engine_keeps_no_finished_process_alive():
+    def sleeper():
+        yield 1.0
+
+    gc.collect()
+    gc.disable()
+    try:
+        eng = Engine()
+        proc = eng.process(sleeper())
+        alive = weakref.ref(proc)
+        eng.run()
+        assert proc.triggered
+        del proc
+        assert alive() is None
+    finally:
+        gc.enable()

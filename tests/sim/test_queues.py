@@ -1,10 +1,8 @@
-"""Unit tests for Queue and Resource primitives."""
+"""Unit tests for the Queue primitive."""
 
 import pytest
 
-from repro.errors import SimError
-from repro.sim import Engine, Queue, Resource
-from repro.sim.queues import consume
+from repro.sim import Queue
 
 
 @pytest.fixture
@@ -63,13 +61,6 @@ def test_len_and_waiting(engine, queue):
     assert queue.waiting == 1
 
 
-def test_get_nowait(engine, queue):
-    queue.put("z")
-    assert queue.get_nowait() == "z"
-    with pytest.raises(SimError):
-        queue.get_nowait()
-
-
 def test_drain_and_clear(engine, queue):
     for i in range(4):
         queue.put(i)
@@ -78,79 +69,3 @@ def test_drain_and_clear(engine, queue):
         queue.put(i)
     assert queue.clear() == 3
     assert len(queue) == 0
-
-
-def test_consume_helper(engine, queue):
-    seen = []
-    engine.process(consume(queue, seen.append))
-    for i in range(3):
-        engine.schedule(i + 1.0, queue.put, i)
-    engine.run(until=10.0)
-    assert seen == [0, 1, 2]
-
-
-class TestResource:
-    def test_try_acquire_and_release(self, engine):
-        res = Resource(engine, capacity=3)
-        assert res.try_acquire(2)
-        assert res.available == 1
-        assert not res.try_acquire(2)
-        res.release(2)
-        assert res.available == 3
-
-    def test_acquire_blocks_until_released(self, engine):
-        res = Resource(engine, capacity=1)
-        assert res.try_acquire(1)
-        log = []
-
-        def waiter():
-            yield res.acquire(1)
-            log.append(engine.now)
-
-        engine.process(waiter())
-        engine.schedule(7.0, res.release, 1)
-        engine.run()
-        assert log == [7.0]
-        assert res.available == 0
-
-    def test_fifo_waiters_do_not_starve(self, engine):
-        res = Resource(engine, capacity=2)
-        res.try_acquire(2)
-        order = []
-
-        def waiter(name, amount):
-            yield res.acquire(amount)
-            order.append(name)
-
-        engine.process(waiter("big", 2))
-        engine.process(waiter("small", 1))
-        # Releasing one unit is not enough for "big"; "small" must still
-        # wait behind it (FIFO, no sneaking past).
-        engine.schedule(1.0, res.release, 1)
-        engine.schedule(2.0, res.release, 1)
-        engine.run()
-        assert order == ["big"]
-
-    def test_over_release_detected(self, engine):
-        res = Resource(engine, capacity=1)
-        with pytest.raises(SimError):
-            res.release(1)
-
-    def test_acquire_more_than_capacity_rejected(self, engine):
-        res = Resource(engine, capacity=2)
-        with pytest.raises(SimError):
-            res.acquire(3)
-
-    def test_negative_amounts_rejected(self, engine):
-        res = Resource(engine, capacity=2)
-        with pytest.raises(SimError):
-            res.acquire(-1)
-        with pytest.raises(SimError):
-            res.release(-1)
-
-    def test_in_use_accounting(self, engine):
-        res = Resource(engine, capacity=5)
-        res.try_acquire(3)
-        assert res.in_use == 3
-        res.release(1)
-        assert res.in_use == 2
