@@ -41,7 +41,6 @@ from .sweep import (
     compare_cloud,
     run_cloud_once,
     run_cloud_trial_task,
-    run_cloud_trial_tasks,
 )
 
 __all__ = [
@@ -67,7 +66,6 @@ __all__ = [
     "CloudTrialStats",
     "cloud_trial_task",
     "run_cloud_trial_task",
-    "run_cloud_trial_tasks",
     "compare_cloud",
     "run_cloud_once",
 ]

@@ -6,8 +6,8 @@ interesting trade-off (metrics vs dollars) only shows up in the grid.
 :func:`compare_cloud` runs that grid exactly the way the Figure-7/8
 sweeps run theirs — one flat task list, the process pool fanning out
 misses, the content-addressed cache answering repeats — but each trial's
-record carries the :class:`~repro.cloud.billing.CostReport` next to the
-§4.3 metrics, so cost columns fall out of the same machinery.
+record carries :class:`~repro.cloud.billing.CostReport` fields next to
+the §4.3 metrics, so cost columns fall out of the same machinery.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CloudError
 from ..scheduling.registry import REGISTRY
-from ..schedsim.cache import resolve_trial_cache
+from ..schedsim.experiment import TRIAL_METRICS, mean_record, run_tasks
 from ..schedsim.workload import WorkloadSpec, generate_workload
 from .autoscaler import AUTOSCALER_NAMES, make_autoscaler
 from .billing import CostModel
@@ -29,13 +29,12 @@ __all__ = [
     "CloudTrialStats",
     "cloud_trial_task",
     "run_cloud_trial_task",
-    "run_cloud_trial_tasks",
     "compare_cloud",
     "run_cloud_once",
 ]
 
 #: Task-tuple tag: keeps cloud records from ever colliding with plain
-#: trial metrics in a shared cache directory.
+#: trial records in a shared cache directory.
 _TASK_KIND = "cloud-trial"
 _TASK_VERSION = 1
 
@@ -126,11 +125,8 @@ class CloudScenario:
         )
 
 
-#: Metric fields averaged across trials (record key -> report attribute).
-_METRIC_FIELDS = (
-    "total_time", "utilization", "weighted_mean_response",
-    "weighted_mean_completion",
-)
+#: The cost fields a cloud trial's record carries beside the four metrics
+#: (names of :class:`~repro.cloud.billing.CostReport` attributes).
 _COST_FIELDS = (
     "total_cost", "node_hours", "cost_per_job", "cost_per_busy_slot_hour",
     "interruptions", "nodes_provisioned", "elastic_utilization",
@@ -215,8 +211,13 @@ def cloud_trial_task(
     )
 
 
-def run_cloud_trial_task(task: Tuple) -> dict:
-    """Execute one :func:`cloud_trial_task`; returns the JSON record."""
+def run_cloud_trial_task(task: Tuple) -> Dict[str, float]:
+    """Execute one :func:`cloud_trial_task`; returns its flat record.
+
+    The record holds the trial's four §4.3 metrics
+    (:data:`~repro.schedsim.experiment.TRIAL_METRICS`) and its seven
+    ``_COST_FIELDS``; the key sets do not overlap.
+    """
     (kind, version, policy_name, autoscaler_name, submission_gap,
      rescale_gap, seed, num_jobs, *scenario_fields) = task
     if kind != _TASK_KIND or version != _TASK_VERSION:
@@ -231,66 +232,9 @@ def run_cloud_trial_task(task: Tuple) -> dict:
         num_jobs=int(num_jobs),
         retain="metrics",
     )
-    record = {"metrics": result.metrics.as_dict(), "cost": result.cost.as_dict()}
-    record["cost"]["elastic_utilization"] = result.cost.elastic_utilization
+    record = result.metrics.as_dict()
+    record.update((name, getattr(result.cost, name)) for name in _COST_FIELDS)
     return record
-
-
-def run_cloud_trial_tasks(
-    tasks: List[Tuple],
-    workers: Optional[int] = None,
-    cache=None,
-) -> List[dict]:
-    """Order-preserving, cache-aware execution of cloud trial tasks.
-
-    The cloud twin of :func:`repro.schedsim.experiment.run_trial_tasks`:
-    records already in the content-addressed store are answered from
-    disk, only misses fan out across the process pool, and fresh results
-    are written back — so an autoscaler × policy grid re-runs for free
-    and a one-cell scenario edit re-simulates only that cell.
-    """
-    from ..workloads.parallel import parallel_map, resolve_workers
-
-    store = resolve_trial_cache(cache)
-    results: List[Optional[dict]] = [None] * len(tasks)
-    if store is not None:
-        for i, task in enumerate(tasks):
-            results[i] = store.get_record(task)
-    miss_indices = [i for i, found in enumerate(results) if found is None]
-    miss_tasks = [tasks[i] for i in miss_indices]
-    if miss_tasks:
-        if resolve_workers(workers) > 1:
-            fresh = parallel_map(
-                run_cloud_trial_task, miss_tasks, workers=workers,
-                balanced=True,
-            )
-        else:
-            fresh = [run_cloud_trial_task(task) for task in miss_tasks]
-        for i, record in zip(miss_indices, fresh):
-            results[i] = record
-            if store is not None:
-                store.put_record(tasks[i], record)
-    return results  # type: ignore[return-value]  # every slot now filled
-
-
-def _aggregate(
-    policy_name: str, autoscaler_name: str, records: List[dict]
-) -> CloudTrialStats:
-    n = float(len(records))
-    means = {
-        key: sum(r["metrics"][key] for r in records) / n
-        for key in _METRIC_FIELDS
-    }
-    costs = {
-        key: sum(r["cost"][key] for r in records) / n for key in _COST_FIELDS
-    }
-    return CloudTrialStats(
-        policy=policy_name,
-        autoscaler=autoscaler_name,
-        trials=len(records),
-        **means,
-        **costs,
-    )
 
 
 def compare_cloud(
@@ -323,10 +267,13 @@ def compare_cloud(
         for autoscaler, policy in cells
         for i in range(trials)
     ]
-    records = run_cloud_trial_tasks(tasks, workers=workers, cache=cache)
+    records = run_tasks(run_cloud_trial_task, tasks, workers=workers,
+                        cache=cache)
     return {
-        (autoscaler, policy): _aggregate(
-            policy, autoscaler, records[c * trials:(c + 1) * trials]
+        (autoscaler, policy): CloudTrialStats(
+            policy=policy, autoscaler=autoscaler, trials=trials,
+            **mean_record(records[c * trials:(c + 1) * trials],
+                          TRIAL_METRICS + _COST_FIELDS),
         )
         for c, (autoscaler, policy) in enumerate(cells)
     }

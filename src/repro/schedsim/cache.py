@@ -4,19 +4,23 @@ The paper's evaluation grids are embarrassingly repetitive: a Figure-7
 sweep is 4 policies x 7 gaps x 100 seeds = 2800 simulations, and editing
 one grid value — or re-running the same sweep for a plot tweak — used to
 recompute every cell from scratch.  Each trial is a pure function of its
-:func:`~repro.schedsim.experiment.trial_task` tuple ``(policy,
-submission_gap, rescale_gap, seed, total_slots, num_jobs)`` plus the
-simulator code itself, so its :class:`~repro.scheduling.SchedulerMetrics`
-can be cached under a content hash of exactly those inputs (the
-prefix-cache idea from LLM schedulers, applied to scheduler trials):
+task tuple plus the simulator code itself, so its record can be cached
+under a content hash of exactly those inputs (the prefix-cache idea from
+LLM schedulers, applied to scheduler trials).  A key is any substrate's
+task tuple — :func:`~repro.schedsim.experiment.trial_task`'s ``(policy,
+submission_gap, rescale_gap, seed, total_slots, num_jobs)`` or
+:func:`~repro.cloud.sweep.cloud_trial_task`'s, which starts with
+``"cloud-trial", 1`` so the two never collide in one directory — and a
+value is the trial's JSON record, a flat dict of floats:
 
 * **key** — SHA-256 over the canonical JSON of the task tuple and a
   *code-version salt*;
 * **salt** — SHA-256 over the source bytes of every module that can
   change a trial's result (``repro.scheduling``, ``repro.schedsim``,
-  ``repro.sim``, ``repro.perfmodel``, ``repro.workloads``, and
-  ``repro.units``), so editing simulator code silently invalidates every
-  stale entry — no manual versioning to forget.  Registry-resolved
+  ``repro.sim``, ``repro.perfmodel``, ``repro.workloads``,
+  ``repro.cloud``, ``repro.faults``, ``repro.charm``, ``repro.units``
+  and ``repro.errors``), so editing simulator code silently invalidates
+  every stale entry — no manual versioning to forget.  Registry-resolved
   policies from *outside* the tree (``repro.policies`` entry points) are
   covered too: their factory source is folded in via
   :meth:`repro.scheduling.registry.SchedulerRegistry.external_salt`;
@@ -24,8 +28,10 @@ prefix-cache idea from LLM schedulers, applied to scheduler trials):
   the cache root, written atomically (tmp + rename) so parallel sweeps
   can share a cache directory.
 
-Enable it by passing ``cache=`` to :func:`run_trials` /
-:func:`compare_policies` / the sweep functions, or globally via the
+Enable it by passing ``cache=`` to
+:func:`~repro.schedsim.experiment.run_tasks` or to anything built on it
+— :func:`run_trials`, :func:`compare_policies`, the Figure-7/8 sweeps
+and :func:`~repro.cloud.sweep.compare_cloud` — or globally via the
 ``REPRO_SWEEP_CACHE`` environment variable (a directory path; ``0`` /
 ``off`` disables).  Deleting the directory is the only "clear" anyone
 needs.
@@ -37,10 +43,9 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 from ..errors import SchedulingError
-from ..scheduling import SchedulerMetrics
 
 __all__ = ["TrialCache", "code_salt", "resolve_trial_cache", "CACHE_ENV"]
 
@@ -104,7 +109,7 @@ def code_salt(package_root: Optional[str] = None) -> str:
 
 
 class TrialCache:
-    """On-disk store of per-trial metrics, keyed by content hash."""
+    """On-disk store of per-trial records, keyed by content hash."""
 
     SCHEMA = 1
 
@@ -186,33 +191,37 @@ class TrialCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], f"{key}.json")
 
-    # ------------------------------------------------------------------
-    # Shared document I/O (one read path, one atomic write path)
-    # ------------------------------------------------------------------
-
-    def _read_document(self, task: Sequence) -> Optional[dict]:
-        """Load the stored JSON document for ``task``, or None.
-
-        Does not touch the hit/miss counters — the typed getters decide
-        whether what came back is usable.
-        """
+    def get(self, task: Sequence) -> Optional[dict]:
+        """The cached record for ``task``, or None (counted as a miss)."""
         try:
             with open(self._path(self.key(task)), "r", encoding="utf-8") as handle:
                 document = json.load(handle)
         except (OSError, ValueError):
             # ValueError covers JSONDecodeError *and* UnicodeDecodeError:
             # an entry damaged on disk is a miss, never a sweep abort.
-            return None
-        return document if isinstance(document, dict) else None
+            document = None
+        record = document.get("record") if isinstance(document, dict) else None
+        if isinstance(record, dict):
+            self.hits += 1
+            if self._obs_hits is not None:
+                self._obs_hits.inc()
+            return record
+        self.misses += 1
+        if self._obs_misses is not None:
+            self._obs_misses.inc()
+        return None
 
-    def _write_document(self, task: Sequence, document: dict) -> None:
-        """Store one JSON document atomically (safe for shared caches)."""
+    def put(self, task: Sequence, record: dict) -> None:
+        """Store one trial record atomically (safe for shared caches)."""
         path = self._path(self.key(task))
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(document, handle)
+                json.dump(
+                    {"schema": self.SCHEMA, "task": list(task), "record": record},
+                    handle,
+                )
             os.replace(tmp, path)
         except OSError:
             try:  # pragma: no cover - cleanup on exotic filesystems
@@ -221,73 +230,6 @@ class TrialCache:
                 pass
             raise
         self.writes += 1
-
-    # ------------------------------------------------------------------
-
-    def get(self, task: Sequence) -> Optional[SchedulerMetrics]:
-        """The cached metrics for ``task``, or None (counted as a miss)."""
-        document = self._read_document(task)
-        if document is not None:
-            try:
-                metrics = SchedulerMetrics(**document["metrics"])
-            except (KeyError, TypeError):
-                # Unreadable entry (e.g. a future schema, or a record-
-                # side entry under the same key space): miss.
-                pass
-            else:
-                self.hits += 1
-                if self._obs_hits is not None:
-                    self._obs_hits.inc()
-                return metrics
-        self.misses += 1
-        if self._obs_misses is not None:
-            self._obs_misses.inc()
-        return None
-
-    def put(self, task: Sequence, metrics: SchedulerMetrics) -> None:
-        """Store one trial result atomically."""
-        self._write_document(task, {
-            "schema": self.SCHEMA,
-            "task": list(task),
-            "metrics": {
-                "policy": metrics.policy,
-                "total_time": metrics.total_time,
-                "utilization": metrics.utilization,
-                "weighted_mean_response": metrics.weighted_mean_response,
-                "weighted_mean_completion": metrics.weighted_mean_completion,
-                "job_count": metrics.job_count,
-            },
-        })
-
-    # ------------------------------------------------------------------
-    # Generic records (cloud sweeps: metrics + cost in one entry)
-    # ------------------------------------------------------------------
-
-    def get_record(self, task: Sequence) -> Optional[dict]:
-        """The cached JSON record for ``task``, or None (a miss).
-
-        The record side of the store shares the key/salt/shard scheme
-        with the metrics side but carries an arbitrary JSON object —
-        the cloud sweep uses it to keep a trial's metrics *and* cost
-        report in one entry.
-        """
-        document = self._read_document(task)
-        record = document.get("record") if document is not None else None
-        if not isinstance(record, dict):
-            self.misses += 1
-            if self._obs_misses is not None:
-                self._obs_misses.inc()
-            return None
-        self.hits += 1
-        if self._obs_hits is not None:
-            self._obs_hits.inc()
-        return record
-
-    def put_record(self, task: Sequence, record: dict) -> None:
-        """Store one arbitrary JSON record atomically."""
-        self._write_document(
-            task, {"schema": self.SCHEMA, "task": list(task), "record": record}
-        )
 
     # ------------------------------------------------------------------
 

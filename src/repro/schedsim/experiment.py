@@ -3,25 +3,34 @@
 The paper repeats each configuration over 100 random workloads and reports
 the average of the four metrics; :func:`run_trials` reproduces that, and
 :func:`compare_policies` produces one averaged row per policy.
+
+Every substrate's trials run through :func:`run_tasks`: one task tuple
+in, one flat record of floats out, cached and fanned out the same way.
+:func:`mean_record` averages a cell's records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..perfmodel.overhead import RescaleOverheadModel
-from ..scheduling import SchedulerMetrics
 from ..scheduling.registry import REGISTRY
 from .simulator import ScheduleSimulator, SimulationResult
 from .workload import WorkloadSpec, generate_workload
 
 __all__ = ["TrialStats", "run_once", "run_trials", "compare_policies",
-           "DEFAULT_TRIALS", "trial_task", "run_trial_task", "run_trial_tasks",
-           "aggregate_trials"]
+           "DEFAULT_TRIALS", "TRIAL_METRICS", "trial_task", "run_trial_task",
+           "run_tasks", "mean_record", "aggregate_trials", "run_grid"]
 
 #: The paper averages 100 random workloads per configuration.
 DEFAULT_TRIALS = 100
+
+#: The four §4.3 metrics every trial record carries.
+TRIAL_METRICS = (
+    "total_time", "utilization", "weighted_mean_response",
+    "weighted_mean_completion",
+)
 
 
 @dataclass(frozen=True)
@@ -36,12 +45,7 @@ class TrialStats:
     weighted_mean_completion: float
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "total_time": self.total_time,
-            "utilization": self.utilization,
-            "weighted_mean_response": self.weighted_mean_response,
-            "weighted_mean_completion": self.weighted_mean_completion,
-        }
+        return {name: getattr(self, name) for name in TRIAL_METRICS}
 
 
 def run_once(
@@ -75,9 +79,8 @@ def trial_task(
     return (policy_name, submission_gap, rescale_gap, seed, total_slots, num_jobs)
 
 
-def run_trial_task(task: tuple) -> SchedulerMetrics:
-    """Execute one :func:`trial_task` tuple (serial and pool paths both
-    run trials through here, so their per-trial results are identical)."""
+def run_trial_task(task: tuple) -> Dict[str, float]:
+    """Execute one :func:`trial_task` tuple; returns its metrics record."""
     policy_name, submission_gap, rescale_gap, seed, total_slots, num_jobs = task
     return run_once(
         policy_name,
@@ -86,61 +89,84 @@ def run_trial_task(task: tuple) -> SchedulerMetrics:
         seed=seed,
         total_slots=total_slots,
         num_jobs=num_jobs,
-    ).metrics
+    ).metrics.as_dict()
 
 
-def run_trial_tasks(
-    tasks: List[tuple],
+def run_tasks(
+    run_one: Callable[[tuple], dict],
+    tasks: Sequence[tuple],
     workers: Optional[int] = None,
     cache=None,
-) -> List[SchedulerMetrics]:
-    """Execute trial tasks, order-preserving, cache-aware.
+) -> List[dict]:
+    """``[run_one(task) for task in tasks]``, cache-aware and pooled.
 
-    Every sweep-shaped caller funnels through here: cached trials are
-    answered from the content-addressed store
-    (:mod:`repro.schedsim.cache`), only the misses fan out — serially or
-    across the process pool with per-item (``balanced``) scheduling, so a
-    handful of misses scattered through a mostly-cached grid doesn't
-    serialize behind chunk boundaries — and fresh results are written
-    back.  The returned list matches ``tasks`` index for index, so
-    aggregation is identical whether results came from the cache, the
-    pool, or the serial loop.
+    Trials already in the content-addressed store
+    (:mod:`repro.schedsim.cache`; ``cache=`` or ``REPRO_SWEEP_CACHE``)
+    are answered from disk; only the misses run, serially or across the
+    process pool, and their records are written back.  ``run_one`` is
+    the substrate's module-level task function.  The returned list
+    matches ``tasks`` index for index, so aggregation is identical
+    whether a record came from the cache, the pool or the serial loop.
     """
-    from ..workloads.parallel import parallel_map, resolve_workers
+    from ..workloads.parallel import parallel_map
     from .cache import resolve_trial_cache
 
     store = resolve_trial_cache(cache)
-    results: List[Optional[SchedulerMetrics]] = [None] * len(tasks)
-    if store is not None:
-        for i, task in enumerate(tasks):
-            results[i] = store.get(task)
-    miss_indices = [i for i, found in enumerate(results) if found is None]
-    miss_tasks = [tasks[i] for i in miss_indices]
-    if miss_tasks:
-        if resolve_workers(workers) > 1:
-            fresh = parallel_map(
-                run_trial_task, miss_tasks, workers=workers, balanced=True
-            )
-        else:
-            fresh = [run_trial_task(task) for task in miss_tasks]
-        for i, metrics in zip(miss_indices, fresh):
-            results[i] = metrics
-            if store is not None:
-                store.put(tasks[i], metrics)
-    return results  # type: ignore[return-value]  # every slot now filled
-
-
-def aggregate_trials(policy_name: str, metrics: List[SchedulerMetrics]) -> TrialStats:
-    """Average per-trial metrics in list order (the paper's mean-of-100)."""
-    n = float(len(metrics))
-    return TrialStats(
-        policy=policy_name,
-        trials=len(metrics),
-        total_time=sum(m.total_time for m in metrics) / n,
-        utilization=sum(m.utilization for m in metrics) / n,
-        weighted_mean_response=sum(m.weighted_mean_response for m in metrics) / n,
-        weighted_mean_completion=sum(m.weighted_mean_completion for m in metrics) / n,
+    records: List[Optional[dict]] = (
+        [store.get(task) for task in tasks] if store is not None
+        else [None] * len(tasks)
     )
+    misses = [i for i, record in enumerate(records) if record is None]
+    fresh = parallel_map(run_one, [tasks[i] for i in misses], workers=workers)
+    for i, record in zip(misses, fresh):
+        records[i] = record
+        if store is not None:
+            store.put(tasks[i], record)
+    return records  # type: ignore[return-value]  # every slot now filled
+
+
+def mean_record(records: Sequence[dict], fields: Iterable[str]) -> Dict[str, float]:
+    """Average each field over ``records`` in list order.
+
+    ``sum(...) / n`` rather than ``statistics.mean``: serial, pooled and
+    cached runs then give bit-identical floats.
+    """
+    n = float(len(records))
+    return {name: sum(record[name] for record in records) / n for name in fields}
+
+
+def aggregate_trials(policy_name: str, records: Sequence[dict]) -> TrialStats:
+    """Average per-trial records (the paper's mean-of-100)."""
+    return TrialStats(policy=policy_name, trials=len(records),
+                      **mean_record(records, TRIAL_METRICS))
+
+
+def run_grid(
+    cells: Sequence[tuple],
+    trials: int,
+    base_seed: int = 0,
+    total_slots: int = 64,
+    num_jobs: int = 16,
+    workers: Optional[int] = None,
+    cache=None,
+) -> List[TrialStats]:
+    """One averaged row per ``(policy, submission_gap, rescale_gap)`` cell.
+
+    The whole grid is one task list through :func:`run_tasks`.  Trial
+    *i* of every cell uses seed ``base_seed + i``, so cells are paired
+    comparisons over the same workloads, as in the paper.
+    """
+    tasks = [
+        trial_task(policy, submission_gap, rescale_gap, base_seed + i,
+                   total_slots, num_jobs)
+        for policy, submission_gap, rescale_gap in cells
+        for i in range(trials)
+    ]
+    records = run_tasks(run_trial_task, tasks, workers=workers, cache=cache)
+    return [
+        aggregate_trials(cell[0], records[c * trials:(c + 1) * trials])
+        for c, cell in enumerate(cells)
+    ]
 
 
 def run_trials(
@@ -165,13 +191,10 @@ def run_trials(
     (or ``REPRO_SWEEP_CACHE``) answers previously-simulated trials from
     the content-addressed store (:mod:`repro.schedsim.cache`).
     """
-    tasks = [
-        trial_task(policy_name, submission_gap, rescale_gap, base_seed + i,
-                   total_slots, num_jobs)
-        for i in range(trials)
-    ]
-    metrics = run_trial_tasks(tasks, workers=workers, cache=cache)
-    return aggregate_trials(policy_name, metrics)
+    return run_grid(
+        [(policy_name, submission_gap, rescale_gap)], trials, base_seed,
+        total_slots, num_jobs, workers=workers, cache=cache,
+    )[0]
 
 
 def compare_policies(
@@ -200,14 +223,8 @@ def compare_policies(
     """
     if policies is None:
         policies = ("min_replicas", "max_replicas", "moldable", "elastic")
-    tasks = [
-        trial_task(name, submission_gap, rescale_gap, base_seed + i,
-                   total_slots, num_jobs)
-        for name in policies
-        for i in range(trials)
-    ]
-    metrics = run_trial_tasks(tasks, workers=workers, cache=cache)
-    return {
-        name: aggregate_trials(name, metrics[p * trials: (p + 1) * trials])
-        for p, name in enumerate(policies)
-    }
+    rows = run_grid(
+        [(name, submission_gap, rescale_gap) for name in policies], trials,
+        base_seed, total_slots, num_jobs, workers=workers, cache=cache,
+    )
+    return {stats.policy: stats for stats in rows}

@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from .experiment import (
-    DEFAULT_TRIALS,
-    TrialStats,
-    aggregate_trials,
-    run_trial_tasks,
-    trial_task,
-)
+from .experiment import DEFAULT_TRIALS, TrialStats, run_grid
 
 __all__ = [
     "SweepResult",
@@ -76,38 +70,23 @@ class SweepResult:
 
 def _run_grid(
     parameter: str,
-    cells: List[tuple],  # (policy, value, submission_gap, rescale_gap)
+    cells: List[tuple],  # (policy, submission_gap, rescale_gap)
     values: Sequence[float],
     trials: int,
     workers: Optional[int],
-    base_seed: int = 0,
-    total_slots: int = 64,
-    num_jobs: int = 16,
-    cache=None,
+    **kwargs,
 ) -> SweepResult:
     """Run every (cell, trial) simulation and fold into a SweepResult.
 
-    The whole grid flattens into one task list through
-    :func:`run_trial_tasks`: trials already in the content-addressed
-    cache (``cache=`` or ``REPRO_SWEEP_CACHE``) are answered from disk
-    and only the misses fan out — so re-running an identical sweep is
-    near-free and editing one grid value re-simulates only that cell's
-    trials, with every cell re-aggregated from the per-trial store.
+    The whole grid is one :func:`~repro.schedsim.experiment.run_grid`
+    call: trials already in the content-addressed cache (``cache=`` or
+    ``REPRO_SWEEP_CACHE``) are answered from disk and only the misses
+    fan out — so re-running an identical sweep is near-free and editing
+    one grid value re-simulates only that cell's trials.
     """
     result = SweepResult(parameter=parameter, values=list(values))
-    tasks = [
-        trial_task(policy, sub_gap, rescale_gap, base_seed + i,
-                   total_slots, num_jobs)
-        for policy, _value, sub_gap, rescale_gap in cells
-        for i in range(trials)
-    ]
-    metrics = run_trial_tasks(tasks, workers=workers, cache=cache)
-    per_cell = [
-        aggregate_trials(cell[0], metrics[c * trials: (c + 1) * trials])
-        for c, cell in enumerate(cells)
-    ]
-    for cell, stats in zip(cells, per_cell):
-        result.stats.setdefault(cell[0], []).append(stats)
+    for stats in run_grid(cells, trials, workers=workers, **kwargs):
+        result.stats.setdefault(stats.policy, []).append(stats)
     return result
 
 
@@ -120,9 +99,7 @@ def sweep_submission_gap(
     **kwargs,
 ) -> SweepResult:
     """Figure 7: metrics vs job submission rate (T_rescale_gap = 180 s)."""
-    cells = [
-        (policy, gap, gap, rescale_gap) for policy in policies for gap in gaps
-    ]
+    cells = [(policy, gap, rescale_gap) for policy in policies for gap in gaps]
     return _run_grid("submission_gap", cells, gaps, trials, workers, **kwargs)
 
 
@@ -140,7 +117,5 @@ def sweep_rescale_gap(
     construction (moldable uses ∞; rigid jobs cannot rescale), so their
     lines are flat — exactly as in the paper's Figure 8.
     """
-    cells = [
-        (policy, gap, submission_gap, gap) for policy in policies for gap in gaps
-    ]
+    cells = [(policy, submission_gap, gap) for policy in policies for gap in gaps]
     return _run_grid("rescale_gap", cells, gaps, trials, workers, **kwargs)

@@ -30,11 +30,14 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
     Parallelism is opt-in (an unannounced pool surprises CI boxes and
     laptops alike); ``0`` — from either source — means "use every core".
+    A negative count from either source is an error, not a serial run.
     """
+    source = "workers"
     if workers is None:
         env = os.environ.get(WORKERS_ENV)
         if env is None:
             return 1
+        source = WORKERS_ENV
         try:
             workers = int(env)
         except ValueError:
@@ -42,17 +45,17 @@ def resolve_workers(workers: Optional[int] = None) -> int:
                 f"{WORKERS_ENV} must be an integer, got {env!r}"
             ) from None
     workers = int(workers)
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return max(1, workers)
+    if workers < 0:
+        raise SchedulingError(
+            f"{source} must be >= 0 (0 means every core), got {workers}"
+        )
+    return workers or os.cpu_count() or 1
 
 
 def parallel_map(
     fn: Callable[[T], R],
     items: Sequence[T],
     workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
-    balanced: bool = False,
 ) -> List[R]:
     """``[fn(x) for x in items]`` across a process pool, order-preserving.
 
@@ -62,17 +65,14 @@ def parallel_map(
     which is also the fallback if the platform cannot spawn processes
     (e.g. a sandbox without a working semaphore implementation).
 
-    ``balanced=True`` switches from chunked ``pool.map`` to per-item
-    ``submit`` scheduling.  Chunking amortizes IPC but pre-assigns items
-    to workers in fixed runs: with heterogeneous per-item costs (sweep
-    cells at different scales, cache-miss trials next to instant hits) a
-    chunk of expensive items serializes at the end of the run while other
-    workers idle.  Submit-based scheduling hands out one item at a time,
-    so the long tail spreads across the pool; results still come back in
-    submission order, bit-identical to the serial path.
+    Items are handed out one at a time (``submit``), so with
+    heterogeneous per-item costs (sweep cells at different scales, cache
+    misses scattered through a grid) the long tail spreads across the
+    pool instead of serializing in one pre-assigned chunk; results come
+    back in submission order, bit-identical to the serial path.
     """
     items = list(items)
-    workers = min(resolve_workers(workers), len(items)) if items else 1
+    workers = min(resolve_workers(workers), len(items) or 1)
     if workers <= 1:
         return [fn(item) for item in items]
     try:
@@ -82,10 +82,5 @@ def parallel_map(
     # Errors raised by fn itself propagate: they are the caller's bug,
     # not a platform quirk, and must not trigger a silent serial re-run.
     with pool:
-        if balanced:
-            futures = [pool.submit(fn, item) for item in items]
-            return [future.result() for future in futures]
-        if chunksize is None:
-            # ~4 chunks per worker balances load without drowning in IPC.
-            chunksize = max(1, len(items) // (workers * 4))
-        return list(pool.map(fn, items, chunksize=chunksize))
+        futures = [pool.submit(fn, item) for item in items]
+        return [future.result() for future in futures]

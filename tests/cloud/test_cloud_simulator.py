@@ -357,6 +357,38 @@ class TestSweepAndCache:
         assert cache.hits == 2
         assert first == second
 
+    def test_one_cache_dir_serves_both_substrates_with_a_pool(self, tmp_path):
+        """Simulated and cloud trials share one directory, as nightly's
+        ``.sweep-cache`` does: no key collides, warm runs only hit, and
+        every result equals the uncached serial one."""
+        import os
+
+        from repro.schedsim import TrialCache, sweep_submission_gap
+
+        sim_grid = dict(gaps=(0.0, 100.0), trials=2, num_jobs=8,
+                        policies=("elastic", "moldable"))
+        cloud_grid = dict(
+            policies=("elastic", "moldable"), autoscalers=("static", "queue"),
+            trials=2, num_jobs=8, submission_gap=60.0,
+        )
+        total = 2 * 2 * 2 + 2 * 2 * 2
+        plain_sim = sweep_submission_gap(**sim_grid)
+        plain_cloud = compare_cloud(**cloud_grid)
+
+        cache = TrialCache(tmp_path)
+        cold_sim = sweep_submission_gap(cache=cache, workers=2, **sim_grid)
+        cold_cloud = compare_cloud(cache=cache, workers=2, **cloud_grid)
+        assert (cache.hits, cache.misses, cache.writes) == (0, total, total)
+        entries = [name for _dir, _subdirs, names in os.walk(tmp_path)
+                   for name in names if name.endswith(".json")]
+        assert len(entries) == total
+
+        warm_sim = sweep_submission_gap(cache=cache, workers=2, **sim_grid)
+        warm_cloud = compare_cloud(cache=cache, workers=2, **cloud_grid)
+        assert (cache.hits, cache.misses, cache.writes) == (total, total, total)
+        assert cold_sim.stats == warm_sim.stats == plain_sim.stats
+        assert cold_cloud == warm_cloud == plain_cloud
+
     def test_parallel_matches_serial(self):
         kwargs = dict(
             policies=("elastic", "min_replicas"), autoscalers=("idle",),

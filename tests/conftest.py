@@ -9,8 +9,8 @@ from repro.sim import Engine, Tracer
 def _isolate_sweep_cache(monkeypatch):
     """Keep the suite hermetic from a developer's exported sweep cache.
 
-    ``run_trial_tasks`` resolves ``REPRO_SWEEP_CACHE`` by default; with
-    it exported, the parallel-vs-serial equivalence tests would compare
+    ``run_tasks`` resolves ``REPRO_SWEEP_CACHE`` by default; with it
+    exported, the parallel-vs-serial equivalence tests would compare
     cache hits against cache hits (hiding pool bugs) and pollute the
     user's on-disk cache.  Tests that want the env path set it
     explicitly via ``monkeypatch.setenv`` on top of this scrub.

@@ -104,6 +104,16 @@ def test_shared_flags_are_checked_on_every_verb(capsys, argv, message):
     assert captured.out == ""
 
 
+def test_negative_workers_is_a_user_error(capsys):
+    """A negative pool size is a user error, not a serial run."""
+    assert main(["simulate", "--trials", "1", "--workers", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: workers must be >= 0 (0 means every core), got -2\n"
+    )
+    assert captured.out == ""
+
+
 class TestTrials:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--trials", "-1"],

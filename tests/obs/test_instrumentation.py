@@ -142,7 +142,7 @@ class TestCacheMetrics:
             policy="elastic", total_time=1.0, utilization=0.5,
             weighted_mean_response=1.0, weighted_mean_completion=2.0,
             job_count=1,
-        ))
+        ).as_dict())
 
     def test_hits_and_misses_counted(self, registry, tmp_path):
         cache = TrialCache(tmp_path, salt="s1")

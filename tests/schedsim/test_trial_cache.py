@@ -33,7 +33,7 @@ class TestTrialCacheStore:
     def test_roundtrip_is_exact(self, cache):
         metrics = run_trial_task(TASK)
         cache.put(TASK, metrics)
-        assert cache.get(TASK) == metrics  # frozen dataclass equality: exact
+        assert cache.get(TASK) == metrics  # JSON round-trips floats exactly
 
     def test_get_unknown_is_miss(self, cache):
         assert cache.get(TASK) is None
@@ -91,11 +91,11 @@ class TestTrialCacheStore:
         assert after != before
 
         # and a salt change really does miss previously cached records
-        record = {"metrics": {"policy": "elastic"}, "cost": {"total": 1.0}}
+        record = {"total_time": 2.0, "total_cost": 1.0}
         old = TrialCache(tmp_path / "c", salt=before)
-        old.put_record(TASK, record)
-        assert TrialCache(tmp_path / "c", salt=before).get_record(TASK) == record
-        assert TrialCache(tmp_path / "c", salt=after).get_record(TASK) is None
+        old.put(TASK, record)
+        assert TrialCache(tmp_path / "c", salt=before).get(TASK) == record
+        assert TrialCache(tmp_path / "c", salt=after).get(TASK) is None
 
     def test_clear_removes_entries(self, cache):
         cache.put(TASK, run_trial_task(TASK))

@@ -28,27 +28,9 @@ class TestParallelMap:
         assert parallel_map(_square, [], workers=4) == []
 
     def test_uses_multiple_worker_processes(self):
-        pids = set(parallel_map(_worker_pid, list(range(16)), workers=2,
-                                chunksize=1))
+        pids = set(parallel_map(_worker_pid, list(range(16)), workers=2))
         assert os.getpid() not in pids  # work really left this process
         assert len(pids) >= 2
-
-    def test_balanced_preserves_order_and_results(self):
-        # Submit-based scheduling (one item per dispatch, for
-        # heterogeneous costs) must stay bit-identical to serial.
-        items = list(range(29))
-        assert parallel_map(_square, items, workers=3, balanced=True) == [
-            x * x for x in items
-        ]
-
-    def test_balanced_spreads_across_processes(self):
-        pids = set(parallel_map(_worker_pid, list(range(16)), workers=2,
-                                balanced=True))
-        assert os.getpid() not in pids
-        assert len(pids) >= 2
-
-    def test_balanced_serial_fallback(self):
-        assert parallel_map(_square, [1, 2, 3], workers=1, balanced=True) == [1, 4, 9]
 
     def test_resolve_workers(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
@@ -63,6 +45,20 @@ class TestParallelMap:
 
         monkeypatch.setenv("REPRO_WORKERS", "auto")
         with pytest.raises(SchedulingError, match="REPRO_WORKERS"):
+            resolve_workers()
+
+    def test_resolve_workers_rejects_negative_arg(self, monkeypatch):
+        from repro.errors import SchedulingError
+
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        with pytest.raises(SchedulingError, match="workers must be >= 0"):
+            resolve_workers(-1)
+
+    def test_resolve_workers_rejects_negative_env(self, monkeypatch):
+        from repro.errors import SchedulingError
+
+        monkeypatch.setenv("REPRO_WORKERS", "-3")
+        with pytest.raises(SchedulingError, match="REPRO_WORKERS must be >= 0"):
             resolve_workers()
 
     def test_env_enables_pool_at_call_sites(self, monkeypatch):
