@@ -25,7 +25,7 @@ Without ``--base`` the working tree is measured alone and no verdict is
 given; the nightly trend history uses this mode.  The exit status is 1
 when any verdict fails, 2 on bad input, else 0.  ``--output`` writes
 ``{"benchmark": "perfbench", "manifest": ..., "results": {workload:
-{metric: {unit, parent, change, verdict}}}}``.
+{metric: {unit, bound, parent, change, verdict}}}}``.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def judge(parent: Sequence[dict], change: Sequence[dict],
         name = metric["name"]
         before = [run["metrics"][name]["value"] for run in parent]
         after = [run["metrics"][name]["value"] for run in change]
-        entry = {"unit": metric["unit"], "parent": before, "change": after,
-                 "verdict": None}
+        entry = {"unit": metric["unit"], "bound": metric["bound"],
+                 "parent": before, "change": after, "verdict": None}
         results[name] = entry
         if not parent:
             continue
@@ -182,19 +182,21 @@ def measure(spec: dict, workloads: Sequence[str],
 
 
 def report(results: Dict[str, Dict[str, dict]]) -> str:
-    """One line per workload × metric: medians, delta and verdict."""
+    """One line per workload × metric: medians, delta against its bound
+    (``+12.7% / 15%``, so a metric near its bound shows) and verdict."""
     lines = [f"{'workload':<14} {'metric':<18} {'parent':>10} {'change':>10} "
-             f"{'delta':>8}  verdict"]
+             f"{'delta / bound':>15}  verdict"]
     for workload, metrics in results.items():
         for name, entry in metrics.items():
             after = statistics.median(entry["change"])
             before = delta = "-"
             if entry["parent"]:
                 parent = statistics.median(entry["parent"])
-                before, delta = f"{parent:.4g}", f"{after / parent - 1:+.1%}"
+                before = f"{parent:.4g}"
+                delta = f"{after / parent - 1:+.1%} / {entry['bound']:.0%}"
             reason = f" ({entry['reason']})" if "reason" in entry else ""
             lines.append(f"{workload:<14} {name:<18} {before:>10} "
-                         f"{after:>10.4g} {delta:>8}  "
+                         f"{after:>10.4g} {delta:>15}  "
                          f"{entry['verdict'] or '-'}{reason}")
     return "\n".join(lines)
 

@@ -73,9 +73,10 @@ them running (never more than the cluster's slots) and block size
   test, and the scan would have left it behind too (the budget only
   shrinks), so the flag equals the scan's at every queued start; passing
   a runner never sets it.  Under ``easy-backfill`` (``rescale_gap =
-  inf``) the running side is skipped whole, so a completion costs the
-  rule's test on each waiter that fits the budget, not a merge over the
-  whole backlog;
+  inf``) the running side is skipped whole, and once ``passed`` is set
+  the rule's ``rejects_block`` may deny a whole queue block in O(1), so
+  a completion that starts nobody costs O(queue/B) block tests, not
+  the rule's test on each waiter that fits the budget;
 * the priority stage (``PolicyConfig.priority``) keys each job at
   submission.  A static rule (the user priority, EWT, PRB) never
   changes a key, and its step heap stays empty.  Under aging (§3.2.2)
@@ -190,6 +191,9 @@ class ElasticPolicyEngine:
         # Optional companion of BackfillRule.allows: told when the queue
         # head is displaced, so a rule can retire its reservation.
         self._backfill_overtaken = getattr(self._backfill, "overtaken", None)
+        # Optional companion too: may deny a whole queue block at once.
+        self._backfill_rejects_block = getattr(
+            self._backfill, "rejects_block", None)
         factory = config.capacity_constraint
         #: One fresh constraint per engine: budgets are engine state.
         self._constraint = factory() if factory is not None else None
@@ -566,6 +570,13 @@ class ElasticPolicyEngine:
         under which the scan consults the backfill rule (see the module
         docstring for why the two agree), and the priority stage has
         re-keyed the queue by effective priority before the walk starts.
+
+        Once ``passed`` is set and no runner is left to interleave with
+        the block's members, a rule's optional ``rejects_block`` may
+        deny a whole queue block: every member the scan would test is
+        then denied, and a denial changes no state, so the walk steps
+        over the block exactly as the member-by-member denials would
+        (``passed`` stays set, the budget is untouched).
         """
         if self._obs is not None:
             self._obs_redistributes.inc()
@@ -573,6 +584,7 @@ class ElasticPolicyEngine:
         gap = self.config.rescale_gap
         cons = self._constraint
         backfill = self._backfill
+        rejects_block = self._backfill_rejects_block
         passed = False  # a queued job was left waiting upstream
         qblocks = self.queue.blocks
         nq = len(qblocks)
@@ -608,6 +620,14 @@ class ElasticPolicyEngine:
                 if block.min_needed > budget:
                     if qi < len(block.jobs):
                         passed = True  # its unvisited members wait on
+                    qb += 1
+                    qi = 0
+                    qskips += 1
+                    continue
+                if (passed and rejects_block is not None and runner is None
+                        and ri == nr and rejects_block(self, block, now)):
+                    # The rule denies every member left in the block, and
+                    # no runner can change the state between them.
                     qb += 1
                     qi = 0
                     qskips += 1

@@ -11,7 +11,7 @@ jobs vs 6.6k at 100k).
 
 :class:`IndexedJobList` replaces the flat list with a *blocked* sorted
 list (the ``sortedcontainers`` layout: a list of small sorted blocks)
-whose blocks carry one exact aggregate:
+whose blocks carry an exact aggregate:
 
 ``min_needed``
     Minimum ``min_replicas`` over the block.  The Figure-3 walk skips
@@ -25,11 +25,20 @@ whose blocks carry one exact aggregate:
     30–41k events/s, and its 10k/100k throughput ratio rose from
     1.03–1.12 to 1.55–1.65 (2 shared cores, CPython 3.11).
 
+A block also carries a second aggregate, filled lazily: ``floor``,
+the minimum of a per-request lower bound over its members (EASY's
+bound on the estimated runtime at any allowed width, see
+:meth:`_Block.floor`).  The list does not know the bound, so it cannot
+fold members in: :meth:`add`, :meth:`remove`, and every split and merge
+reset the block's floor to unset, and the next reader recomputes it
+over the block.  Aggregate-free policies never fill it, so they pay
+one slot store per list change.
+
 The list also keeps ``min_replicas_total``, the queue's slot demand for
-the cloud autoscaler.  Both aggregates read only ``min_replicas``, which
-never changes while a job is listed, so the engine may change a member's
-``replicas`` and ``last_action`` in place without telling the list.
-:meth:`add` / :meth:`remove` fold members in and out exactly.
+the cloud autoscaler.  Every aggregate reads only the member's request,
+which never changes while a job is listed, so the engine may change a
+member's ``replicas`` and ``last_action`` in place without telling the
+list.  :meth:`add` / :meth:`remove` fold members in and out exactly.
 
 Running jobs need no aggregate: there are never more of them than the
 cluster has slots, so the Figure-2 victim walks and Figure 3's running
@@ -39,10 +48,10 @@ side visit them member by member.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Iterator, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from ..errors import SchedulingError
-from .job import SchedulerJob, priority_order_key
+from .job import JobRequest, SchedulerJob, priority_order_key
 
 __all__ = ["IndexedJobList", "BLOCK_LOAD"]
 
@@ -63,10 +72,11 @@ class _Block:
     ``keys`` mirrors ``jobs`` with each member's (immutable)
     :func:`priority_order_key`, so the bisects inside :meth:`IndexedJobList
     .add` / :meth:`remove` run entirely in C instead of calling the key
-    function once per comparison probe.
+    function once per comparison probe.  ``_floor`` caches :meth:`floor`
+    (None: unset since the last change to the block).
     """
 
-    __slots__ = ("jobs", "keys", "min_needed", "_min_count")
+    __slots__ = ("jobs", "keys", "min_needed", "_min_count", "_floor")
 
     def __init__(self, jobs: List[SchedulerJob], keys: Optional[List[tuple]] = None):
         self.jobs = jobs
@@ -86,6 +96,18 @@ class _Block:
                 count += 1
         self.min_needed = cheapest
         self._min_count = count
+        self._floor = None
+
+    def floor(self, floor_of: Callable[[JobRequest], float]) -> float:
+        """Minimum of ``floor_of(request)`` over the members.
+
+        Computed on the first call after the block last changed; a
+        caller must pass the same pure ``floor_of`` every time.
+        """
+        floor = self._floor
+        if floor is None:
+            floor = self._floor = min([floor_of(j.request) for j in self.jobs])
+        return floor
 
 
 class IndexedJobList:
@@ -132,6 +154,7 @@ class IndexedJobList:
         i = bisect_left(keys, key)
         keys.insert(i, key)
         block.jobs.insert(i, job)
+        block._floor = None
         if needed < block.min_needed:
             block.min_needed = needed
             block._min_count = 1
@@ -171,6 +194,7 @@ class IndexedJobList:
             jobs = block.jobs
         del jobs[i]
         del block.keys[i]
+        block._floor = None
         self._len -= 1
         needed = job.request.min_replicas
         self.min_replicas_total -= needed
@@ -251,12 +275,17 @@ class IndexedJobList:
         """The block run, exposed read-only for the Figure-3 queue walk."""
         return self._blocks
 
-    def check_invariants(self) -> None:
+    def check_invariants(
+        self, floor_of: Optional[Callable[[JobRequest], float]] = None
+    ) -> None:
         """Validate ordering, length, and the exact aggregates.
 
-        Raises :class:`~repro.errors.SchedulingError` naming the first
-        broken invariant; unlike an ``assert`` it still checks under
-        ``python -O``.
+        ``floor_of`` is the per-request bound the block floors were
+        filled with; given it, every filled floor must equal a fresh
+        minimum over the block.  Raises
+        :class:`~repro.errors.SchedulingError` naming the first broken
+        invariant; unlike an ``assert`` it still checks under ``python
+        -O``.
         """
         seen = 0
         prev_key = None
@@ -274,6 +303,10 @@ class IndexedJobList:
             _require(block._min_count == sum(
                 1 for j in block.jobs if j.request.min_replicas == exact_min
             ), "min_needed holder count drifted")
+            if floor_of is not None and block._floor is not None:
+                _require(block._floor == min(
+                    floor_of(j.request) for j in block.jobs
+                ), "block floor drifted")
             _require(self._maxkeys[b] == priority_order_key(block.jobs[-1]),
                      "block max key drifted")
             for job in block.jobs:

@@ -122,9 +122,20 @@ class BackfillRule(Protocol):
     whenever the queue head is displaced: a job enters the queue ahead of
     every waiter (an arrival that must wait, an eviction, a preemption),
     or the head no longer leads once an event's aging re-keys are done.
-    EASY uses it to retire that head's reservation.  The engine's
-    ``transitions`` counter changes with every slot-accounting
-    transition, so a rule may cache what it priced per
+    EASY uses it to retire that head's reservation.
+
+    A rule may also define ``rejects_block(engine, block, now)``, which
+    the Figure-3 walk calls on a queue block once a waiter that ranks
+    above the block's remaining members has been left behind.  True
+    promises that ``allows`` would deny every member that reaches it at
+    ``now``, at any width from its ``min_replicas`` up; the walk then
+    steps over the whole block.  The block offers ``min_needed`` (its
+    least ``min_replicas``) and ``floor(floor_of)`` (the least of a
+    per-request bound over its members).  Aggressive EASY uses it to
+    deny blocks by Lifka's test.
+
+    The engine's ``transitions`` counter changes with every
+    slot-accounting transition, so a rule may cache what it priced per
     ``(engine, engine.transitions, now)``.
     """
 

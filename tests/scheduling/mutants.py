@@ -112,10 +112,19 @@ MUTANTS = [
     ("joblist.py",  # the front of any block counts as the queue front
      "return i == 0 and b == 0",
      "return i == 0"),
+    ("joblist.py",  # a block keeps its runtime floor when a job joins it
+     "block.jobs.insert(i, job)\n        block._floor = None\n",
+     "block.jobs.insert(i, job)\n"),
+    ("joblist.py",  # a block's runtime floor is its slowest member's
+     "floor = self._floor = min([",
+     "floor = self._floor = max(["),
     # -- literature.py ----------------------------------------------------
     ("literature.py",  # Lifka's test lets a candidate take exactly E+1
      "if (need > self._extra and",
      "if (need > self._extra + 1 and"),
+    ("literature.py",  # a block whose least need is exactly E is rejected
+     "or block.min_needed + launcher <= self._extra):",
+     "or block.min_needed + launcher < self._extra):"),
     ("literature.py",  # the shadow time loses its tolerance
      "> self._shadow + 1e-9):",
      "> self._shadow):"),

@@ -1,11 +1,13 @@
-"""Policy-engine flatness: 100k-job churn at 10k-job throughput.
+"""Policy-engine flatness: per-job cost that does not grow with the run.
 
 Drives :class:`ElasticPolicyEngine` directly on a synthetic
 submit/complete stream that grows an O(n) queue backlog, the regime in
 which a Figure-3 walk without the queue's ``min_needed`` block skip goes
-quadratic.  End-to-end speed is gated by ``benchmarks/perf_gate.py``;
-this slow test guards the shape of the curve, which a fixed-size A/B
-comparison cannot see.
+quadratic; and EASY backfilling on the paper's Poisson stream, whose
+rigid starts grow the backlog linearly, so a walk that tests every
+waiter against the rule goes quadratic too.  End-to-end speed is gated
+by ``benchmarks/perf_gate.py``; these tests guard the shape of the
+curve, which a fixed-size A/B comparison cannot see.
 """
 
 import time
@@ -15,7 +17,10 @@ from typing import List, Sequence
 import pytest
 
 from repro.scheduling import ElasticPolicyEngine, JobRequest
+from repro.scheduling.literature import EasyBackfill
 from repro.scheduling.registry import REGISTRY
+from repro.schedsim import ScheduleSimulator
+from repro.workloads import PoissonArrivals, SyntheticWorkload, UniformMix
 
 CHURN_SLOTS = 256
 
@@ -84,4 +89,54 @@ def test_engine_churn_100k_holds_10k_throughput():
     assert ratio < 2.5, (
         f"100k churn runs {ratio:.1f}x slower per event than 10k — the "
         "indexed walks have regressed towards the pre-PR-3 cliff"
+    )
+
+
+def easy_run(n_jobs: int, seed: int = 32) -> float:
+    """Seconds to simulate ``n_jobs`` Poisson(0.1) arrivals of the
+    uniform mix under easy-backfill on 256 slots."""
+    source = SyntheticWorkload(n_jobs, arrivals=PoissonArrivals(0.1),
+                               mix=UniformMix(), seed=seed)
+    sim = ScheduleSimulator(REGISTRY.resolve("easy-backfill"),
+                            total_slots=CHURN_SLOTS)
+    begin = time.perf_counter()
+    sim.run(source.submissions(), retain="metrics")
+    return time.perf_counter() - begin
+
+
+def test_easy_rule_calls_per_job_stay_flat(monkeypatch):
+    """Queue blocks that Lifka's test denies whole are skipped whole.
+
+    Without the block test, ``allows`` ran 21.9 and 83.5 times per job
+    at 1k and 4k jobs: every completion that started nobody tested every
+    waiter that fit its budget.
+    """
+    calls = 0
+    allows = EasyBackfill.allows
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return allows(self, *args)
+
+    monkeypatch.setattr(EasyBackfill, "allows", counted)
+    per_job = {}
+    for n_jobs in (1_000, 4_000):
+        calls = 0
+        easy_run(n_jobs)
+        per_job[n_jobs] = calls / n_jobs
+    assert per_job[1_000] <= 1.0 and per_job[4_000] <= 1.0, per_job
+    assert per_job[4_000] <= 1.5 * per_job[1_000], per_job
+
+
+@pytest.mark.slow
+def test_easy_8k_holds_1k_throughput():
+    small = 1_000 / min(easy_run(1_000) for _ in range(3))
+    large = 8_000 / min(easy_run(8_000) for _ in range(2))
+    ratio = small / large
+    print(f"easy 1k: {small:.0f} jobs/s, 8k: {large:.0f} jobs/s "
+          f"(ratio {ratio:.2f}, must stay <= 1.5)")
+    assert ratio <= 1.5, (
+        f"8k jobs run {ratio:.2f}x slower per job than 1k under EASY: the "
+        "Figure-3 walk tests waiters one by one again"
     )

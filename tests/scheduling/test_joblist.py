@@ -2,9 +2,10 @@
 
 The spec diff (``test_spec.py``) proves the *engine* right; this file
 pins the container itself — iteration, ``len`` and integer indexing,
-and the exact ``min_needed`` and ``min_replicas_total`` aggregates under
+the exact ``min_needed`` and ``min_replicas_total`` aggregates under
 randomized churn, including the in-place rescales the engine makes
-without telling the list.
+without telling the list, and the lazily filled block floor at each
+place a block changes.
 """
 
 import os
@@ -17,8 +18,13 @@ import pytest
 
 import repro
 from repro.errors import SchedulingError
-from repro.scheduling import JobRequest, SchedulerJob, priority_order_key
+from repro.scheduling import (ElasticPolicyEngine, JobRequest, SchedulerJob,
+                              joblist, priority_order_key)
 from repro.scheduling.joblist import BLOCK_LOAD, IndexedJobList
+from repro.scheduling.literature import runtime_floor
+from repro.scheduling.registry import REGISTRY
+
+from .streams import Stream
 
 
 def make_job(i, priority, min_replicas=1, max_replicas=8, submit=0.0):
@@ -171,3 +177,89 @@ class TestAggregates:
         indexed.remove(b)
         assert indexed.blocks[0].min_needed == 5
         indexed.check_invariants()
+
+
+def floor_of(request):
+    """A per-request bound for the floor tests: wider jobs run shorter."""
+    return 1000.0 / request.max_replicas
+
+
+def widening_jobs(n):
+    """Jobs in queue order whose floors fall along the order: each
+    block's floor is its last member's, and later blocks' are lower."""
+    return [make_job(i, 1, max_replicas=i + 1, submit=float(i))
+            for i in range(n)]
+
+
+def fill_floors(indexed):
+    for block in indexed.blocks:
+        block.floor(floor_of)
+    indexed.check_invariants(floor_of)
+
+
+class TestBlockFloor:
+    """Each change to a block resets its floor; the next read is exact."""
+
+    def test_adding_a_shorter_job(self):
+        indexed = IndexedJobList(widening_jobs(BLOCK_LOAD))
+        fill_floors(indexed)
+        shorter = make_job(999, 1, max_replicas=10_000, submit=0.5)
+        indexed.add(shorter)
+        indexed.check_invariants(floor_of)
+        assert indexed.blocks[0].floor(floor_of) == floor_of(shorter.request)
+
+    def test_removing_the_shortest_job(self):
+        jobs = widening_jobs(BLOCK_LOAD)
+        indexed = IndexedJobList(jobs)
+        fill_floors(indexed)
+        indexed.remove(jobs[-1])
+        indexed.check_invariants(floor_of)
+        assert indexed.blocks[0].floor(floor_of) == floor_of(jobs[-2].request)
+
+    def test_split(self):
+        jobs = widening_jobs(2 * BLOCK_LOAD + 1)
+        indexed = IndexedJobList(jobs[:-1])
+        assert len(indexed.blocks) == 1
+        fill_floors(indexed)
+        indexed.add(jobs[-1])
+        assert len(indexed.blocks) == 2
+        indexed.check_invariants(floor_of)
+        fill_floors(indexed)
+        assert [b.floor(floor_of) for b in indexed.blocks] == [
+            floor_of(b.jobs[-1].request) for b in indexed.blocks]
+
+    def test_merge(self):
+        """The last block folds into its left neighbour, whose floor
+        must fall to the lowest of the members it takes in."""
+        indexed = IndexedJobList(widening_jobs(4 * BLOCK_LOAD))
+        blocks = len(indexed.blocks)
+        fill_floors(indexed)
+        last = indexed.blocks[-1]
+        while indexed.blocks[-1] is last:
+            indexed.remove(last.jobs[0])
+            indexed.check_invariants(floor_of)
+        assert len(indexed.blocks) == blocks - 1
+        assert indexed.blocks[-1].floor(floor_of) == floor_of(
+            indexed[-1].request)
+
+    def test_a_drifted_floor_raises(self):
+        indexed = IndexedJobList(make_jobs(3 * BLOCK_LOAD, seed=5))
+        fill_floors(indexed)
+        indexed.blocks[1]._floor += 1.0
+        with pytest.raises(SchedulingError, match="block floor drifted"):
+            indexed.check_invariants(floor_of)
+        indexed.check_invariants()  # unchecked without the bound
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_easy_queue_floors_stay_exact(self, monkeypatch, seed):
+        """An EASY backlog over many small blocks: every floor the rule
+        filled equals a fresh minimum after every event."""
+        monkeypatch.setattr(joblist, "BLOCK_LOAD", 2)
+        engine = ElasticPolicyEngine(32, REGISTRY.resolve("easy-backfill"))
+        stream = Stream(engine, seed, n_jobs=200, submit_share=0.7)
+        filled = 0
+        while not stream.done:
+            stream.step()
+            engine.queue.check_invariants(runtime_floor)
+            filled += sum(b._floor is not None for b in engine.queue.blocks)
+        assert filled, "the walk never priced a block floor"

@@ -15,15 +15,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.scheduling import ElasticPolicyEngine, JobRequest, StaticPriority
+from repro.scheduling import joblist, literature
 from repro.scheduling.literature import (
     DEFAULT_RUNTIME_ESTIMATE,
     EasyBackfill,
     estimate_runtime,
     ewt_priority,
     prb_priority,
+    runtime_floor,
 )
 from repro.scheduling.registry import REGISTRY
 from repro.schedsim import ScheduleSimulator, WorkloadSpec, generate_workload
+from repro.workloads import PoissonArrivals, SyntheticWorkload, UniformMix
 
 
 def est_req(name, min_r, max_r, est, priority=1):
@@ -59,6 +62,28 @@ class TestEstimateRuntime:
     def test_default_fallback(self):
         request = JobRequest(name="a", min_replicas=1, max_replicas=4)
         assert estimate_runtime(request, 2) == DEFAULT_RUNTIME_ESTIMATE
+
+
+class TestRuntimeFloor:
+    @pytest.mark.parametrize("name", ["small", "medium", "large", "xlarge"])
+    @pytest.mark.parametrize("low, high", [(1, 1), (1, 8), (3, 40),
+                                           (16, 200), (100, 100)])
+    @pytest.mark.parametrize("timesteps", [None, 0, 7, -3])
+    def test_is_the_least_estimate_over_the_allowed_widths(
+            self, name, low, high, timesteps):
+        params = {"size_class": name}
+        if timesteps is not None:
+            params["timesteps"] = timesteps
+        request = JobRequest(name="f", min_replicas=low, max_replicas=high,
+                             params=params)
+        assert runtime_floor(request) == min(
+            estimate_runtime(request, w) for w in range(low, high + 1))
+
+    def test_fixed_estimates_are_their_own_floor(self):
+        assert runtime_floor(est_req("a", 1, 4, 123.0)) == 123.0
+        request = JobRequest(name="a", min_replicas=1, max_replicas=4,
+                             params={"size_class": "no-such-class"})
+        assert runtime_floor(request) == DEFAULT_RUNTIME_ESTIMATE
 
 
 class TestPriorityRules:
@@ -207,6 +232,75 @@ class TestEasyBackfillUnit:
         config = REGISTRY.resolve("easy-backfill", rescale_gap=180.0)
         assert math.isinf(config.rescale_gap)
         assert isinstance(config.backfill, EasyBackfill)
+
+
+class TestEasyBlockRejection:
+    """Lifka's test over a whole queue block, on an 8-slot engine.
+
+    Running a (4 slots, 100 s) and b (3 slots, 10 s) leave one slot
+    free.  The head h needs 6, so its shadow time is a's finish, S = 100,
+    with E = 2 slots to spare.  Five waiters c1..c5 behind it each need 3
+    slots for 200 s: none fits at submission, and once b completes
+    Lifka's test denies every one.  At ``BLOCK_LOAD`` 2 the queue is the
+    blocks [h, c1] and [c2 .. c5].
+    """
+
+    def setup_engine(self, monkeypatch, conservative=False, need=3,
+                     est=200.0):
+        monkeypatch.setattr(joblist, "BLOCK_LOAD", 2)
+        config = REGISTRY.resolve("easy-backfill", conservative=conservative)
+        engine = ElasticPolicyEngine(8, config)
+        engine.on_submit(est_req("a", 4, 4, 100.0), 0.0)
+        engine.on_submit(est_req("b", 3, 3, 10.0), 0.0)
+        engine.on_submit(est_req("h", 6, 6, 100.0), 0.0)
+        for i in range(1, 6):
+            engine.on_submit(est_req(f"c{i}", need, need, est), 0.0)
+        assert [[j.name for j in block.jobs]
+                for block in engine.queue.blocks] == [
+            ["h", "c1"], ["c2", "c3", "c4", "c5"]]
+        return engine, config.backfill
+
+    def count_allows(self, monkeypatch):
+        calls = []
+        allows = EasyBackfill.allows
+        monkeypatch.setattr(EasyBackfill, "allows", lambda self, e, job, *a:
+                            calls.append(job.name) or allows(self, e, job, *a))
+        return calls
+
+    def test_a_denied_block_is_skipped_whole(self, monkeypatch):
+        engine, rule = self.setup_engine(monkeypatch)
+        assert rule.rejects_block(engine, engine.queue.blocks[1], 10.0)
+        calls = self.count_allows(monkeypatch)
+        assert engine.on_complete("b", 10.0) == []
+        assert calls == ["c1"]
+
+    def test_the_conservative_variant_tests_each_candidate(self, monkeypatch):
+        engine, rule = self.setup_engine(monkeypatch, conservative=True)
+        assert not rule.rejects_block(engine, engine.queue.blocks[1], 10.0)
+        calls = self.count_allows(monkeypatch)
+        assert engine.on_complete("b", 10.0) == []
+        assert calls == ["c1", "c2", "c3", "c4", "c5"]
+
+    @pytest.mark.parametrize("need, est", [(2, 200.0), (3, 90.0)])
+    def test_a_block_that_may_fit_is_not_rejected(self, monkeypatch, need,
+                                                  est):
+        """A need within E, or a runtime that ends by S, may backfill."""
+        engine, rule = self.setup_engine(monkeypatch, need=need, est=est)
+        assert not rule.rejects_block(engine, engine.queue.blocks[1], 10.0)
+
+    def test_memos_stay_bounded_by_the_live_jobs(self, monkeypatch):
+        """A streaming run prices thousands of floors but keeps only
+        those of jobs still live."""
+        priced = []
+        monkeypatch.setattr(literature, "runtime_floor", lambda request: (
+            priced.append(request) or runtime_floor(request)))
+        config = REGISTRY.resolve("easy-backfill")
+        source = SyntheticWorkload(3_000, arrivals=PoissonArrivals(0.05),
+                                   mix=UniformMix(), seed=4)
+        ScheduleSimulator(config, total_slots=256).run(
+            source.submissions(), retain="metrics")
+        assert len(priced) > 1_000
+        assert len(config.backfill._floors) < 200
 
 
 class TestEasyNeverDelaysHead:

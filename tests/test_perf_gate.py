@@ -112,8 +112,32 @@ class TestVerdict:
         change = runs(scaled(100), scaled(20), correct=False)
         results = perf_gate.judge([], change, METRICS)
         assert results["jobs_per_s"] == {
-            "unit": "1/s", "parent": [], "change": scaled(100),
+            "unit": "1/s", "bound": 0.25, "parent": [], "change": scaled(100),
             "verdict": None}
+
+
+class TestReport:
+    def test_each_delta_shows_beside_its_bound(self):
+        change = runs(scaled(80), scaled(24))
+        lines = perf_gate.report(
+            {"w": perf_gate.judge(PARENT, change, METRICS)}).splitlines()
+        assert "delta / bound" in lines[0]
+        assert lines[1].split()[:2] == ["w", "jobs_per_s"]
+        assert "-20.0% / 25%" in lines[1] and lines[1].endswith("pass")
+        assert "+20.0% / 25%" in lines[2] and lines[2].endswith("pass")
+
+    def test_a_failing_metric_names_its_bound_twice(self):
+        change = runs(scaled(70), scaled(20))
+        line = perf_gate.report(
+            {"w": perf_gate.judge(PARENT, change, METRICS)}).splitlines()[1]
+        assert "-30.0% / 25%" in line
+        assert line.endswith("fail (change median is 30.0% worse; "
+                             "the bound is 25%)")
+
+    def test_without_a_parent_there_is_no_delta(self):
+        line = perf_gate.report({"w": perf_gate.judge(
+            [], runs(scaled(100), scaled(20)), METRICS)}).splitlines()[1]
+        assert line.split()[-2:] == ["-", "-"]
 
 
 class TestBadInput:
