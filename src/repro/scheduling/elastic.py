@@ -68,11 +68,13 @@ them running (never more than the cluster's slots) and block size
   backfill rule only once it has left a waiter behind, and a ``passed``
   flag replays that condition: the queue pointer sets it whenever it
   leaves a waiter behind — a skipped block or member priced out of the
-  budget, a waiter inside its rescale gap, capped below its minimum, or
-  denied by the rule.  Each such waiter ranks above the candidate under
-  test, and the scan would have left it behind too (the budget only
-  shrinks), so the flag equals the scan's at every queued start; passing
-  a runner never sets it.  Under ``easy-backfill`` (``rescale_gap =
+  budget, capped below its minimum, or denied by the rule.  Each such
+  waiter ranks above the candidate under test, and the scan would have
+  left it behind too (the budget only shrinks), so the flag equals the
+  scan's at every queued start; passing a runner never sets it.  The
+  scan's rescale-gap test on a waiter never holds (a waiter is a
+  never-started or released job, whose ``lastAction`` is ``-inf``), so
+  the walk has none.  Under ``easy-backfill`` (``rescale_gap =
   inf``) the running side is skipped whole, and once ``passed`` is set
   the rule's ``rejects_block`` may deny a whole queue block in O(1), so
   a completion that starts nobody costs O(queue/B) block tests, not
@@ -672,27 +674,25 @@ class ElasticPolicyEngine:
                 queued = None
                 qi += 1  # the walk moves past this candidate either way
                 request = candidate.request
-                if now - candidate.last_action < gap:
-                    passed = True
+                # Starting a queued job also needs its launcher slot (a
+                # queued job holds no replicas, so max is its room).  The
+                # rescale gap governs rescales, not starts or restarts.
+                add = num_workers - reserve
+                if add > request.max_replicas:
+                    add = request.max_replicas
+                if cons is not None:
+                    room = cons.admit(request)
+                    if room < add:
+                        add = room
+                if add >= request.min_replicas and (
+                    not passed
+                    or backfill is None
+                    or backfill.allows(self, candidate, add, now)
+                ):
+                    decisions.append(self._start_queued(candidate, add, now))
+                    num_workers -= add + reserve
                 else:
-                    # Starting a queued job also needs its launcher slot
-                    # (a queued job holds no replicas, so max is its room).
-                    add = num_workers - reserve
-                    if add > request.max_replicas:
-                        add = request.max_replicas
-                    if cons is not None:
-                        room = cons.admit(request)
-                        if room < add:
-                            add = room
-                    if add >= request.min_replicas and (
-                        not passed
-                        or backfill is None
-                        or backfill.allows(self, candidate, add, now)
-                    ):
-                        decisions.append(self._start_queued(candidate, add, now))
-                        num_workers -= add + reserve
-                    else:
-                        passed = True
+                    passed = True
         if self._obs is not None and qskips:
             self._obs_queue_skips.inc(qskips)
 
@@ -821,12 +821,10 @@ class ElasticPolicyEngine:
         """Move a running job back to the queue, freeing all its slots
         (an eviction or a preemption); returns the replicas it held.
 
-        ``last_action`` resets to ``-inf``, the value a never-started
-        submission carries: the job is starting over, and it must be
-        restartable as soon as slots free up.  The rescale gap governs
-        rescales, not restarts: under an infinite gap (moldable, EASY)
-        any finite timestamp would gate the restart forever and strand
-        the job on an idle cluster.
+        The job keeps its ``last_action``: nothing reads a waiter's, and
+        the restart sets it.  The rescale gap governs rescales, not
+        restarts, so the job is restartable as soon as slots free up,
+        under an infinite gap (moldable, EASY) too.
         """
         self.running.remove(job)
         released = job.replicas
@@ -835,7 +833,6 @@ class ElasticPolicyEngine:
         if self._constraint is not None:
             self._constraint.charge(job.request, -released)
         job.replicas = 0
-        job.last_action = -math.inf
         self._park(job)
         return released
 

@@ -28,11 +28,16 @@ whose blocks carry an exact aggregate:
 A block also carries a second aggregate, filled lazily: ``floor``,
 the minimum of a per-request lower bound over its members (EASY's
 bound on the estimated runtime at any allowed width, see
-:meth:`_Block.floor`).  The list does not know the bound, so it cannot
-fold members in: :meth:`add`, :meth:`remove`, and every split and merge
-reset the block's floor to unset, and the next reader recomputes it
-over the block.  Aggregate-free policies never fill it, so they pay
-one slot store per list change.
+:meth:`_Block.floor`).  The list does not know the bound, so it keeps
+one floor per member in ``floors``, parallel to ``keys``: :meth:`add`
+lists the newcomer as unknown (None) and computes nothing, so the
+submit path never prices a floor; :meth:`remove`, and every split and
+merge, carry each known floor with its job; and the next reader
+computes only the unknown entries, each once while its job is listed.
+The block caches its minimum, and a removal clears that cache only
+when it takes out the minimum (or an unknown entry).  Aggregate-free
+policies never fill a floor, so they pay one list insert and one
+delete per list change.
 
 The list also keeps ``min_replicas_total``, the queue's slot demand for
 the cloud autoscaler.  Every aggregate reads only the member's request,
@@ -72,15 +77,21 @@ class _Block:
     ``keys`` mirrors ``jobs`` with each member's (immutable)
     :func:`priority_order_key`, so the bisects inside :meth:`IndexedJobList
     .add` / :meth:`remove` run entirely in C instead of calling the key
-    function once per comparison probe.  ``_floor`` caches :meth:`floor`
-    (None: unset since the last change to the block).
+    function once per comparison probe.  ``floors`` mirrors ``jobs`` too,
+    with each member's :meth:`floor` bound (None: not computed yet), and
+    ``_floor`` caches their minimum (None: unknown until the next
+    :meth:`floor`); a filled cache implies every entry is known.
     """
 
-    __slots__ = ("jobs", "keys", "min_needed", "_min_count", "_floor")
+    __slots__ = ("jobs", "keys", "floors", "min_needed", "_min_count",
+                 "_floor")
 
-    def __init__(self, jobs: List[SchedulerJob], keys: Optional[List[tuple]] = None):
+    def __init__(self, jobs: List[SchedulerJob], keys: List[tuple],
+                 floors: List[Optional[float]]):
         self.jobs = jobs
-        self.keys = keys if keys is not None else [priority_order_key(j) for j in jobs]
+        self.keys = keys
+        self.floors = floors
+        self._floor = None
         self.recompute()
 
     def recompute(self) -> None:
@@ -96,17 +107,23 @@ class _Block:
                 count += 1
         self.min_needed = cheapest
         self._min_count = count
-        self._floor = None
 
     def floor(self, floor_of: Callable[[JobRequest], float]) -> float:
         """Minimum of ``floor_of(request)`` over the members.
 
-        Computed on the first call after the block last changed; a
-        caller must pass the same pure ``floor_of`` every time.
+        Calls ``floor_of`` only for members whose floor is unknown, so
+        at most once per job while it is listed; a caller must pass the
+        same pure ``floor_of`` every time.
         """
         floor = self._floor
         if floor is None:
-            floor = self._floor = min([floor_of(j.request) for j in self.jobs])
+            floors = self.floors
+            jobs = self.jobs
+            i = 0
+            for _ in range(floors.count(None)):
+                i = floors.index(None, i)
+                floors[i] = floor_of(jobs[i].request)
+            floor = self._floor = min(floors)
         return floor
 
 
@@ -140,7 +157,7 @@ class IndexedJobList:
         needed = job.request.min_replicas
         self.min_replicas_total += needed
         if not self._blocks:
-            self._blocks.append(_Block([job], [key]))
+            self._blocks.append(_Block([job], [key], [None]))
             self._maxkeys.append(key)
             self._len = 1
             return True
@@ -154,6 +171,7 @@ class IndexedJobList:
         i = bisect_left(keys, key)
         keys.insert(i, key)
         block.jobs.insert(i, job)
+        block.floors.insert(i, None)
         block._floor = None
         if needed < block.min_needed:
             block.min_needed = needed
@@ -169,10 +187,13 @@ class IndexedJobList:
     def _split(self, b: int) -> None:
         block = self._blocks[b]
         half = len(block.jobs) // 2
-        right = _Block(block.jobs[half:], block.keys[half:])
+        right = _Block(block.jobs[half:], block.keys[half:],
+                       block.floors[half:])
         del block.jobs[half:]
         del block.keys[half:]
+        del block.floors[half:]
         block.recompute()
+        block._floor = None
         self._blocks.insert(b + 1, right)
         self._maxkeys[b] = block.keys[-1]
         self._maxkeys.insert(b + 1, right.keys[-1])
@@ -194,7 +215,10 @@ class IndexedJobList:
             jobs = block.jobs
         del jobs[i]
         del block.keys[i]
-        block._floor = None
+        if block.floors.pop(i) == block._floor:
+            # The cached minimum left with the job (or the cache was
+            # unknown already): the next reader takes a fresh minimum.
+            block._floor = None
         self._len -= 1
         needed = job.request.min_replicas
         self.min_replicas_total -= needed
@@ -228,9 +252,11 @@ class IndexedJobList:
         other = self._blocks[left + 1]
         block.jobs.extend(other.jobs)
         block.keys.extend(other.keys)
+        block.floors.extend(other.floors)
         del self._blocks[left + 1]
         del self._maxkeys[left + 1]
         block.recompute()
+        block._floor = None
         self._maxkeys[left] = block.keys[-1]
         if len(block.jobs) > 2 * BLOCK_LOAD:
             self._split(left)
@@ -280,9 +306,11 @@ class IndexedJobList:
     ) -> None:
         """Validate ordering, length, and the exact aggregates.
 
-        ``floor_of`` is the per-request bound the block floors were
-        filled with; given it, every filled floor must equal a fresh
-        minimum over the block.  Raises
+        Every block's ``floors`` must run parallel to its members, and a
+        cached floor minimum must equal the minimum of its entries, all
+        known.  ``floor_of`` is the per-request bound the floors were
+        filled with; given it, every known floor must equal
+        ``floor_of(request)``.  Raises
         :class:`~repro.errors.SchedulingError` naming the first broken
         invariant; unlike an ``assert`` it still checks under ``python
         -O``.
@@ -303,10 +331,16 @@ class IndexedJobList:
             _require(block._min_count == sum(
                 1 for j in block.jobs if j.request.min_replicas == exact_min
             ), "min_needed holder count drifted")
-            if floor_of is not None and block._floor is not None:
-                _require(block._floor == min(
-                    floor_of(j.request) for j in block.jobs
-                ), "block floor drifted")
+            floors = block.floors
+            _require(len(floors) == len(block.jobs), "floors mirror drifted")
+            if block._floor is not None:
+                _require(None not in floors and block._floor == min(floors),
+                         "cached block floor drifted")
+            if floor_of is not None:
+                _require(all(
+                    floor is None or floor == floor_of(j.request)
+                    for floor, j in zip(floors, block.jobs)
+                ), "member floor drifted")
             _require(self._maxkeys[b] == priority_order_key(block.jobs[-1]),
                      "block max key drifted")
             for job in block.jobs:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 import math
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .job import JobRequest, JobState, SchedulerJob, priority_order_key
 from .policies import elastic_variant
@@ -52,35 +52,44 @@ __all__ = [
 #: Fallback when a request carries neither a size class nor an estimate.
 DEFAULT_RUNTIME_ESTIMATE = 3600.0
 
-# Lazy import memo: repro.scheduling must stay importable without the
-# performance-model stack, but estimate_runtime sits on the EASY path
-# (once per job and replica count its memo has not priced yet), so the
-# import machinery must run once, not per call.
-_PERFMODEL = None
+@lru_cache(maxsize=None)
+def _step_time_range(name: str, low: int, high: int
+                     ) -> Optional[Tuple[float, float, float]]:
+    """Default timesteps of size class ``name`` and its least and
+    greatest step time over widths ``low`` .. ``high``, each clamped
+    into the class; None for a name the model does not know.
 
+    Keyed by the class name, not the class: hashing a frozen size class
+    on every call cost about 40% of :func:`runtime_floor`.  The import
+    is lazy, so ``repro.scheduling`` stays importable without the
+    performance-model stack; it runs once per key.
+    """
+    from ..perfmodel.datasets import size_class, step_time_model
 
-def _perfmodel():
-    global _PERFMODEL
-    if _PERFMODEL is None:
-        from ..perfmodel.datasets import size_class, step_time_model
-
-        _PERFMODEL = (size_class, step_time_model)
-    return _PERFMODEL
-
-
-def _size_model(request: JobRequest):
-    """``(timesteps, size class)`` of a request the §4.3.1 model prices,
-    or None (``params["timesteps"]`` overrides the class default)."""
-    params = request.params or {}
-    name = params.get("size_class") or request.size_class
-    if name is None:
-        return None
-    size_class, _ = _perfmodel()
     try:
         cls = size_class(name)
     except KeyError:
         return None
-    return float(params.get("timesteps", cls.timesteps)), cls
+    step_time = step_time_model(cls)
+    low = min(max(low, cls.min_replicas), cls.max_replicas)
+    high = min(max(high, cls.min_replicas), cls.max_replicas)
+    times = [float(step_time(width)) for width in range(low, high + 1)]
+    return float(cls.timesteps), min(times), max(times)
+
+
+def _model(request: JobRequest, low: int, high: int
+           ) -> Optional[Tuple[float, float, float]]:
+    """``(timesteps, least step time, greatest step time)`` of a request
+    the §4.3.1 model prices, over widths ``low`` .. ``high``, or None
+    (``params["timesteps"]`` overrides the class default)."""
+    params = request.params
+    name = (params and params.get("size_class")) or request.size_class
+    if name is None:
+        return None
+    model = _step_time_range(name, low, high)
+    if model is not None and params and "timesteps" in params:
+        return float(params["timesteps"]), model[1], model[2]
+    return model
 
 
 def _fixed_estimate(request: JobRequest) -> float:
@@ -93,31 +102,17 @@ def estimate_runtime(request: JobRequest, replicas: int) -> float:
     """Estimated runtime of ``request`` at a fixed ``replicas``.
 
     Uses the §4.3.1 size-class model exactly as the simulator does
-    (``params["timesteps"]`` overriding the class default), so the
-    estimate matches the simulated runtime of a job that never rescales.
-    Requests outside the model fall back to ``params["est_runtime"]``,
-    then to :data:`DEFAULT_RUNTIME_ESTIMATE`.
+    (``params["timesteps"]`` overriding the class default, the width
+    clamped into the class), so the estimate matches the simulated
+    runtime of a job that never rescales.  Requests outside the model
+    fall back to ``params["est_runtime"]``, then to
+    :data:`DEFAULT_RUNTIME_ESTIMATE`.
     """
-    model = _size_model(request)
+    model = _model(request, replicas, replicas)
     if model is None:
         return _fixed_estimate(request)
-    steps, cls = model
-    _, step_time_model = _perfmodel()
-    fixed = min(max(replicas, cls.min_replicas), cls.max_replicas)
-    return steps * float(step_time_model(cls)(fixed))
-
-
-@lru_cache(maxsize=None)
-def _step_time_range(cls, low: int, high: int) -> Tuple[float, float]:
-    """Least and greatest step time of ``cls`` over widths ``low`` ..
-    ``high``, each clamped into the class as :func:`estimate_runtime`
-    clamps it."""
-    _, step_time_model = _perfmodel()
-    step_time = step_time_model(cls)
-    low = min(max(low, cls.min_replicas), cls.max_replicas)
-    high = min(max(high, cls.min_replicas), cls.max_replicas)
-    times = [float(step_time(width)) for width in range(low, high + 1)]
-    return min(times), max(times)
+    steps, step_time, _ = model
+    return steps * step_time
 
 
 def runtime_floor(request: JobRequest) -> float:
@@ -127,14 +122,14 @@ def runtime_floor(request: JobRequest) -> float:
     Exact, not just a bound: the estimate is ``timesteps × step time``,
     and a product with a fixed factor is monotone in the other, so the
     minimum sits at the fastest or the slowest width.  The step-time
-    range is computed once per (size class, min, max).
+    range is computed once per (class name, min, max).  EASY's queue
+    blocks call this at most once per job while the job is queued, and
+    never on the submit path.
     """
-    model = _size_model(request)
+    model = _model(request, request.min_replicas, request.max_replicas)
     if model is None:
         return _fixed_estimate(request)
-    steps, cls = model
-    fastest, slowest = _step_time_range(
-        cls, request.min_replicas, request.max_replicas)
+    steps, fastest, slowest = model
     return min(steps * fastest, steps * slowest)
 
 
@@ -190,11 +185,16 @@ class EasyBackfill:
     aggressive variant also answers :meth:`rejects_block` for a whole
     queue block at once: Lifka's test with the block's least need
     (``min_needed``) and its least estimated runtime at any allowed
-    width (the block's lazily filled :func:`runtime_floor` minimum)
-    denies every member, so the Figure-3 walk steps over the block in
-    O(1).  On the seed-32 Poisson stream at 256 slots, ``allows`` ran
-    about 22, 84 and 166 times per job at 1k, 4k and 8k jobs without the
-    block test, and about 0.2 times per job with it.
+    width (the block's cached minimum of its members'
+    :func:`runtime_floor`) denies every member, so the Figure-3 walk
+    steps over the block in O(1).  On the seed-32 Poisson stream at 256
+    slots, ``allows`` ran about 22, 84 and 166 times per job at 1k, 4k
+    and 8k jobs without the block test, and about 0.2 times per job with
+    it.  The block keeps one floor per member, computed on the first
+    block test after the job is queued and never on submit: about 0.8
+    :func:`runtime_floor` calls per queue insertion at 1k to 4k jobs,
+    where clearing the block's floor on every change and rescanning it
+    took 12 to 16.
 
     ``last_reservations`` keeps the most recent with-candidate
     projection (job name → reserved start time).  Only the *head* entry
@@ -210,10 +210,9 @@ class EasyBackfill:
     backfills, not against higher priorities.
     """
 
-    #: Entries either memo may hold beyond two per live job before a
-    #: profile rebuild prunes both back to the live jobs.  A job has at
-    #: most one floor, so a floor prune is paid for by at least as many
-    #: inserts as it scans.
+    #: Entries the estimate memo may hold beyond two per live job before
+    #: a profile rebuild prunes it back to the live jobs.  The runtime
+    #: floors need no memo here: the queue's blocks keep one per member.
     _EST_SLACK = 64
 
     def __init__(self, conservative: bool = False):
@@ -240,22 +239,12 @@ class EasyBackfill:
         # the live (running and queued) jobs, so a streaming run never
         # pins the requests of jobs long finished.
         self._est: Dict[Tuple[int, int], Tuple[JobRequest, float]] = {}
-        # runtime_floor memo beside it, keyed by request identity alone
-        # and pruned with it.
-        self._floors: Dict[int, Tuple[JobRequest, float]] = {}
 
     def _estimate(self, request: JobRequest, replicas: int) -> float:
         key = (id(request), replicas)
         hit = self._est.get(key)
         if hit is None or hit[0] is not request:
             hit = self._est[key] = (request, estimate_runtime(request, replicas))
-        return hit[1]
-
-    def _floor(self, request: JobRequest) -> float:
-        key = id(request)
-        hit = self._floors.get(key)
-        if hit is None or hit[0] is not request:
-            hit = self._floors[key] = (request, runtime_floor(request))
         return hit[1]
 
     # -- BackfillRule --------------------------------------------------
@@ -340,7 +329,7 @@ class EasyBackfill:
         if (self._shadow == math.inf
                 or block.min_needed + launcher <= self._extra):
             return False
-        return now + block.floor(self._floor) > self._shadow + 1e-9
+        return now + block.floor(runtime_floor) > self._shadow + 1e-9
 
     def overtaken(self, head: SchedulerJob) -> None:
         """Another job went ahead of ``head``, which led the queue: it
@@ -362,8 +351,7 @@ class EasyBackfill:
             return
         running, queue = engine.running, engine.queue
         live = len(running) + len(queue)
-        if (len(self._est) > 2 * live + self._EST_SLACK
-                or len(self._floors) > 2 * live + self._EST_SLACK):
+        if len(self._est) > 2 * live + self._EST_SLACK:
             self._prune(running, queue)
         estimate = self._estimate
         releases: List[Tuple[float, int]] = []
@@ -385,16 +373,14 @@ class EasyBackfill:
         self._head = None
 
     def _prune(self, running, queue) -> None:
-        """Keep only the memo entries of live jobs (pending starts still
-        sit in the queue)."""
+        """Keep only the estimate memo entries of live jobs (pending
+        starts still sit in the queue)."""
         live = {}
         for records in (running, queue):
             for record in records:
                 live[id(record.request)] = record.request
         self._est = {key: hit for key, hit in self._est.items()
                      if live.get(key[0]) is hit[0]}
-        self._floors = {key: hit for key, hit in self._floors.items()
-                        if live.get(key) is hit[0]}
 
     def _price_head(self, head: SchedulerJob, launcher: int) -> None:
         """Shadow time ``S`` of ``head`` in the priced profile and the

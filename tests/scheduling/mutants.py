@@ -49,10 +49,6 @@ MUTANTS = [
     ("elastic.py",  # preemption may take a victim of equal priority
      "if needed <= 0 or candidate.priority >= job.priority:",
      "if needed <= 0 or candidate.priority > job.priority:"),
-    ("elastic.py",  # a preempted job waits out a rescale gap
-     "released = self._release(victim)\n",
-     "released = self._release(victim)\n"
-     "                victim.last_action = now\n"),
     # -- elastic.py: Figure 3 -------------------------------------------
     ("elastic.py",  # a queued start does not pay for its launcher slot
      "num_workers -= add + reserve",
@@ -92,13 +88,6 @@ MUTANTS = [
     ("elastic.py",  # a forced shrink honours the rescale gap
      'gap = float("-inf") if force else self.config.rescale_gap',
      "gap = self.config.rescale_gap"),
-    ("elastic.py",  # a released job keeps its last start or rescale time
-     "job.last_action = -math.inf\n        self._park(job)",
-     "self._park(job)"),
-    ("elastic.py",  # an evicted job waits out a rescale gap
-     "released = self._release(candidate)\n",
-     "released = self._release(candidate)\n"
-     "                candidate.last_action = now\n"),
     ("elastic.py",  # a failed rescale is charged backwards
      "self._constraint.charge(job.request, actual - old)",
      "self._constraint.charge(job.request, old - actual)"),
@@ -113,11 +102,14 @@ MUTANTS = [
      "return i == 0 and b == 0",
      "return i == 0"),
     ("joblist.py",  # a block keeps its runtime floor when a job joins it
-     "block.jobs.insert(i, job)\n        block._floor = None\n",
-     "block.jobs.insert(i, job)\n"),
+     "block.floors.insert(i, None)\n        block._floor = None\n",
+     "block.floors.insert(i, None)\n"),
     ("joblist.py",  # a block's runtime floor is its slowest member's
-     "floor = self._floor = min([",
-     "floor = self._floor = max(["),
+     "floor = self._floor = min(floors)",
+     "floor = self._floor = max(floors)"),
+    ("joblist.py",  # removing the minimum holder keeps the cached minimum
+     "if block.floors.pop(i) == block._floor:",
+     "if block.floors.pop(i) is None:"),
     # -- literature.py ----------------------------------------------------
     ("literature.py",  # Lifka's test lets a candidate take exactly E+1
      "if (need > self._extra and",

@@ -140,7 +140,7 @@ class TestShrinkCapacityForced:
         assert [d.job.name for d in requeues] == ["lo"]
         assert requeues[0].released_replicas == 16
         assert engine.job("lo").state.value == "Queued"
-        assert engine.job("lo").last_action == -math.inf
+        assert engine.job("lo").replicas == 0
         assert engine.job("hi").replicas == 16
         check_books(engine)
 
@@ -161,6 +161,17 @@ class TestShrinkCapacityForced:
         decisions = engine.grow_capacity(16, now=2.0)
         assert [type(d).__name__ for d in decisions] == ["StartJob"]
         assert engine.job("a").replicas == 16
+        check_books(engine)
+
+    def test_requeued_job_restarts_on_regrow_at_an_infinite_gap(self):
+        """The gap governs rescales, not restarts: an evicted job keeps
+        its last start time and still restarts at once."""
+        engine = engine_with(16, rescale_gap=math.inf)
+        engine.on_submit(request("a", 8, 16), now=0.0)
+        engine.shrink_capacity(16, now=1.0, force=True)
+        decisions = engine.grow_capacity(16, now=1.0)
+        assert [type(d).__name__ for d in decisions] == ["StartJob"]
+        assert engine.job("a").last_action == 1.0
         check_books(engine)
 
     def test_restart_preserves_first_start_time(self):

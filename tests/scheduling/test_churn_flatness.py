@@ -16,7 +16,7 @@ from typing import List, Sequence
 
 import pytest
 
-from repro.scheduling import ElasticPolicyEngine, JobRequest
+from repro.scheduling import ElasticPolicyEngine, JobRequest, literature
 from repro.scheduling.literature import EasyBackfill
 from repro.scheduling.registry import REGISTRY
 from repro.schedsim import ScheduleSimulator
@@ -127,6 +127,53 @@ def test_easy_rule_calls_per_job_stay_flat(monkeypatch):
         per_job[n_jobs] = calls / n_jobs
     assert per_job[1_000] <= 1.0 and per_job[4_000] <= 1.0, per_job
     assert per_job[4_000] <= 1.5 * per_job[1_000], per_job
+
+
+def test_easy_floors_are_computed_once_per_queue_insertion(monkeypatch):
+    """Each queued job's runtime floor is computed at most once while it
+    is listed, and never while a job is submitted.
+
+    When every change to a block reset its floor and the next reader
+    rescanned the block, the rule priced 11.8 and 16.0 floors per queue
+    insertion at 1k and 4k jobs: arrivals land in most blocks between
+    two block tests.  Per-member floors read 0.79 and 0.83.
+    """
+    floors = submit_floors = insertions = 0
+    submitting = False
+    runtime_floor = literature.runtime_floor
+    park = ElasticPolicyEngine._park
+    on_submit = ElasticPolicyEngine.on_submit
+
+    def counted_floor(request):
+        nonlocal floors, submit_floors
+        floors += 1
+        submit_floors += submitting
+        return runtime_floor(request)
+
+    def counted_park(self, job):
+        nonlocal insertions
+        insertions += 1
+        return park(self, job)
+
+    def flagged_submit(self, request, now):
+        nonlocal submitting
+        submitting = True
+        try:
+            return on_submit(self, request, now)
+        finally:
+            submitting = False
+
+    monkeypatch.setattr(literature, "runtime_floor", counted_floor)
+    monkeypatch.setattr(ElasticPolicyEngine, "_park", counted_park)
+    monkeypatch.setattr(ElasticPolicyEngine, "on_submit", flagged_submit)
+    per_insertion = {}
+    for n_jobs in (1_000, 4_000):
+        floors = submit_floors = insertions = 0
+        easy_run(n_jobs)
+        assert floors > 0, "the walk never priced a floor"
+        assert submit_floors == 0, f"{submit_floors} floors priced on submit"
+        per_insertion[n_jobs] = floors / insertions
+    assert max(per_insertion.values()) <= 1.0, per_insertion
 
 
 @pytest.mark.slow

@@ -4,8 +4,8 @@ The spec diff (``test_spec.py``) proves the *engine* right; this file
 pins the container itself — iteration, ``len`` and integer indexing,
 the exact ``min_needed`` and ``min_replicas_total`` aggregates under
 randomized churn, including the in-place rescales the engine makes
-without telling the list, and the lazily filled block floor at each
-place a block changes.
+without telling the list, and the lazily filled member floors and
+their cached block minimum at each place a block changes.
 """
 
 import os
@@ -184,6 +184,17 @@ def floor_of(request):
     return 1000.0 / request.max_replicas
 
 
+class CountedFloor:
+    """``floor_of`` that records each request it prices."""
+
+    def __init__(self):
+        self.priced = []
+
+    def __call__(self, request):
+        self.priced.append(request.name)
+        return floor_of(request)
+
+
 def widening_jobs(n):
     """Jobs in queue order whose floors fall along the order: each
     block's floor is its last member's, and later blocks' are lower."""
@@ -198,23 +209,47 @@ def fill_floors(indexed):
 
 
 class TestBlockFloor:
-    """Each change to a block resets its floor; the next read is exact."""
+    """One floor per member, computed once while the job is listed; the
+    block caches their minimum until a change can lower or remove it."""
 
     def test_adding_a_shorter_job(self):
         indexed = IndexedJobList(widening_jobs(BLOCK_LOAD))
         fill_floors(indexed)
         shorter = make_job(999, 1, max_replicas=10_000, submit=0.5)
         indexed.add(shorter)
+        block = indexed.blocks[0]
+        assert block.floors[1] is None and block._floor is None
         indexed.check_invariants(floor_of)
-        assert indexed.blocks[0].floor(floor_of) == floor_of(shorter.request)
+        counted = CountedFloor()
+        assert block.floor(counted) == floor_of(shorter.request)
+        assert counted.priced == ["j999"]
+        indexed.check_invariants(floor_of)
+
+    def test_each_floor_is_computed_once(self):
+        jobs = widening_jobs(BLOCK_LOAD)
+        indexed = IndexedJobList(jobs)
+        counted = CountedFloor()
+        block = indexed.blocks[0]
+        assert block.floor(counted) == floor_of(jobs[-1].request)
+        assert sorted(counted.priced) == sorted(j.name for j in jobs)
+        counted.priced.clear()
+        indexed.remove(jobs[0])  # not the minimum: the cache stays
+        assert block._floor == floor_of(jobs[-1].request)
+        assert block.floor(counted) == floor_of(jobs[-1].request)
+        assert counted.priced == []
+        indexed.check_invariants(floor_of)
 
     def test_removing_the_shortest_job(self):
         jobs = widening_jobs(BLOCK_LOAD)
         indexed = IndexedJobList(jobs)
         fill_floors(indexed)
         indexed.remove(jobs[-1])
+        block = indexed.blocks[0]
+        assert block._floor is None
         indexed.check_invariants(floor_of)
-        assert indexed.blocks[0].floor(floor_of) == floor_of(jobs[-2].request)
+        counted = CountedFloor()
+        assert block.floor(counted) == floor_of(jobs[-2].request)
+        assert counted.priced == []  # the other floors stayed known
 
     def test_split(self):
         jobs = widening_jobs(2 * BLOCK_LOAD + 1)
@@ -224,9 +259,10 @@ class TestBlockFloor:
         indexed.add(jobs[-1])
         assert len(indexed.blocks) == 2
         indexed.check_invariants(floor_of)
-        fill_floors(indexed)
-        assert [b.floor(floor_of) for b in indexed.blocks] == [
+        counted = CountedFloor()
+        assert [b.floor(counted) for b in indexed.blocks] == [
             floor_of(b.jobs[-1].request) for b in indexed.blocks]
+        assert counted.priced == [jobs[-1].name]  # only the newcomer
 
     def test_merge(self):
         """The last block folds into its left neighbour, whose floor
@@ -239,16 +275,28 @@ class TestBlockFloor:
             indexed.remove(last.jobs[0])
             indexed.check_invariants(floor_of)
         assert len(indexed.blocks) == blocks - 1
-        assert indexed.blocks[-1].floor(floor_of) == floor_of(
+        counted = CountedFloor()
+        assert indexed.blocks[-1].floor(counted) == floor_of(
             indexed[-1].request)
+        assert counted.priced == []
 
     def test_a_drifted_floor_raises(self):
         indexed = IndexedJobList(make_jobs(3 * BLOCK_LOAD, seed=5))
         fill_floors(indexed)
-        indexed.blocks[1]._floor += 1.0
-        with pytest.raises(SchedulingError, match="block floor drifted"):
+        block = indexed.blocks[1]
+        top = block.floors.index(max(block.floors))  # not the minimum
+        block.floors[top] += 1.0
+        indexed.check_invariants()  # a member floor needs the bound
+        with pytest.raises(SchedulingError, match="member floor drifted"):
             indexed.check_invariants(floor_of)
-        indexed.check_invariants()  # unchecked without the bound
+        block.floors[top] -= 1.0
+        block._floor += 1.0
+        with pytest.raises(SchedulingError, match="cached block floor"):
+            indexed.check_invariants()
+        block._floor = None
+        block.floors.pop()
+        with pytest.raises(SchedulingError, match="floors mirror drifted"):
+            indexed.check_invariants()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_easy_queue_floors_stay_exact(self, monkeypatch, seed):

@@ -288,19 +288,25 @@ class TestEasyBlockRejection:
         engine, rule = self.setup_engine(monkeypatch, need=need, est=est)
         assert not rule.rejects_block(engine, engine.queue.blocks[1], 10.0)
 
-    def test_memos_stay_bounded_by_the_live_jobs(self, monkeypatch):
-        """A streaming run prices thousands of floors but keeps only
-        those of jobs still live."""
+    def test_the_rule_keeps_only_live_estimates(self, monkeypatch):
+        """A streaming run prices thousands of estimates but keeps only
+        those of jobs still live.  The runtime floors sit in the queue's
+        blocks, so the rule keeps no per-request floor state."""
         priced = []
-        monkeypatch.setattr(literature, "runtime_floor", lambda request: (
-            priced.append(request) or runtime_floor(request)))
+        monkeypatch.setattr(literature, "estimate_runtime", (
+            lambda request, replicas: priced.append(request)
+            or estimate_runtime(request, replicas)))
         config = REGISTRY.resolve("easy-backfill")
         source = SyntheticWorkload(3_000, arrivals=PoissonArrivals(0.05),
                                    mix=UniformMix(), seed=4)
         ScheduleSimulator(config, total_slots=256).run(
             source.submissions(), retain="metrics")
         assert len(priced) > 1_000
-        assert len(config.backfill._floors) < 200
+        rule = config.backfill
+        assert len(rule._est) < 200
+        assert {name for name, value in vars(rule).items()
+                if isinstance(value, dict)} == {
+            "_est", "last_reservations", "last_head_reservations"}
 
 
 class TestEasyNeverDelaysHead:
