@@ -17,10 +17,12 @@ whose blocks carry an exact aggregate:
     Minimum ``min_replicas`` over the block.  The Figure-3 walk skips
     whole queue blocks whose cheapest member cannot start within the
     remaining slot budget — the budget only shrinks during a walk, so a
-    skipped block can never become startable again.  (``_min_count``
-    tracks how many members hold the minimum so a removal only rescans
-    the block when the *last* holder departs.)  It pays: with the queue
-    skip removed, the 100k-job churn run of
+    skipped block can never become startable again.  The block keeps
+    one need per member in ``needs``, parallel to ``keys``, so a split
+    or the departure of a minimum holder takes the new minimum with one
+    C-level ``min`` over that list, a merge takes the lesser of the two
+    blocks' minima, and none of them reads a member's request.  The
+    skip pays: with the queue skip removed, the 100k-job churn run of
     ``tests/scheduling/test_churn_flatness.py`` fell from about 55k to
     30–41k events/s, and its 10k/100k throughput ratio rose from
     1.03–1.12 to 1.55–1.65 (2 shared cores, CPython 3.11).
@@ -77,36 +79,24 @@ class _Block:
     ``keys`` mirrors ``jobs`` with each member's (immutable)
     :func:`priority_order_key`, so the bisects inside :meth:`IndexedJobList
     .add` / :meth:`remove` run entirely in C instead of calling the key
-    function once per comparison probe.  ``floors`` mirrors ``jobs`` too,
+    function once per comparison probe.  ``needs`` mirrors ``jobs`` with
+    each member's (immutable) ``min_replicas``, and ``min_needed`` is
+    their minimum.  ``floors`` mirrors ``jobs`` too,
     with each member's :meth:`floor` bound (None: not computed yet), and
     ``_floor`` caches their minimum (None: unknown until the next
     :meth:`floor`); a filled cache implies every entry is known.
     """
 
-    __slots__ = ("jobs", "keys", "floors", "min_needed", "_min_count",
-                 "_floor")
+    __slots__ = ("jobs", "keys", "needs", "floors", "min_needed", "_floor")
 
     def __init__(self, jobs: List[SchedulerJob], keys: List[tuple],
-                 floors: List[Optional[float]]):
+                 needs: List[int], floors: List[Optional[float]]):
         self.jobs = jobs
         self.keys = keys
+        self.needs = needs
         self.floors = floors
+        self.min_needed = min(needs)
         self._floor = None
-        self.recompute()
-
-    def recompute(self) -> None:
-        """Rebuild ``min_needed`` and its holder count in one pass."""
-        cheapest = None
-        count = 0
-        for j in self.jobs:
-            needed = j.request.min_replicas
-            if cheapest is None or needed < cheapest:
-                cheapest = needed
-                count = 1
-            elif needed == cheapest:
-                count += 1
-        self.min_needed = cheapest
-        self._min_count = count
 
     def floor(self, floor_of: Callable[[JobRequest], float]) -> float:
         """Minimum of ``floor_of(request)`` over the members.
@@ -157,7 +147,7 @@ class IndexedJobList:
         needed = job.request.min_replicas
         self.min_replicas_total += needed
         if not self._blocks:
-            self._blocks.append(_Block([job], [key], [None]))
+            self._blocks.append(_Block([job], [key], [needed], [None]))
             self._maxkeys.append(key)
             self._len = 1
             return True
@@ -171,13 +161,11 @@ class IndexedJobList:
         i = bisect_left(keys, key)
         keys.insert(i, key)
         block.jobs.insert(i, job)
+        block.needs.insert(i, needed)
         block.floors.insert(i, None)
         block._floor = None
         if needed < block.min_needed:
             block.min_needed = needed
-            block._min_count = 1
-        elif needed == block.min_needed:
-            block._min_count += 1
         self._maxkeys[b] = keys[-1]
         self._len += 1
         if len(keys) > 2 * BLOCK_LOAD:
@@ -188,11 +176,12 @@ class IndexedJobList:
         block = self._blocks[b]
         half = len(block.jobs) // 2
         right = _Block(block.jobs[half:], block.keys[half:],
-                       block.floors[half:])
+                       block.needs[half:], block.floors[half:])
         del block.jobs[half:]
         del block.keys[half:]
+        del block.needs[half:]
         del block.floors[half:]
-        block.recompute()
+        block.min_needed = min(block.needs)
         block._floor = None
         self._blocks.insert(b + 1, right)
         self._maxkeys[b] = block.keys[-1]
@@ -215,23 +204,19 @@ class IndexedJobList:
             jobs = block.jobs
         del jobs[i]
         del block.keys[i]
+        needed = block.needs.pop(i)
         if block.floors.pop(i) == block._floor:
             # The cached minimum left with the job (or the cache was
             # unknown already): the next reader takes a fresh minimum.
             block._floor = None
         self._len -= 1
-        needed = job.request.min_replicas
         self.min_replicas_total -= needed
         if not jobs:
             del self._blocks[b]
             del self._maxkeys[b]
             return
-        # The minimum is re-derived only when its *last* holder departs.
         if needed == block.min_needed:
-            if block._min_count > 1:
-                block._min_count -= 1
-            else:
-                block.recompute()
+            block.min_needed = min(block.needs)
         self._maxkeys[b] = block.keys[-1]
         if len(jobs) < BLOCK_LOAD // 2:
             self._merge(b)
@@ -252,10 +237,12 @@ class IndexedJobList:
         other = self._blocks[left + 1]
         block.jobs.extend(other.jobs)
         block.keys.extend(other.keys)
+        block.needs.extend(other.needs)
         block.floors.extend(other.floors)
         del self._blocks[left + 1]
         del self._maxkeys[left + 1]
-        block.recompute()
+        if other.min_needed < block.min_needed:
+            block.min_needed = other.min_needed
         block._floor = None
         self._maxkeys[left] = block.keys[-1]
         if len(block.jobs) > 2 * BLOCK_LOAD:
@@ -326,11 +313,11 @@ class IndexedJobList:
             _require(block.keys == [
                 priority_order_key(j) for j in block.jobs
             ], "keys mirror drifted")
-            exact_min = min(j.request.min_replicas for j in block.jobs)
-            _require(block.min_needed == exact_min, "min_needed drifted")
-            _require(block._min_count == sum(
-                1 for j in block.jobs if j.request.min_replicas == exact_min
-            ), "min_needed holder count drifted")
+            _require(block.needs == [
+                j.request.min_replicas for j in block.jobs
+            ], "needs mirror drifted")
+            _require(block.min_needed == min(block.needs),
+                     "min_needed drifted")
             floors = block.floors
             _require(len(floors) == len(block.jobs), "floors mirror drifted")
             if block._floor is not None:

@@ -210,11 +210,6 @@ class EasyBackfill:
     backfills, not against higher priorities.
     """
 
-    #: Entries the estimate memo may hold beyond two per live job before
-    #: a profile rebuild prunes it back to the live jobs.  The runtime
-    #: floors need no memo here: the queue's blocks keep one per member.
-    _EST_SLACK = 64
-
     def __init__(self, conservative: bool = False):
         self.conservative = bool(conservative)
         self.last_reservations: Dict[str, float] = {}
@@ -233,19 +228,6 @@ class EasyBackfill:
         self._head = None
         self._shadow = math.inf
         self._extra = 0
-        # Estimate memo, keyed by request identity (requests carry an
-        # unhashable params dict) and replicas; the stored request keeps
-        # the id from being recycled.  Each profile rebuild bounds it by
-        # the live (running and queued) jobs, so a streaming run never
-        # pins the requests of jobs long finished.
-        self._est: Dict[Tuple[int, int], Tuple[JobRequest, float]] = {}
-
-    def _estimate(self, request: JobRequest, replicas: int) -> float:
-        key = (id(request), replicas)
-        hit = self._est.get(key)
-        if hit is None or hit[0] is not request:
-            hit = self._est[key] = (request, estimate_runtime(request, replicas))
-        return hit[1]
 
     # -- BackfillRule --------------------------------------------------
 
@@ -283,11 +265,11 @@ class EasyBackfill:
             # Lifka's test: the candidate delays the head iff it takes
             # slots the head needs at S and still holds them after S.
             if (need > self._extra and self._shadow < math.inf
-                    and now + self._estimate(job.request, replicas)
+                    and now + estimate_runtime(job.request, replicas)
                     > self._shadow + 1e-9):
                 return False
         releases = self._releases.copy()
-        releases.append((now + self._estimate(job.request, replicas), need))
+        releases.append((now + estimate_runtime(job.request, replicas), need))
         trial = self._project(ahead, self._free - need, releases, now, launcher)
         if self.conservative:
             base = self._project(ahead, self._free, self._releases.copy(),
@@ -349,19 +331,14 @@ class EasyBackfill:
         if (engine is self._engine and now == self._now
                 and engine.transitions == self._transitions):
             return
-        running, queue = engine.running, engine.queue
-        live = len(running) + len(queue)
-        if len(self._est) > 2 * live + self._EST_SLACK:
-            self._prune(running, queue)
-        estimate = self._estimate
         releases: List[Tuple[float, int]] = []
-        for records in (running, engine._pending_starts or ()):
+        for records in (engine.running, engine._pending_starts or ()):
             for record in records:
                 replicas = record.replicas
                 started = record.last_action
                 if started == -math.inf or math.isnan(started):
                     started = now
-                done = started + estimate(record.request, replicas)
+                done = started + estimate_runtime(record.request, replicas)
                 releases.append((done if done > now else now,
                                  replicas + launcher))
         releases.sort()
@@ -371,16 +348,6 @@ class EasyBackfill:
         self._free = engine.free_slots
         self._releases = releases
         self._head = None
-
-    def _prune(self, running, queue) -> None:
-        """Keep only the estimate memo entries of live jobs (pending
-        starts still sit in the queue)."""
-        live = {}
-        for records in (running, queue):
-            for record in records:
-                live[id(record.request)] = record.request
-        self._est = {key: hit for key, hit in self._est.items()
-                     if live.get(key[0]) is hit[0]}
 
     def _price_head(self, head: SchedulerJob, launcher: int) -> None:
         """Shadow time ``S`` of ``head`` in the priced profile and the
@@ -436,8 +403,8 @@ class EasyBackfill:
             free -= need
             heapq.heappush(
                 releases,
-                (at + self._estimate(head.request,
-                                     head.request.min_replicas), need),
+                (at + estimate_runtime(head.request,
+                                       head.request.min_replicas), need),
             )
         return out
 

@@ -95,9 +95,18 @@ MUTANTS = [
     ("joblist.py",  # min_needed stays high when a cheaper job joins
      "if needed < block.min_needed:",
      "if needed < block.min_needed - 1:"),
-    ("joblist.py",  # a merged block keeps the left block's aggregates
-     "del self._maxkeys[left + 1]\n        block.recompute()",
-     "del self._maxkeys[left + 1]"),
+    ("joblist.py",  # a merged block keeps the left block's minimum
+     "if other.min_needed < block.min_needed:",
+     "if False:"),
+    ("joblist.py",  # a split half keeps a too-high min_needed
+     "del block.floors[half:]\n        block.min_needed = min(block.needs)",
+     "del block.floors[half:]\n        block.min_needed = max(block.needs)"),
+    ("joblist.py",  # the last minimum holder leaves min_needed behind
+     "if needed == block.min_needed:\n            block.min_needed = min(",
+     "if False:\n            block.min_needed = min("),
+    ("joblist.py",  # a removal drops another member's need
+     "needed = block.needs.pop(i)",
+     "needed = block.needs.pop(i - 1 if i else i)"),
     ("joblist.py",  # the front of any block counts as the queue front
      "return i == 0 and b == 0",
      "return i == 0"),

@@ -136,13 +136,16 @@ class TestAggregates:
 
     @pytest.mark.parametrize("field, message", [
         ("min_needed", "min_needed drifted"),
-        ("_min_count", "min_needed holder count drifted"),
+        ("needs", "needs mirror drifted"),
     ])
     def test_corrupted_aggregate_raises(self, field, message):
         indexed = IndexedJobList(make_jobs(3 * BLOCK_LOAD, seed=5))
         indexed.check_invariants()
         block = indexed.blocks[1]
-        setattr(block, field, getattr(block, field) + 1)
+        if field == "needs":
+            block.needs[-1] += 1
+        else:
+            block.min_needed += 1
         with pytest.raises(SchedulingError, match=message):
             indexed.check_invariants()
 
@@ -163,6 +166,30 @@ class TestAggregates:
         assert result.returncode != 0
         assert "SchedulingError: min_needed drifted" in result.stderr
 
+    def test_block_changes_read_no_member_request(self):
+        """A split, the departure of a block's last minimum holder and a
+        merge take ``min_needed`` from the ``needs`` mirror alone."""
+        jobs = make_jobs(2 * BLOCK_LOAD, seed=3)
+        indexed = IndexedJobList(jobs)
+        assert len(indexed.blocks) == 1
+        reads = []
+        for job in jobs:
+            job.request = ReadCountingRequest(job.request, reads)
+        indexed.add(make_job(999, 3, min_replicas=4, submit=500.0))
+        assert len(indexed.blocks) == 2  # the newcomer split the block
+        first = indexed.blocks[0]
+        cheapest = first.min_needed
+        for job in [j for j, need in zip(first.jobs, first.needs)
+                    if need == cheapest]:
+            indexed.remove(job)
+        assert first.min_needed > cheapest
+        last = indexed.blocks[-1]
+        while indexed.blocks[-1] is last:
+            indexed.remove(last.jobs[0])
+        assert len(indexed.blocks) == 1  # the last block merged
+        assert reads == []
+        indexed.check_invariants()
+
     def test_min_needed_exact_with_duplicate_holders(self):
         """Removing one of several min-holders must not rescan wrongly."""
         indexed = IndexedJobList()
@@ -177,6 +204,23 @@ class TestAggregates:
         indexed.remove(b)
         assert indexed.blocks[0].min_needed == 5
         indexed.check_invariants()
+
+
+class ReadCountingRequest:
+    """A listed member's request that records each read of its
+    ``min_replicas``; every other field passes through."""
+
+    def __init__(self, request, reads):
+        self._request = request
+        self._reads = reads
+
+    def __getattr__(self, name):
+        return getattr(self._request, name)
+
+    @property
+    def min_replicas(self):
+        self._reads.append(self._request.name)
+        return self._request.min_replicas
 
 
 def floor_of(request):

@@ -289,9 +289,10 @@ class TestEasyBlockRejection:
         assert not rule.rejects_block(engine, engine.queue.blocks[1], 10.0)
 
     def test_the_rule_keeps_only_live_estimates(self, monkeypatch):
-        """A streaming run prices thousands of estimates but keeps only
-        those of jobs still live.  The runtime floors sit in the queue's
-        blocks, so the rule keeps no per-request floor state."""
+        """A streaming run prices thousands of estimates and keeps none
+        of them: each is computed where it is used.  The runtime floors
+        sit in the queue's blocks, so the rule keeps no per-request
+        state at all, only the reservations it reports."""
         priced = []
         monkeypatch.setattr(literature, "estimate_runtime", (
             lambda request, replicas: priced.append(request)
@@ -303,10 +304,9 @@ class TestEasyBlockRejection:
             source.submissions(), retain="metrics")
         assert len(priced) > 1_000
         rule = config.backfill
-        assert len(rule._est) < 200
         assert {name for name, value in vars(rule).items()
                 if isinstance(value, dict)} == {
-            "_est", "last_reservations", "last_head_reservations"}
+            "last_reservations", "last_head_reservations"}
 
 
 class TestEasyNeverDelaysHead:

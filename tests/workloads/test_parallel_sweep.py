@@ -1,6 +1,8 @@
 """Parallel-vs-serial sweep equivalence and pool machinery."""
 
+import functools
 import os
+import time
 
 import pytest
 
@@ -12,8 +14,16 @@ def _square(x):
     return x * x
 
 
-def _worker_pid(_x):
-    return os.getpid()
+def _worker_pid(rendezvous, _x):
+    """This worker's pid, returned once a second worker has checked in
+    under ``rendezvous`` (or after a timeout).  Without the wait the
+    first worker up could take every item before the second started."""
+    pid = os.getpid()
+    open(os.path.join(rendezvous, str(pid)), "w").close()
+    deadline = time.monotonic() + 30.0
+    while len(os.listdir(rendezvous)) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return pid
 
 
 class TestParallelMap:
@@ -27,8 +37,9 @@ class TestParallelMap:
     def test_empty(self):
         assert parallel_map(_square, [], workers=4) == []
 
-    def test_uses_multiple_worker_processes(self):
-        pids = set(parallel_map(_worker_pid, list(range(16)), workers=2))
+    def test_uses_multiple_worker_processes(self, tmp_path):
+        pids = set(parallel_map(functools.partial(_worker_pid, str(tmp_path)),
+                                list(range(16)), workers=2))
         assert os.getpid() not in pids  # work really left this process
         assert len(pids) >= 2
 
