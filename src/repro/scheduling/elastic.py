@@ -30,17 +30,18 @@ Two deviations (both documented in DESIGN.md §3):
 Per-event complexity (the PR-3 hot-path contract)
 -------------------------------------------------
 
-``running`` and ``queue`` are :class:`~repro.scheduling.joblist
-.IndexedJobList` instances — blocked sorted lists ordered by
-:func:`priority_order_key` whose blocks carry their cheapest member's
-``min_replicas``.  With ``n`` live (running + queued) jobs, ``r`` of
-them running (never more than the cluster's slots) and block size
-``B``:
+``queue`` is an :class:`~repro.scheduling.joblist.IndexedJobList` — a
+blocked sorted list ordered by :func:`priority_order_key` whose blocks
+carry their cheapest member's ``min_replicas``.  ``running`` is a plain
+list in the same order: there are never more running jobs than slots,
+and no walk skips any of them by an aggregate.  With ``q`` queued jobs,
+``r`` running and block size ``B``:
 
 * ``free_slots`` is O(1) — a counter maintained by every transition
   (start/shrink/expand/complete/preempt/rescale-failed), never a re-sum;
-* insert/remove cost O(log(n/B) + B) — a block bisect plus a small
-  C-level memmove, replacing the flat list's O(n) shift;
+* a queue insert/remove costs O(log(q/B) + B) — a block bisect plus a
+  small C-level memmove; a running one costs a C-level bisect on the
+  cached ``sort_key`` plus an O(r) memmove;
 * the Figure-2 dry run and real pass walk running members, O(r), and
   stop at the first eligible one that outranks the arrival;
 * completion walks Figure 3's ``allJobs`` as a two-pointer merge in
@@ -120,13 +121,15 @@ by the live-job count instead of the workload length.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
+import operator
+from bisect import bisect_left, insort
+from itertools import count, islice
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import CapacityError, JobStateError, SchedulingError
 from ..obs.metrics import active_registry
-from .job import JobRequest, JobState, SchedulerJob
+from .job import JobRequest, JobState, SchedulerJob, priority_order_key
 from .joblist import IndexedJobList
 from .policy import (
     Decision,
@@ -141,6 +144,10 @@ from .policy import (
 )
 
 __all__ = ["ElasticPolicyEngine"]
+
+# A C-level bisect key: a running job's ``sort_key`` is built once, when
+# it joins the running list.
+_sort_key = operator.attrgetter("sort_key")
 
 
 class ElasticPolicyEngine:
@@ -162,7 +169,9 @@ class ElasticPolicyEngine:
             )
         self.total_slots = int(total_slots)
         self.config = config
-        self.running = IndexedJobList()  # decreasing priority order
+        #: Running jobs in decreasing priority order (``sort_key``
+        #: ascending); a plain list, since they never outnumber the slots.
+        self.running: List[SchedulerJob] = []
         self.queue = IndexedJobList()  # decreasing priority order
         self._jobs: Dict[str, SchedulerJob] = {}
         self.decision_log: List[Decision] = []
@@ -188,7 +197,7 @@ class ElasticPolicyEngine:
         #: effective priority may next change, and the key it was pushed
         #: under.  Empty under a static priority rule.
         self._steps: List[tuple] = []
-        self._step_ties = itertools.count()
+        self._step_ties = count()
         self._backfill = config.backfill
         # Optional companion of BackfillRule.allows: told when the queue
         # head is displaced, so a rule can retire its reservation.
@@ -333,11 +342,10 @@ class ElasticPolicyEngine:
         reserve = self.config.launcher_slots
         needed = job.min_replicas - (self.free_slots - reserve)
         victims: List[SchedulerJob] = []
+        running = self.running
         # islice over the lazy reverse iterator stops before the head
         # without materializing the running list on every attempt.
-        for candidate in itertools.islice(
-            reversed(self.running), max(0, len(self.running) - 1)
-        ):
+        for candidate in islice(reversed(running), max(0, len(running) - 1)):
             if needed <= 0 or candidate.priority >= job.priority:
                 break
             victims.append(candidate)
@@ -363,7 +371,8 @@ class ElasticPolicyEngine:
     # (positions len-1 .. 1; the index-0 job is protected), skipping
     # candidates inside their T_rescale_gap, and stops at the first
     # *eligible* candidate that outranks the arrival.  There are never
-    # more running jobs than slots, so both passes visit members.  Under
+    # more running jobs than slots, so both passes walk the plain running
+    # list from its end, one member at a time.  Under
     # a capacity constraint the walk owes constraint units as well as
     # slots; a victim's freed replicas pay both, at its ``weight`` per
     # replica.
@@ -381,23 +390,20 @@ class ElasticPolicyEngine:
             return True
         gap = self.config.rescale_gap
         cons = self._constraint
-        blocks = self.running.blocks
-        head = blocks[0].jobs[0] if blocks else None
-        for block in reversed(blocks):
-            for candidate in reversed(block.jobs):
-                if candidate is head:
-                    return False  # the index-0 job is never a victim
-                if now - candidate.last_action < gap:
-                    continue
-                if candidate.priority > priority:
-                    return False
-                extra = candidate.replicas - candidate.request.min_replicas
-                if extra > 0:
-                    slot_deficit -= extra
-                    if cons is not None:
-                        unit_deficit -= extra * cons.weight(candidate.request)
-                    if slot_deficit <= 0 and unit_deficit <= 0:
-                        return True
+        running = self.running
+        # The index-0 job is never a victim.
+        for candidate in islice(reversed(running), max(0, len(running) - 1)):
+            if now - candidate.last_action < gap:
+                continue
+            if candidate.priority > priority:
+                return False
+            extra = candidate.replicas - candidate.request.min_replicas
+            if extra > 0:
+                slot_deficit -= extra
+                if cons is not None:
+                    unit_deficit -= extra * cons.weight(candidate.request)
+                if slot_deficit <= 0 and unit_deficit <= 0:
+                    return True
         return False
 
     def _shrink_pass(
@@ -428,41 +434,38 @@ class ElasticPolicyEngine:
         if self._obs is not None:
             self._obs_shrink_passes.inc()
         cons = self._constraint
-        blocks = self.running.blocks
-        head = blocks[0].jobs[0] if blocks else None
-        for block in reversed(blocks):
-            for candidate in reversed(block.jobs):
-                if slot_target <= 0 and unit_target <= 0:
-                    return
-                if candidate is head:
-                    return  # the index-0 job is never a victim
-                if now - candidate.last_action < gap:
-                    continue
-                if candidate.priority > priority:
-                    return
-                floor = candidate.request.min_replicas
-                old_replicas = candidate.replicas
-                if old_replicas <= floor:
-                    continue
-                want = slot_target if slot_target > 0 else 0
+        running = self.running
+        # The index-0 job is never a victim.
+        for candidate in islice(reversed(running), max(0, len(running) - 1)):
+            if slot_target <= 0 and unit_target <= 0:
+                return
+            if now - candidate.last_action < gap:
+                continue
+            if candidate.priority > priority:
+                return
+            floor = candidate.request.min_replicas
+            old_replicas = candidate.replicas
+            if old_replicas <= floor:
+                continue
+            want = slot_target if slot_target > 0 else 0
+            if unit_target > 0:
+                weight = cons.weight(candidate.request)
+                if weight > 0:
+                    from_units = int(math.ceil(unit_target / weight))
+                    if from_units > want:
+                        want = from_units
+                if not want:
+                    continue  # only units are owed, and it draws none
+            new_replicas = old_replicas - want
+            if new_replicas < floor:
+                new_replicas = floor
+            shrink = self._shrink(candidate, new_replicas, now)
+            if shrink is not None:
+                decisions.append(shrink)
+                freed = old_replicas - new_replicas
+                slot_target -= freed
                 if unit_target > 0:
-                    weight = cons.weight(candidate.request)
-                    if weight > 0:
-                        from_units = int(math.ceil(unit_target / weight))
-                        if from_units > want:
-                            want = from_units
-                    if not want:
-                        continue  # only units are owed, and it draws none
-                new_replicas = old_replicas - want
-                if new_replicas < floor:
-                    new_replicas = floor
-                shrink = self._shrink(candidate, new_replicas, now)
-                if shrink is not None:
-                    decisions.append(shrink)
-                    freed = old_replicas - new_replicas
-                    slot_target -= freed
-                    if unit_target > 0:
-                        unit_target -= freed * weight
+                    unit_target -= freed * weight
 
     # ------------------------------------------------------------------
     # Event: job finished (Figure 3)
@@ -477,7 +480,7 @@ class ElasticPolicyEngine:
         # freeWorkers(job): release the job's pods.
         job.state = JobState.COMPLETED
         job.completion_time = now
-        self.running.remove(job)
+        self._leave_running(job)
         freed = job.replicas + self.config.launcher_slots
         self._used_slots -= freed
         self.transitions += 1
@@ -514,7 +517,7 @@ class ElasticPolicyEngine:
             started, self._pending_starts = self._pending_starts, None
             for moved in started:
                 self._unpark(moved)
-                self.running.add(moved)
+                self._join_running(moved)
             if spans is not None:
                 spans.end("redistribute", decisions=len(decisions))
         return self._log(decisions)
@@ -599,7 +602,7 @@ class ElasticPolicyEngine:
         # once it is consumed, so the filter can run up front; at an
         # infinite gap it passes nobody (a runner's last_action is finite).
         runners = [
-            job for block in self.running.blocks for job in block.jobs
+            job for job in self.running
             if job.replicas < job.request.max_replicas
             and now - job.last_action >= gap
         ] if gap < math.inf else []
@@ -768,7 +771,7 @@ class ElasticPolicyEngine:
         if deficit > 0 and force:
             # Evict whole jobs, lowest priority first; the snapshot is
             # taken up front because _release mutates the running list.
-            for candidate in list(reversed(self.running)):
+            for candidate in self.running[::-1]:
                 if self.free_slots >= slots:
                     break
                 released = self._release(candidate)
@@ -826,7 +829,7 @@ class ElasticPolicyEngine:
         restarts, so the job is restartable as soon as slots free up,
         under an infinite gap (moldable, EASY) too.
         """
-        self.running.remove(job)
+        self._leave_running(job)
         released = job.replicas
         self._used_slots -= released + self.config.launcher_slots
         self.transitions += 1
@@ -906,8 +909,21 @@ class ElasticPolicyEngine:
 
     def _start(self, job: SchedulerJob, replicas: int, now: float) -> StartJob:
         start = self._activate(job, replicas, now)
-        self.running.add(job)
+        self._join_running(job)
         return start
+
+    def _join_running(self, job: SchedulerJob) -> None:
+        """List ``job`` among the running jobs, in ``sort_key`` order."""
+        priority_order_key(job)  # a joining job has no key yet
+        insort(self.running, job, key=_sort_key)
+
+    def _leave_running(self, job: SchedulerJob) -> None:
+        """Unlist a running job, found by its key's bisect."""
+        running = self.running
+        i = bisect_left(running, job.sort_key, key=_sort_key)
+        if i == len(running) or running[i] is not job:
+            raise SchedulingError(f"job {job.name!r} is not listed as running")
+        del running[i]
 
     def _start_queued(self, job: SchedulerJob, replicas: int, now: float) -> Decision:
         if self._pending_starts is not None:
@@ -947,7 +963,7 @@ class ElasticPolicyEngine:
     def _unpark(self, job: SchedulerJob) -> None:
         """Take ``job`` out of the queue, dropping any re-keyed one."""
         self.queue.remove(job)
-        # Running jobs keep their submission priority: the next add()
+        # Running jobs keep their submission priority: _join_running
         # rebuilds that key as a fresh tuple, which also voids the job's
         # pending steps.
         job.sort_key = ()

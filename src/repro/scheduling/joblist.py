@@ -1,17 +1,12 @@
-"""A blocked sorted job list whose blocks know their cheapest member.
+"""The scheduler queue: a blocked sorted job list whose blocks know
+their cheapest member.
 
-The PR-2 engine kept ``running``/``queue`` as flat Python lists ordered
-by :func:`~repro.scheduling.job.priority_order_key`.  That makes every
-insert/remove an O(n) memmove — tolerable — but, much worse, it gives
-the Figure-3 walk nothing to *skip with*: the redistribution loop
-touches every queued candidate even when the freed budget cannot start
-any of them, which is the superlinear term behind the 100k-job
-throughput cliff (the engine churn benchmark ran 56k events/s at 10k
-jobs vs 6.6k at 100k).
-
-:class:`IndexedJobList` replaces the flat list with a *blocked* sorted
-list (the ``sortedcontainers`` layout: a list of small sorted blocks)
-whose blocks carry an exact aggregate:
+:class:`IndexedJobList` is the structure of the engine's queue, ordered
+by :func:`~repro.scheduling.job.priority_order_key`.  A queue may hold
+100k jobs, and the Figure-3 walk must not touch every waiter when the
+freed budget can start none of them, so the list is *blocked* (the
+``sortedcontainers`` layout: a list of small sorted blocks) and each
+block carries an exact aggregate:
 
 ``min_needed``
     Minimum ``min_replicas`` over the block.  The Figure-3 walk skips
@@ -46,10 +41,6 @@ the cloud autoscaler.  Every aggregate reads only the member's request,
 which never changes while a job is listed, so the engine may change a
 member's ``replicas`` and ``last_action`` in place without telling the
 list.  :meth:`add` / :meth:`remove` fold members in and out exactly.
-
-Running jobs need no aggregate: there are never more of them than the
-cluster has slots, so the Figure-2 victim walks and Figure 3's running
-side visit them member by member.
 """
 
 from __future__ import annotations
@@ -261,10 +252,6 @@ class IndexedJobList:
     def __iter__(self) -> Iterator[SchedulerJob]:
         for block in self._blocks:
             yield from block.jobs
-
-    def __reversed__(self) -> Iterator[SchedulerJob]:
-        for block in reversed(self._blocks):
-            yield from reversed(block.jobs)
 
     def __getitem__(self, index: int) -> SchedulerJob:
         i = index + self._len if index < 0 else index

@@ -35,14 +35,17 @@ MUTANTS = [
      "            self._constraint.charge(job.request,"
      " new_replicas - old + 1)"),
     ("elastic.py",  # the real pass may shrink the index-0 job
-     "if candidate is head:\n                    return  #",
-     "if False:\n                    return  #"),
+     "max(0, len(running) - 1)):\n            if slot_target <= 0",
+     "len(running)):\n            if slot_target <= 0"),
+    ("elastic.py",  # the dry run may count the index-0 job's spare replicas
+     "max(0, len(running) - 1)):\n            if now - candidate.last_action",
+     "len(running)):\n            if now - candidate.last_action"),
     ("elastic.py",  # the real pass stops at equal priority
-     "if candidate.priority > priority:\n                    return\n",
-     "if candidate.priority >= priority:\n                    return\n"),
+     "if candidate.priority > priority:\n                return\n",
+     "if candidate.priority >= priority:\n                return\n"),
     ("elastic.py",  # the dry run stops at equal priority
-     "if candidate.priority > priority:\n                    return False",
-     "if candidate.priority >= priority:\n                    return False"),
+     "if candidate.priority > priority:\n                return False",
+     "if candidate.priority >= priority:\n                return False"),
     ("elastic.py",  # an arrival past a one-job queue skips the backfill rule
      "if self._backfill is not None and len(self.queue):",
      "if self._backfill is not None and len(self.queue) > 1:"),
@@ -75,6 +78,10 @@ MUTANTS = [
      "self._preempted.discard(job.name)\n"
      "            return ResumeJob(job=job, replicas=replicas)",
      "self._preempted.discard(job.name)\n            return start"),
+    # -- elastic.py: the running list -------------------------------------
+    ("elastic.py",  # a start appends instead of inserting in key order
+     "insort(self.running, job, key=_sort_key)",
+     "self.running.append(job)"),
     # -- elastic.py: aging, capacity and substrate feedback --------------
     ("elastic.py",  # a re-keyed waiter loses its submission-order tie-break
      "key = job.sort_key = (-priority, job.submit_time, job.seq)",

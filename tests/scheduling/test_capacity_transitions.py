@@ -38,7 +38,8 @@ def check_books(engine):
     held = sum(j.replicas for j in engine.running)
     held += len(engine.running) * engine.config.launcher_slots
     assert engine.free_slots == engine.total_slots - held
-    engine.running.check_invariants()
+    keys = [job.sort_key for job in engine.running]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
     engine.queue.check_invariants()
 
 

@@ -178,8 +178,18 @@ def test_easy_floors_are_computed_once_per_queue_insertion(monkeypatch):
 
 @pytest.mark.slow
 def test_easy_8k_holds_1k_throughput():
-    small = 1_000 / min(easy_run(1_000) for _ in range(3))
-    large = 8_000 / min(easy_run(8_000) for _ in range(2))
+    """Both sizes are timed over equal work: one 1k sample is eight
+    back-to-back 1k runs, set against single 8k runs, best of four
+    each.  The samples alternate, so a busy or quiet stretch of a shared
+    machine falls on both sizes.  Best-of-three single 1k runs (about
+    50 ms each) timed before the 8k runs now and then caught a quiet
+    moment that no 8k run could, and read ratios up to 1.88 on code
+    whose usual ratio is 1.2."""
+    small_s, large_s = [], []
+    for _ in range(4):
+        small_s.append(sum(easy_run(1_000) for _ in range(8)))
+        large_s.append(easy_run(8_000))
+    small, large = 8_000 / min(small_s), 8_000 / min(large_s)
     ratio = small / large
     print(f"easy 1k: {small:.0f} jobs/s, 8k: {large:.0f} jobs/s "
           f"(ratio {ratio:.2f}, must stay <= 1.5)")

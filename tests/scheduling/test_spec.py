@@ -235,15 +235,16 @@ def test_aging_steps_on_float_boundaries(tick, interval, seed):
 
 def test_deep_backlog_spans_many_blocks():
     """A mostly-submitting stream on a large cluster: at the default
-    ``BLOCK_LOAD`` both lists grow past one block, so the walks cross
+    ``BLOCK_LOAD`` the queue grows past one block, so the walk crosses
     block boundaries, the queue's block skip fires, and splits and
-    merges under them run for real."""
+    merges under it run for real; the running list grows past what
+    would be several blocks, so the victim walks cover a long list."""
     peak = {"running": 0, "queue": 0}
 
     class Probe(ElasticPolicyEngine):
         def on_submit(self, request, now):
             decisions = super().on_submit(request, now)
-            peak["running"] = max(peak["running"], len(self.running.blocks))
+            peak["running"] = max(peak["running"], len(self.running))
             peak["queue"] = max(peak["queue"], len(self.queue.blocks))
             return decisions
 
@@ -254,9 +255,10 @@ def test_deep_backlog_spans_many_blocks():
                        submit_share=0.75).run()
         assert engine.log == model.log
         assert engine.engine.snapshot() == model.engine.snapshot()
-        engine.engine.running.check_invariants()
+        keys = [job.sort_key for job in engine.engine.running]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
         engine.engine.queue.check_invariants()
-    assert peak["running"] >= 3 and peak["queue"] >= 2
+    assert peak["running"] >= 257 and peak["queue"] >= 2
 
 
 @pytest.mark.parametrize("conservative", [False, True])
